@@ -369,10 +369,13 @@ def run_conjecture_fuzz(dims=(2, 3, 4), samples: int = 1000, grid: int = 11,
     would be a solver fault.  For d >= 3 it is refuted: the seed-0 run at
     dims (2, 3, 4), 1000 samples, grid 11 finds counterexamples at d = 3
     and d = 4 and is tracked byte for byte in
-    ``tests/artifacts/equality_regime_counterexamples.csv``.  Each numeric
-    value is attained by its witness vector, so it is a lower bound on
-    the norm; any excess beyond ``excess_tol`` is a genuine counterexample
-    and is emitted with the full-precision matrix and witness vector.
+    ``tests/artifacts/equality_regime_counterexamples.csv``.  Lattice
+    points with mu + lambda <= 1 (s <= r) take the proven closed form,
+    so their excess is exactly 0; every other point runs the multistart
+    ascent.  Each numeric value is attained by its witness vector, so it
+    is a lower bound on the norm; any excess beyond ``excess_tol`` is a
+    genuine counterexample and is emitted with the full-precision matrix
+    and witness vector.
 
     Returns:
         Table with per-dimension summary rows followed by one row per
@@ -397,7 +400,7 @@ def run_conjecture_fuzz(dims=(2, 3, 4), samples: int = 1000, grid: int = 11,
             sigma2 = min(float(c.sigma2), 1.0)
             for mu, lam in feasible_weight_grid(sigma2, grid):
                 w = WeightTriple(1.0, lam, mu)
-                res = norm_numeric(c, w.r, w.s, opts=opts, base=base)
+                res = norm(c, w, opts=opts, base=base)
                 conjectured = norm_mub(d, w.r, w.s)
                 excess = res.value - conjectured
                 evals += 1

@@ -127,8 +127,8 @@ def _pnorm(x: np.ndarray, p: float, axis=0) -> np.ndarray:
         return x.max(axis=axis)
     m = x.max(axis=axis)
     safe = np.where(m > 0.0, m, 1.0)
-    scaled = x / np.expand_dims(safe, axis)
-    return m * np.sum(scaled**p, axis=axis) ** (1.0 / p)
+    scaled = x / (safe if axis == 0 else safe[:, None])
+    return m * (scaled**p).sum(axis=axis) ** (1.0 / p)
 
 
 def _ratio(c: np.ndarray, v: np.ndarray, r: float, s: float) -> float:
@@ -258,9 +258,18 @@ def norm_closed_form(c, r=None, s=None, w: WeightTriple | None = None,
     not doubly stochastic within 1e-8.
     """
     r, s = _exponents(r, s, w)
+    return _classify(c, r, s, base)[2]
+
+
+def _classify(c, r: float, s: float, base: LogBase):
+    """Validate ``c`` once: (matrix, doubly stochastic?, closed form or None)."""
     m = _as_matrix(c)
-    if not _is_doubly_stochastic(m):
-        return None
+    ds = _is_doubly_stochastic(m)
+    return m, ds, (_closed_form(m, r, s, base) if ds else None)
+
+
+def _closed_form(m: np.ndarray, r: float, s: float, base: LogBase) -> NormResult | None:
+    """:func:`norm_closed_form` on a validated, doubly stochastic matrix."""
     d = m.shape[0]
     if s <= r:
         value = norm_mub(d, r, s)
@@ -328,34 +337,40 @@ def _multistart_ascent(m, r, s, opts):
     x = x / _pnorm(x, r, axis=0)
     k = x.shape[1]
     mt = m.T
-    f = _pnorm(m @ x, s, axis=0)
+    s_minus_1, inv_r_minus_1 = s - 1.0, 1.0 / (r - 1.0)
+    y = m @ x
+    f = _pnorm(y, s, axis=0)
     best_f, best_x = f.copy(), x.copy()
     converged = np.zeros(k, dtype=bool)
     stall, last_best = 0, best_f.max()
     for _ in range(opts.max_iterations):
-        y = m @ x
         ymax = y.max(axis=0)
         y = y / np.where(ymax > 0.0, ymax, 1.0)
-        z = mt @ y ** (s - 1.0)
+        z = mt @ y ** s_minus_1
         zmax = z.max(axis=0)
         z = z / np.where(zmax > 0.0, zmax, 1.0)
-        xn = z ** (1.0 / (r - 1.0))
+        xn = z ** inv_r_minus_1
         nrm = _pnorm(xn, r, axis=0)
         dead = nrm <= 0.0
         if dead.any():
             xn[:, dead] = x[:, dead]
             nrm = np.where(dead, 1.0, nrm)
         xn = xn / nrm
-        fn = _pnorm(m @ xn, s, axis=0)
+        y = m @ xn
+        fn = _pnorm(y, s, axis=0)
         dropped = fn < f - 1e-15
-        for j in np.flatnonzero(dropped):
-            xj, fj = _line_search(m, x[:, j], xn[:, j], r, s)
-            xn[:, j], fn[j] = xj, fj
+        if dropped.any():
+            for j in np.flatnonzero(dropped):
+                xj, fj = _line_search(m, x[:, j], xn[:, j], r, s)
+                xn[:, j], fn[j] = xj, fj
+            # Recompute the whole product, not only the searched columns: a
+            # matrix-vector product may round differently from this one.
+            y = m @ xn
         rel = np.abs(fn - f) / np.maximum(fn, 1e-300)
         converged |= rel < opts.tolerance
         improved = fn > best_f
-        best_f = np.where(improved, fn, best_f)
-        best_x[:, improved] = xn[:, improved]
+        np.copyto(best_f, fn, where=improved)
+        np.copyto(best_x, xn, where=improved)
         x, f = xn, fn
         if converged.all():
             break
@@ -401,7 +416,17 @@ def norm_numeric(c, r=None, s=None, w: WeightTriple | None = None,
         NormConsistencyError: if a certified check fails.
     """
     r, s = _exponents(r, s, w)
-    m = _as_matrix(c)
+    m, ds, closed = _classify(c, r, s, base)
+    return _norm_numeric(m, r, s, opts, base, ds, closed)
+
+
+def _norm_numeric(m: np.ndarray, r: float, s: float, opts: SolverOptions | None,
+                  base: LogBase, ds: bool, closed: NormResult | None) -> NormResult:
+    """:func:`norm_numeric` on a validated matrix.
+
+    ``ds`` says whether ``m`` is doubly stochastic and ``closed`` is its
+    closed-form result (None when no closed form applies).
+    """
     opts = opts or SolverOptions()
     n = m.shape[1]
     if r == 1.0:
@@ -428,14 +453,13 @@ def norm_numeric(c, r=None, s=None, w: WeightTriple | None = None,
         witness = _multistart_ascent(m, r, s, opts)
         value = _ratio(m, witness, r, s)
 
-    if _is_doubly_stochastic(m):
+    if ds:
         d = m.shape[0]
         lo, hi = norm_mub(d, r, s), norm_identity(d, r, s)
         if not (lo - 1e-9 <= value <= hi + 1e-9):
             raise NormConsistencyError(
                 f"numeric norm {value!r} escapes certified bounds [{lo!r}, {hi!r}]"
             )
-        closed = norm_closed_form(m, r, s, base=base)
         if closed is not None and abs(value - closed.value) > 1e-7 * max(1.0, closed.value):
             raise NormConsistencyError(
                 f"numeric norm {value!r} disagrees with closed form {closed.value!r}"
@@ -451,10 +475,11 @@ def norm_numeric(c, r=None, s=None, w: WeightTriple | None = None,
 def norm(c, w: WeightTriple, opts: SolverOptions | None = None,
          base: LogBase = LogBase.TWO) -> NormResult:
     """Norm at the weight triple's exponents: closed form if available, else numeric."""
-    closed = norm_closed_form(c, w=w, base=base)
+    r, s = _exponents(w=w)
+    m, ds, closed = _classify(c, r, s, base)
     if closed is not None:
         return closed
-    return norm_numeric(c, w=w, opts=opts, base=base)
+    return _norm_numeric(m, r, s, opts, base, ds, closed)
 
 
 def feasible_weight_grid(sigma2: float, n: int = 21) -> list:

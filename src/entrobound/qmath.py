@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import (
     DimensionMismatchError,
@@ -294,7 +293,9 @@ def gibbs_gap(rho: DensityMatrix, lind: np.ndarray, base: LogBase = LogBase.TWO)
         raise InvalidStateError("operator is not Hermitian within 1e-10")
     energy = float(np.einsum("ij,ji->", rho.matrix, lind).real)
     w = np.linalg.eigvalsh(lind)
-    log_z = float(logsumexp(-w * base.ln)) / base.ln
+    exponents = -w * base.ln
+    top = exponents.max()
+    log_z = float(top + np.log(np.exp(exponents - top).sum())) / base.ln
     return energy - (von_neumann_entropy(rho, base) - log_z)
 
 

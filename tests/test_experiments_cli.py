@@ -3,7 +3,11 @@
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,8 +16,12 @@ from entrobound import (
     COMPARE_RANDOM_OPTS,
     SolverOptions,
     Table,
+    WeightTriple,
     cli,
     config_hash,
+    feasible_weight_grid,
+    from_unitary,
+    haar_random_unitary,
     run_compare_random,
     run_compare_sweep,
     run_conjecture_fuzz,
@@ -23,8 +31,11 @@ from entrobound import (
     run_werner_masks,
     write_table,
 )
+from entrobound import norms
 
 FAST = SolverOptions(restarts=4)
+REPO = Path(__file__).resolve().parents[1]
+CENSUS_ARTIFACT = REPO / "tests" / "artifacts" / "equality_regime_counterexamples.csv"
 PROVENANCE = re.compile(r"^# entrobound 0\.1\.0 seed=(\d+|-) config=[0-9a-f]{12}$")
 
 
@@ -128,6 +139,14 @@ def test_norm_argument_conflicts_exit_one(capsys):
 # exit codes
 
 
+def test_python_dash_m_runs_the_cli():
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    proc = subprocess.run([sys.executable, "-m", "entrobound", "--version"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "entrobound 0.1.0"
+
+
 def test_argparse_failures_exit_one():
     for argv in [["norm", "--r", "2", "--s", "2"], ["frobnicate"], []]:
         with pytest.raises(SystemExit) as excinfo:
@@ -169,6 +188,49 @@ def test_fuzz_clean_run_exits_zero(tmp_path, capsys):
     assert "no counterexamples" in capsys.readouterr().err
     lines = out.read_text().splitlines()
     assert len([l for l in lines[2:] if l.startswith("violation,")]) == 0
+
+
+def _violation_lines(text, samples):
+    return [line for line in text.splitlines()
+            if line.startswith("violation,") and int(line.split(",")[2]) < samples]
+
+
+def test_fuzz_reproduces_tracked_counterexamples_bit_for_bit():
+    # The census seeds its RNG per d, so the first 16 samples of d = 3, 4
+    # give exactly the artifact's rows with sample < 16, whatever dims run.
+    buf = io.StringIO()
+    write_table(run_conjecture_fuzz(dims=(3, 4), samples=16, grid=11, seed=0), buf)
+    want = _violation_lines(CENSUS_ARTIFACT.read_text(encoding="utf-8"), 16)
+    assert want
+    assert _violation_lines(buf.getvalue(), 16) == want
+
+
+def test_fuzz_runs_the_ascent_only_where_no_closed_form_applies(monkeypatch):
+    calls = []
+    ascent = norms._multistart_ascent
+
+    def counting(m, r, s, opts):
+        calls.append((r, s))
+        return ascent(m, r, s, opts)
+
+    monkeypatch.setattr(norms, "_multistart_ascent", counting)
+    dims, samples, grid = (2, 3), 2, 11
+    table = run_conjecture_fuzz(dims=dims, samples=samples, grid=grid, seed=0)
+    evals, interior = {}, 0
+    for d in dims:
+        rng = np.random.default_rng([0, d])
+        evals[d] = 0
+        for _ in range(samples):
+            sigma2 = min(float(from_unitary(haar_random_unitary(d, rng)).sigma2), 1.0)
+            points = feasible_weight_grid(sigma2, grid)
+            evals[d] += len(points)
+            for mu, lam in points:
+                w = WeightTriple(1.0, lam, mu)
+                interior += w.r < w.s < math.inf and w.r > 1.0
+    summary = {row[1]: row[4] for row in table.rows if row[0] == "summary"}
+    assert summary == evals
+    assert all(s > r for r, s in calls)
+    assert len(calls) == interior > 0
 
 
 # ---------------------------------------------------------------------------
