@@ -258,18 +258,9 @@ def norm_closed_form(c, r=None, s=None, w: WeightTriple | None = None,
     not doubly stochastic within 1e-8.
     """
     r, s = _exponents(r, s, w)
-    return _classify(c, r, s, base)[2]
-
-
-def _classify(c, r: float, s: float, base: LogBase):
-    """Validate ``c`` once: (matrix, doubly stochastic?, closed form or None)."""
     m = _as_matrix(c)
-    ds = _is_doubly_stochastic(m)
-    return m, ds, (_closed_form(m, r, s, base) if ds else None)
-
-
-def _closed_form(m: np.ndarray, r: float, s: float, base: LogBase) -> NormResult | None:
-    """:func:`norm_closed_form` on a validated, doubly stochastic matrix."""
+    if not _is_doubly_stochastic(m):
+        return None
     d = m.shape[0]
     if s <= r:
         value = norm_mub(d, r, s)
@@ -416,17 +407,7 @@ def norm_numeric(c, r=None, s=None, w: WeightTriple | None = None,
         NormConsistencyError: if a certified check fails.
     """
     r, s = _exponents(r, s, w)
-    m, ds, closed = _classify(c, r, s, base)
-    return _norm_numeric(m, r, s, opts, base, ds, closed)
-
-
-def _norm_numeric(m: np.ndarray, r: float, s: float, opts: SolverOptions | None,
-                  base: LogBase, ds: bool, closed: NormResult | None) -> NormResult:
-    """:func:`norm_numeric` on a validated matrix.
-
-    ``ds`` says whether ``m`` is doubly stochastic and ``closed`` is its
-    closed-form result (None when no closed form applies).
-    """
+    m = _as_matrix(c)
     opts = opts or SolverOptions()
     n = m.shape[1]
     if r == 1.0:
@@ -453,13 +434,14 @@ def _norm_numeric(m: np.ndarray, r: float, s: float, opts: SolverOptions | None,
         witness = _multistart_ascent(m, r, s, opts)
         value = _ratio(m, witness, r, s)
 
-    if ds:
+    if _is_doubly_stochastic(m):
         d = m.shape[0]
         lo, hi = norm_mub(d, r, s), norm_identity(d, r, s)
         if not (lo - 1e-9 <= value <= hi + 1e-9):
             raise NormConsistencyError(
                 f"numeric norm {value!r} escapes certified bounds [{lo!r}, {hi!r}]"
             )
+        closed = norm_closed_form(m, r, s, base=base)
         if closed is not None and abs(value - closed.value) > 1e-7 * max(1.0, closed.value):
             raise NormConsistencyError(
                 f"numeric norm {value!r} disagrees with closed form {closed.value!r}"
@@ -475,11 +457,10 @@ def _norm_numeric(m: np.ndarray, r: float, s: float, opts: SolverOptions | None,
 def norm(c, w: WeightTriple, opts: SolverOptions | None = None,
          base: LogBase = LogBase.TWO) -> NormResult:
     """Norm at the weight triple's exponents: closed form if available, else numeric."""
-    r, s = _exponents(w=w)
-    m, ds, closed = _classify(c, r, s, base)
+    closed = norm_closed_form(c, w=w, base=base)
     if closed is not None:
         return closed
-    return _norm_numeric(m, r, s, opts, base, ds, closed)
+    return norm_numeric(c, w=w, opts=opts, base=base)
 
 
 def feasible_weight_grid(sigma2: float, n: int = 21) -> list:
