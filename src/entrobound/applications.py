@@ -254,9 +254,13 @@ def werner_detection_scan(phi: float, theta_pairs,
         von_neumann_entropy(partial_trace(w, (2, 2), 0), base),
         von_neumann_entropy(partial_trace(w, (2, 2), 1), base),
     )
+    rotations = {}
     out = []
     for ta, tb in theta_pairs:
-        y_meas = tensor_measurement(rotated_measurement_2d(ta), rotated_measurement_2d(tb))
+        for t in (ta, tb):
+            if t not in rotations:
+                rotations[t] = rotated_measurement_2d(t)
+        y_meas = tensor_measurement(rotations[ta], rotations[tb])
         h_y = shannon_entropy(measurement_distribution(w, y_meas), base)
         sigma2 = max(math.cos(2.0 * ta), math.cos(2.0 * tb))
         verdict = entanglement_witness_analytic(h_x, h_y, 4, sigma2, s_max, base)

@@ -317,8 +317,29 @@ def _line_search(c, a, b, r, s, iters=70):
     return _unit_r(v, r), gb
 
 
+def _scale_columns(v: np.ndarray) -> tuple:
+    """(column maxima, v divided by them); all-zero columns stay as they are.
+
+    The same operations as the scaling step of ``_pnorm`` along axis 0,
+    with the zero guard taken only when some maximum is not positive.
+    """
+    vmax = np.maximum.reduce(v, axis=0)
+    if vmax[vmax.argmin()] > 0.0:
+        return vmax, v / vmax
+    return vmax, v / np.where(vmax > 0.0, vmax, 1.0)
+
+
 def _multistart_ascent(m, r, s, opts):
-    """Vectorized power iteration over a bank of starts; returns best point."""
+    """Vectorized power iteration over a bank of starts; returns best point.
+
+    The loop computes ``_pnorm`` inline, with the same float operations
+    in the same order, and keeps the scaled ``m @ x`` it makes on the
+    way: that is the normalised vector the next step starts from.  A new
+    point is ``mt @ yn**(s - 1)`` divided by its column maxima and raised
+    to 1/(r - 1), so every nonzero column has a maximum of exactly 1.0
+    (x / x = 1 and 1 ** p = 1) and its r-norm is the plain sum of powers;
+    an all-zero column sums to 0 and keeps its previous point.
+    """
     n = m.shape[1]
     rng = np.random.default_rng(opts.seed)
     starts = [np.ones((n, 1)), np.eye(n)]
@@ -329,43 +350,41 @@ def _multistart_ascent(m, r, s, opts):
     k = x.shape[1]
     mt = m.T
     s_minus_1, inv_r_minus_1 = s - 1.0, 1.0 / (r - 1.0)
-    y = m @ x
-    f = _pnorm(y, s, axis=0)
+    inv_r, inv_s, tol = 1.0 / r, 1.0 / s, opts.tolerance
+    ymax, yn = _scale_columns(m @ x)
+    f = ymax * np.add.reduce(yn**s, axis=0) ** inv_s
     best_f, best_x = f.copy(), x.copy()
     converged = np.zeros(k, dtype=bool)
-    stall, last_best = 0, best_f.max()
+    stall, last_best = 0, best_f[best_f.argmax()]
     for _ in range(opts.max_iterations):
-        ymax = y.max(axis=0)
-        y = y / np.where(ymax > 0.0, ymax, 1.0)
-        z = mt @ y ** s_minus_1
-        zmax = z.max(axis=0)
-        z = z / np.where(zmax > 0.0, zmax, 1.0)
-        xn = z ** inv_r_minus_1
-        nrm = _pnorm(xn, r, axis=0)
+        xn = _scale_columns(mt @ yn**s_minus_1)[1] ** inv_r_minus_1
+        nrm = np.add.reduce(xn**r, axis=0) ** inv_r
         dead = nrm <= 0.0
-        if dead.any():
+        if np.count_nonzero(dead):
             xn[:, dead] = x[:, dead]
             nrm = np.where(dead, 1.0, nrm)
         xn = xn / nrm
-        y = m @ xn
-        fn = _pnorm(y, s, axis=0)
+        ymax, yn = _scale_columns(m @ xn)
+        fn = ymax * np.add.reduce(yn**s, axis=0) ** inv_s
         dropped = fn < f - 1e-15
-        if dropped.any():
+        if np.count_nonzero(dropped):
             for j in np.flatnonzero(dropped):
                 xj, fj = _line_search(m, x[:, j], xn[:, j], r, s)
                 xn[:, j], fn[j] = xj, fj
             # Recompute the whole product, not only the searched columns: a
             # matrix-vector product may round differently from this one.
-            y = m @ xn
+            yn = _scale_columns(m @ xn)[1]
         rel = np.abs(fn - f) / np.maximum(fn, 1e-300)
-        converged |= rel < opts.tolerance
+        converged |= rel < tol
         improved = fn > best_f
         np.copyto(best_f, fn, where=improved)
         np.copyto(best_x, xn, where=improved)
         x, f = xn, fn
-        if converged.all():
+        # Indexing at argmin/argmax stands in for .all() and .max(): on
+        # arrays this short it costs a fraction of the reduction's overhead.
+        if converged[converged.argmin()]:
             break
-        top = best_f.max()
+        top = best_f[best_f.argmax()]
         if top <= last_best * (1.0 + 1e-13):
             stall += 1
             if stall >= 60:

@@ -276,6 +276,47 @@ def test_solver_failure_reports_best_attempt():
     assert err.best_point is not None and len(err.best_point) == 2
 
 
+#: Witnesses of norm_numeric at mu* = 1 / (1 + sigma2) with 8 restarts, for
+#: from_unitary(haar_random_unitary(d, default_rng([0, d]))), as float.hex.
+_MU_STAR_WITNESSES = {
+    3: ["0x1.14aa61a8baaf8p-2", "0x1.3596b0dd25a5cp-2", "0x1.ba30d3a4b0d70p-1"],
+    8: ["0x1.3267b18fb83ccp-5", "0x1.23860a2e8bb79p-4", "0x1.24cad46fe2d26p-4",
+        "0x1.203836d50d324p-6", "0x1.d9f6850901b06p-3", "0x1.40f0e0711ed25p-3",
+        "0x1.53936892e5b65p-6", "0x1.aebb600e38f5ep-1"],
+    12: ["0x1.41ea254465088p-4", "0x1.ecb832aff491ap-5", "0x1.e924975ca6192p-5",
+         "0x1.f5ead02ec0d86p-3", "0x1.22e30c29cdae1p-3", "0x1.25da65f5dd6abp-4",
+         "0x1.40be3792df9dcp-4", "0x1.7528a3fe323e5p-2", "0x1.0ba801a719b83p-4",
+         "0x1.f17f33fe5508ep-2", "0x1.0b95504435d34p-4", "0x1.e237c87b2af9fp-3"],
+}
+
+
+@pytest.mark.parametrize("d", sorted(_MU_STAR_WITNESSES))
+def test_mu_star_witness_is_pinned_bit_for_bit(d):
+    """The ascent kernel's float operations, and their order, stay fixed.
+
+    A change that reorders or fuses any step of the power iteration moves
+    the last bits of these witnesses, and with them the counterexample
+    census and the pinned comparison CSVs.
+    """
+    c = from_unitary(qmath.haar_random_unitary(d, np.random.default_rng([0, d])))
+    ms = mu_star(min(second_singular_value(c), 1.0))
+    r, s = 1.0 / ms, 1.0 / (1.0 - ms)
+    res = norm_numeric(c, r, s, opts=SolverOptions(restarts=8))
+    assert [float(v).hex() for v in res.witness] == _MU_STAR_WITNESSES[d]
+
+
+@pytest.mark.parametrize("r, s", [(1.5, 3.0), (2.0, 4.0)])
+def test_zero_column_and_zero_image_keep_the_ascent_finite(r, s):
+    # The e2 start maps to y = 0, so the ascent takes its zero-maximum
+    # guards and keeps e2 as a dead column; the e1 start gives the norm.
+    m = [[0.6, 0.0], [0.4, 0.0]]
+    with np.errstate(divide="raise", invalid="raise"):  # no 0/0 on the way
+        res = norm_numeric(m, r, s)
+    assert res.value == pytest.approx(_p([0.6, 0.4], s), abs=1e-12)
+    assert res.witness.tolist() == [1.0, 0.0]
+    assert res.certified_bounds == (0.0, math.inf)
+
+
 # ---------------------------------------------------------------------------
 # objective curvature at the uniform vector
 
