@@ -16,9 +16,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+# Loaded with the package, not lazily by its first caller: every ascent seeds its starts.
+from numpy.random import default_rng
 
 from .errors import NormConsistencyError, SolverFailureError
-from .overlap import OverlapMatrix
+from .overlap import OverlapMatrix, _matrix_sum_error
 from .qmath import LogBase
 
 _DS_TOL = 1e-8
@@ -91,7 +93,9 @@ class NormResult:
 
 
 def _as_matrix(c) -> np.ndarray:
-    m = c.matrix if isinstance(c, OverlapMatrix) else np.asarray(c, dtype=float)
+    if isinstance(c, OverlapMatrix):
+        return c.matrix  # checked, clipped and made read-only when it was built
+    m = np.asarray(c, dtype=float)
     if m.ndim != 2:
         raise ValueError(f"expected a matrix, got shape {m.shape}")
     if m.min() < -1e-12:
@@ -112,23 +116,49 @@ def _exponents(r=None, s=None, w: WeightTriple | None = None):
     return r, s
 
 
-def _is_doubly_stochastic(m: np.ndarray, tol: float = _DS_TOL) -> bool:
-    if m.shape[0] != m.shape[1]:
-        return False
-    return bool(
-        np.abs(m.sum(axis=0) - 1.0).max() <= tol
-        and np.abs(m.sum(axis=1) - 1.0).max() <= tol
-    )
+def _is_doubly_stochastic(c, m: np.ndarray) -> bool:
+    """Whether ``m = _as_matrix(c)`` is doubly stochastic within 1e-8.
+
+    An ``OverlapMatrix`` caches its sum error, so the many norms a sweep
+    takes of one matrix check it once.
+    """
+    err = c._sum_error if isinstance(c, OverlapMatrix) else _matrix_sum_error(m)
+    return err <= _DS_TOL
+
+
+def _scale_columns(v: np.ndarray) -> tuple:
+    """(column maxima, v divided by them); all-zero columns stay as they are.
+
+    A 1-D ``v`` is one column.  The zero guard is taken only when some
+    maximum is not positive; indexing at ``argmin`` stands in for
+    ``.min()``, which costs several times more on arrays this short.
+    """
+    vmax = np.maximum.reduce(v, axis=0)
+    if (vmax if vmax.ndim == 0 else vmax[vmax.argmin()]) > 0.0:
+        return vmax, v / vmax
+    return vmax, v / np.where(vmax > 0.0, vmax, 1.0)
+
+
+def _scaled_pnorm(v: np.ndarray, p: float) -> tuple:
+    """(p-norms of the columns of nonnegative ``v``, ``v`` over its column maxima).
+
+    Scaling by the maximum keeps large finite p from overflowing.  The
+    ascent kernel carries the scaled matrix into its next step, so this is
+    the one definition of the objective's norm: its bits are pinned.
+    """
+    vmax, scaled = _scale_columns(v)
+    return vmax * np.add.reduce(scaled**p, axis=0) ** (1.0 / p), scaled
 
 
 def _pnorm(x: np.ndarray, p: float, axis=0) -> np.ndarray:
     """p-norm of nonnegative data along ``axis``, stable for large p."""
     if math.isinf(p):
         return x.max(axis=axis)
+    if axis == 0:
+        return _scaled_pnorm(x, p)[0]
     m = x.max(axis=axis)
     safe = np.where(m > 0.0, m, 1.0)
-    scaled = x / (safe if axis == 0 else safe[:, None])
-    return m * (scaled**p).sum(axis=axis) ** (1.0 / p)
+    return m * ((x / safe[:, None])**p).sum(axis=axis) ** (1.0 / p)
 
 
 def _ratio(c: np.ndarray, v: np.ndarray, r: float, s: float) -> float:
@@ -208,7 +238,7 @@ def hessian_spectrum_at_ones(c, mu: float, lam: float) -> np.ndarray:
         Ascending eigenvalues, length d - 1.
     """
     m = _as_matrix(c)
-    if not _is_doubly_stochastic(m):
+    if not _is_doubly_stochastic(c, m):
         raise ValueError("matrix must be square doubly stochastic")
     d = m.shape[0]
     q = _complement_basis(d)
@@ -259,12 +289,12 @@ def norm_closed_form(c, r=None, s=None, w: WeightTriple | None = None,
     """
     r, s = _exponents(r, s, w)
     m = _as_matrix(c)
-    if not _is_doubly_stochastic(m):
+    if not _is_doubly_stochastic(c, m):
         return None
     d = m.shape[0]
     if s <= r:
         value = norm_mub(d, r, s)
-        witness = _unit_r(np.ones(d), r)
+        witness = _uniform_unit_r(d, r)
         return _result(value, witness, NormMethod.CLOSED_S_LE_R, d, r, s, base)
     if r == 1.0 and math.isinf(s):
         flat = int(np.argmax(m))
@@ -273,17 +303,22 @@ def norm_closed_form(c, r=None, s=None, w: WeightTriple | None = None,
         witness[j] = 1.0
         return _result(float(m.max()), witness, NormMethod.CLOSED_KMU, d, r, s, base)
     if np.abs(m - 1.0 / d).max() <= 1e-12:
-        return _result(norm_mub(d, r, s), _unit_r(np.ones(d), r),
+        return _result(norm_mub(d, r, s), _uniform_unit_r(d, r),
                        NormMethod.CLOSED_MUB, d, r, s, base)
     if np.abs(m - np.rint(m)).max() <= 1e-12:
         value = norm_identity(d, r, s)
-        witness = _unit_r(np.ones(d), r) if r >= s else np.eye(d)[0]
+        witness = _uniform_unit_r(d, r) if r >= s else np.eye(d)[0]
         return _result(value, witness, NormMethod.CLOSED_IDENTITY, d, r, s, base)
     return None
 
 
 def _unit_r(v: np.ndarray, r: float) -> np.ndarray:
     return v / _pnorm(v, r, axis=0)
+
+
+def _uniform_unit_r(d: int, r: float) -> np.ndarray:
+    """``_unit_r(np.ones(d), r)`` without the reductions: 1**r = 1 and d ones sum to d."""
+    return np.full(d, 1.0 / float(d) ** (1.0 / r))
 
 
 def _result(value, witness, method, d, r, s, base) -> NormResult:
@@ -317,31 +352,19 @@ def _line_search(c, a, b, r, s, iters=70):
     return _unit_r(v, r), gb
 
 
-def _scale_columns(v: np.ndarray) -> tuple:
-    """(column maxima, v divided by them); all-zero columns stay as they are.
-
-    The same operations as the scaling step of ``_pnorm`` along axis 0,
-    with the zero guard taken only when some maximum is not positive.
-    """
-    vmax = np.maximum.reduce(v, axis=0)
-    if vmax[vmax.argmin()] > 0.0:
-        return vmax, v / vmax
-    return vmax, v / np.where(vmax > 0.0, vmax, 1.0)
-
-
 def _multistart_ascent(m, r, s, opts):
     """Vectorized power iteration over a bank of starts; returns best point.
 
-    The loop computes ``_pnorm`` inline, with the same float operations
-    in the same order, and keeps the scaled ``m @ x`` it makes on the
-    way: that is the normalised vector the next step starts from.  A new
-    point is ``mt @ yn**(s - 1)`` divided by its column maxima and raised
-    to 1/(r - 1), so every nonzero column has a maximum of exactly 1.0
-    (x / x = 1 and 1 ** p = 1) and its r-norm is the plain sum of powers;
-    an all-zero column sums to 0 and keeps its previous point.
+    The objective is ``_scaled_pnorm``, the body of ``_pnorm``, and the
+    loop keeps the scaled ``m @ x`` it returns: that is the normalised
+    vector the next step starts from.  A new point is ``mt @ yn**(s - 1)``
+    divided by its column maxima and raised to 1/(r - 1), so every nonzero
+    column has a maximum of exactly 1.0 (x / x = 1 and 1 ** p = 1) and its
+    r-norm is the plain sum of powers; an all-zero column sums to 0 and
+    keeps its previous point.
     """
     n = m.shape[1]
-    rng = np.random.default_rng(opts.seed)
+    rng = default_rng(opts.seed)
     starts = [np.ones((n, 1)), np.eye(n)]
     if opts.restarts > 0:
         starts.append(rng.standard_exponential((n, opts.restarts)))
@@ -350,9 +373,8 @@ def _multistart_ascent(m, r, s, opts):
     k = x.shape[1]
     mt = m.T
     s_minus_1, inv_r_minus_1 = s - 1.0, 1.0 / (r - 1.0)
-    inv_r, inv_s, tol = 1.0 / r, 1.0 / s, opts.tolerance
-    ymax, yn = _scale_columns(m @ x)
-    f = ymax * np.add.reduce(yn**s, axis=0) ** inv_s
+    inv_r, tol = 1.0 / r, opts.tolerance
+    f, yn = _scaled_pnorm(m @ x, s)
     best_f, best_x = f.copy(), x.copy()
     converged = np.zeros(k, dtype=bool)
     stall, last_best = 0, best_f[best_f.argmax()]
@@ -364,8 +386,7 @@ def _multistart_ascent(m, r, s, opts):
             xn[:, dead] = x[:, dead]
             nrm = np.where(dead, 1.0, nrm)
         xn = xn / nrm
-        ymax, yn = _scale_columns(m @ xn)
-        fn = ymax * np.add.reduce(yn**s, axis=0) ** inv_s
+        fn, yn = _scaled_pnorm(m @ xn, s)
         dropped = fn < f - 1e-15
         if np.count_nonzero(dropped):
             for j in np.flatnonzero(dropped):
@@ -453,7 +474,7 @@ def norm_numeric(c, r=None, s=None, w: WeightTriple | None = None,
         witness = _multistart_ascent(m, r, s, opts)
         value = _ratio(m, witness, r, s)
 
-    if _is_doubly_stochastic(m):
+    if _is_doubly_stochastic(c, m):
         d = m.shape[0]
         lo, hi = norm_mub(d, r, s), norm_identity(d, r, s)
         if not (lo - 1e-9 <= value <= hi + 1e-9):

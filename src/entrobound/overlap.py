@@ -7,6 +7,7 @@ and unistochastic when both bases are related by a unitary.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -63,17 +64,24 @@ class OverlapMatrix:
     def max_entry(self) -> float:
         return float(self.matrix.max())
 
+    @functools.cached_property
+    def _sum_error(self) -> float:
+        """``_matrix_sum_error`` of the matrix, which is read-only."""
+        return _matrix_sum_error(self.matrix)
+
     def is_doubly_stochastic(self, tol: float = _DS_TOL) -> bool:
-        m = self.matrix
-        if m.shape[0] != m.shape[1]:
-            return False
-        return bool(
-            np.abs(m.sum(axis=0) - 1.0).max() <= tol
-            and np.abs(m.sum(axis=1) - 1.0).max() <= tol
-        )
+        return self._sum_error <= tol
 
     def __repr__(self):
         return f"OverlapMatrix(shape={self.shape}, source={self.source!r})"
+
+
+def _matrix_sum_error(m: np.ndarray) -> float:
+    """Largest |row or column sum - 1| of a matrix; inf unless it is square."""
+    if m.shape[0] != m.shape[1]:
+        return math.inf
+    sums = np.concatenate((m.sum(axis=0), m.sum(axis=1)))
+    return float(np.abs(sums - 1.0).max())
 
 
 def build_overlap(x: ProjectiveMeasurement, y: ProjectiveMeasurement) -> OverlapMatrix:

@@ -7,6 +7,7 @@ import pytest
 
 from entrobound import (
     NormMethod,
+    OverlapMatrix,
     SolverFailureError,
     SolverOptions,
     WeightTriple,
@@ -315,6 +316,24 @@ def test_zero_column_and_zero_image_keep_the_ascent_finite(r, s):
     assert res.value == pytest.approx(_p([0.6, 0.4], s), abs=1e-12)
     assert res.witness.tolist() == [1.0, 0.0]
     assert res.certified_bounds == (0.0, math.inf)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 12])
+def test_closed_form_bits_match_for_an_overlap_matrix_and_its_array(d):
+    # An OverlapMatrix answers the doubly stochastic check from its cached
+    # sum error, a plain array recomputes it; the s <= r witness is built
+    # without reductions and must still be the normalised all-ones vector.
+    c = from_unitary(qmath.haar_random_unitary(d, np.random.default_rng([1, d])))
+    ones = np.ones(d)
+    for r, s in [(3.0, 1.5), (2.0, 2.0), (7.5, 1.0), (1.1, 1.05), (math.inf, 2.0)]:
+        a, b = norm_closed_form(c, r, s), norm_closed_form(c.matrix.tolist(), r, s)
+        assert (a.value, a.log_value, a.method, a.certified_bounds) == (
+            b.value, b.log_value, b.method, b.certified_bounds)
+        unit = ones if math.isinf(r) else ones / (ones**r).sum() ** (1.0 / r)
+        assert a.witness.tobytes() == b.witness.tobytes() == unit.tobytes()
+    assert norm_closed_form(c, 1.5, 3.0) is None
+    assert norm_closed_form(OverlapMatrix(0.9 * c.matrix), 3.0, 1.5) is None
+    assert norm_closed_form(OverlapMatrix(c.matrix[:, 1:]), 3.0, 1.5) is None
 
 
 # ---------------------------------------------------------------------------
