@@ -27,7 +27,7 @@ from .norms import (
     norm_mub,
     norm_numeric,
 )
-from .overlap import OverlapMatrix, build_overlap
+from .overlap import OverlapMatrix, _as_overlap, build_overlap
 from .qmath import (
     DensityMatrix,
     LogBase,
@@ -109,14 +109,24 @@ def qudit_eur_rhs(sigma2: float, d: int, s_rho: float,
 
 
 def _entries_desc(c) -> np.ndarray:
-    m = c.matrix if isinstance(c, OverlapMatrix) else np.asarray(c, dtype=float)
-    return np.sort(m.ravel())[::-1]
+    return np.sort(_as_overlap(c).matrix.ravel())[::-1]
+
+
+def _bccrr_constant(ent: np.ndarray, base: LogBase) -> float:
+    """-log c1 from the entries in descending order."""
+    return -base.log(float(ent[0]))
+
+
+def _rpz2_constant(ent: np.ndarray, base: LogBase) -> tuple:
+    """(c1, c2, C, -log[c1 C^2 + c2 (1 - C^2)]) from the entries in descending order."""
+    c1, c2 = float(ent[0]), float(ent[1])
+    big_c = (1.0 + np.sqrt(c1)) / 2.0
+    return c1, c2, big_c, -base.log(c1 * big_c**2 + c2 * (1.0 - big_c**2))
 
 
 def bccrr_rhs(c, s_rho: float, base: LogBase = LogBase.TWO) -> float:
     """Largest-overlap bound S - log c1."""
-    c1 = float(_entries_desc(c)[0])
-    return s_rho - base.log(c1)
+    return s_rho + _bccrr_constant(_entries_desc(c), base)
 
 
 def rpz2_rhs(c, s_rho: float, base: LogBase = LogBase.TWO) -> float:
@@ -125,11 +135,7 @@ def rpz2_rhs(c, s_rho: float, base: LogBase = LogBase.TWO) -> float:
     c1 and c2 are the two largest entries of the overlap matrix, counted
     with multiplicity.
     """
-    ent = _entries_desc(c)
-    c1, c2 = float(ent[0]), float(ent[1])
-    big_c = (1.0 + np.sqrt(c1)) / 2.0
-    bracket = c1 * big_c**2 + c2 * (1.0 - big_c**2)
-    return s_rho - base.log(bracket)
+    return s_rho + _rpz2_constant(_entries_desc(c), base)[3]
 
 
 def compare_state_independent(c: OverlapMatrix, opts: SolverOptions | None = None,
@@ -171,10 +177,8 @@ def compare_state_independent(c: OverlapMatrix, opts: SolverOptions | None = Non
     else:
         ours = -(1.0 + sigma2) * base.log(numeric.value)
     ent = _entries_desc(c)
-    c1, c2 = float(ent[0]), float(ent[1])
-    bccrr = -base.log(c1)
-    big_c = (1.0 + np.sqrt(c1)) / 2.0
-    rpz2 = -base.log(c1 * big_c**2 + c2 * (1.0 - big_c**2))
+    bccrr = _bccrr_constant(ent, base)
+    c1, c2, big_c, rpz2 = _rpz2_constant(ent, base)
     flag = ours >= max(bccrr, rpz2) - 1e-12
     return ComparisonRow(c1, c2, float(big_c), float(ours), float(bccrr),
                          float(rpz2), bool(flag), bool(conjecture_ok))

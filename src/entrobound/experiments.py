@@ -33,7 +33,7 @@ from .norms import (
     norm_mub,
     norm_numeric,
 )
-from .overlap import OverlapMatrix, build_overlap, rotation_overlap_2d, from_unitary
+from .overlap import _as_overlap, build_overlap, rotation_overlap_2d, from_unitary
 from .qmath import (
     DensityMatrix,
     LogBase,
@@ -444,8 +444,7 @@ def run_randomness_sweep(c, points: int = 11, weight_grid_n: int = 21,
         raise ValueError(f"need at least two lattice points per axis, got {points}")
     if weight_grid_n < 2:
         raise ValueError(f"need at least two weights per axis, got {weight_grid_n}")
-    if not isinstance(c, OverlapMatrix):
-        c = OverlapMatrix(np.asarray(c, dtype=float))
+    c = _as_overlap(c)
     d = c.matrix.shape[0]
     if c.matrix.shape[0] != c.matrix.shape[1]:
         raise ValueError("randomness sweep requires a square overlap matrix")

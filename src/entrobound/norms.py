@@ -20,10 +20,8 @@ import numpy as np
 from numpy.random import default_rng
 
 from .errors import NormConsistencyError, SolverFailureError
-from .overlap import OverlapMatrix, _matrix_sum_error
+from .overlap import _as_overlap
 from .qmath import LogBase
-
-_DS_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -92,17 +90,6 @@ class NormResult:
     certified_bounds: tuple
 
 
-def _as_matrix(c) -> np.ndarray:
-    if isinstance(c, OverlapMatrix):
-        return c.matrix  # checked, clipped and made read-only when it was built
-    m = np.asarray(c, dtype=float)
-    if m.ndim != 2:
-        raise ValueError(f"expected a matrix, got shape {m.shape}")
-    if m.min() < -1e-12:
-        raise ValueError(f"matrix entry {m.min()!r} is negative beyond tolerance")
-    return np.clip(m, 0.0, None)
-
-
 def _exponents(r=None, s=None, w: WeightTriple | None = None):
     if w is not None:
         if r is not None or s is not None:
@@ -114,16 +101,6 @@ def _exponents(r=None, s=None, w: WeightTriple | None = None):
     if r < 1.0 or s < 1.0:
         raise ValueError(f"exponents must be >= 1, got r={r}, s={s}")
     return r, s
-
-
-def _is_doubly_stochastic(c, m: np.ndarray) -> bool:
-    """Whether ``m = _as_matrix(c)`` is doubly stochastic within 1e-8.
-
-    An ``OverlapMatrix`` caches its sum error, so the many norms a sweep
-    takes of one matrix check it once.
-    """
-    err = c._sum_error if isinstance(c, OverlapMatrix) else _matrix_sum_error(m)
-    return err <= _DS_TOL
 
 
 def _scale_columns(v: np.ndarray) -> tuple:
@@ -150,20 +127,16 @@ def _scaled_pnorm(v: np.ndarray, p: float) -> tuple:
     return vmax * np.add.reduce(scaled**p, axis=0) ** (1.0 / p), scaled
 
 
-def _pnorm(x: np.ndarray, p: float, axis=0) -> np.ndarray:
-    """p-norm of nonnegative data along ``axis``, stable for large p."""
+def _pnorm(x: np.ndarray, p: float) -> np.ndarray:
+    """p-norms of the columns of nonnegative ``x``, stable for large p."""
     if math.isinf(p):
-        return x.max(axis=axis)
-    if axis == 0:
-        return _scaled_pnorm(x, p)[0]
-    m = x.max(axis=axis)
-    safe = np.where(m > 0.0, m, 1.0)
-    return m * ((x / safe[:, None])**p).sum(axis=axis) ** (1.0 / p)
+        return x.max(axis=0)
+    return _scaled_pnorm(x, p)[0]
 
 
 def _ratio(c: np.ndarray, v: np.ndarray, r: float, s: float) -> float:
     """Objective ||C v||_s / ||v||_r for a single vector."""
-    return float(_pnorm(c @ v, s, axis=0) / _pnorm(v, r, axis=0))
+    return float(_pnorm(c @ v, s) / _pnorm(v, r))
 
 
 def norm_mub(d: int, r=None, s=None, w: WeightTriple | None = None) -> float:
@@ -237,9 +210,10 @@ def hessian_spectrum_at_ones(c, mu: float, lam: float) -> np.ndarray:
     Returns:
         Ascending eigenvalues, length d - 1.
     """
-    m = _as_matrix(c)
-    if not _is_doubly_stochastic(c, m):
+    c = _as_overlap(c)
+    if not c.is_doubly_stochastic():
         raise ValueError("matrix must be square doubly stochastic")
+    m = c.matrix
     d = m.shape[0]
     q = _complement_basis(d)
     h = (1.0 - mu) * (1.0 - lam) * np.eye(d) - mu * lam * (m.T @ m)
@@ -284,13 +258,14 @@ def norm_closed_form(c, r=None, s=None, w: WeightTriple | None = None,
 
     Covered regimes: s <= r (any doubly stochastic matrix), the
     r = 1, s = inf corner (largest entry), the constant matrix, and
-    permutation matrices.  Returns None otherwise, or when the matrix is
-    not doubly stochastic within 1e-8.
+    permutation matrices.  Returns None otherwise, or when
+    ``OverlapMatrix.is_doubly_stochastic`` is False at its default tolerance.
     """
     r, s = _exponents(r, s, w)
-    m = _as_matrix(c)
-    if not _is_doubly_stochastic(c, m):
+    c = _as_overlap(c)
+    if not c.is_doubly_stochastic():
         return None
+    m = c.matrix
     d = m.shape[0]
     if s <= r:
         value = norm_mub(d, r, s)
@@ -313,7 +288,7 @@ def norm_closed_form(c, r=None, s=None, w: WeightTriple | None = None,
 
 
 def _unit_r(v: np.ndarray, r: float) -> np.ndarray:
-    return v / _pnorm(v, r, axis=0)
+    return v / _pnorm(v, r)
 
 
 def _uniform_unit_r(d: int, r: float) -> np.ndarray:
@@ -369,7 +344,7 @@ def _multistart_ascent(m, r, s, opts):
     if opts.restarts > 0:
         starts.append(rng.standard_exponential((n, opts.restarts)))
     x = np.concatenate(starts, axis=1)
-    x = x / _pnorm(x, r, axis=0)
+    x = x / _pnorm(x, r)
     k = x.shape[1]
     mt = m.T
     s_minus_1, inv_r_minus_1 = s - 1.0, 1.0 / (r - 1.0)
@@ -447,21 +422,22 @@ def norm_numeric(c, r=None, s=None, w: WeightTriple | None = None,
         NormConsistencyError: if a certified check fails.
     """
     r, s = _exponents(r, s, w)
-    m = _as_matrix(c)
+    c = _as_overlap(c)
+    m = c.matrix
     opts = opts or SolverOptions()
     n = m.shape[1]
     if r == 1.0:
-        col = _pnorm(m, s, axis=0)
+        col = _pnorm(m, s)
         j = int(np.argmax(col))
         witness = np.zeros(n)
         witness[j] = 1.0
         value = float(col[j])
     elif math.isinf(r):
         witness = np.ones(n)
-        value = float(_pnorm(m @ witness, s, axis=0))
+        value = float(_pnorm(m @ witness, s))
     elif math.isinf(s):
         rstar = r / (r - 1.0)
-        rows = _pnorm(m, rstar, axis=1)
+        rows = _pnorm(m.T, rstar)
         i = int(np.argmax(rows))
         witness = _unit_r(m[i] ** (rstar - 1.0), r) if rows[i] > 0.0 else np.eye(n)[0]
         value = _ratio(m, witness, r, s)
@@ -474,14 +450,14 @@ def norm_numeric(c, r=None, s=None, w: WeightTriple | None = None,
         witness = _multistart_ascent(m, r, s, opts)
         value = _ratio(m, witness, r, s)
 
-    if _is_doubly_stochastic(c, m):
+    if c.is_doubly_stochastic():
         d = m.shape[0]
         lo, hi = norm_mub(d, r, s), norm_identity(d, r, s)
         if not (lo - 1e-9 <= value <= hi + 1e-9):
             raise NormConsistencyError(
                 f"numeric norm {value!r} escapes certified bounds [{lo!r}, {hi!r}]"
             )
-        closed = norm_closed_form(m, r, s, base=base)
+        closed = norm_closed_form(c, r, s, base=base)
         if closed is not None and abs(value - closed.value) > 1e-7 * max(1.0, closed.value):
             raise NormConsistencyError(
                 f"numeric norm {value!r} disagrees with closed form {closed.value!r}"
@@ -497,6 +473,7 @@ def norm_numeric(c, r=None, s=None, w: WeightTriple | None = None,
 def norm(c, w: WeightTriple, opts: SolverOptions | None = None,
          base: LogBase = LogBase.TWO) -> NormResult:
     """Norm at the weight triple's exponents: closed form if available, else numeric."""
+    c = _as_overlap(c)  # validated once for both paths
     closed = norm_closed_form(c, w=w, base=base)
     if closed is not None:
         return closed

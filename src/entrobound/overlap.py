@@ -13,8 +13,9 @@ import math
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidStateError
-from .qmath import ProjectiveMeasurement
+from .qmath import ProjectiveMeasurement, _check_unitary
 
+# The package's one doubly-stochastic tolerance, on the largest |row or column sum - 1|.
 _DS_TOL = 1e-10
 
 
@@ -22,22 +23,31 @@ class OverlapMatrix:
     """A nonnegative overlap matrix with cached singular values.
 
     Attributes:
-        matrix: nonnegative float array of shape (n_x, n_y).
-        singular_values: descending singular values.
+        matrix: nonnegative float array of shape (n_x, n_y), read-only.
+        singular_values: descending singular values, computed on first use.
         source: short description of how the matrix was built, e.g.
             "mub(3)", "rotation_2d(0.5236)", "from_unitary".
+
+    Raises:
+        DimensionMismatchError: if the input is not two-dimensional.
+        InvalidStateError: if an entry is not finite or is below -1e-12.
     """
 
     def __init__(self, matrix, source: str = "from_projectors"):
         m = np.asarray(matrix, dtype=float)
         if m.ndim != 2:
             raise DimensionMismatchError(f"expected a matrix, got shape {m.shape}")
+        if not np.isfinite(m).all():
+            raise InvalidStateError("overlap entries must be finite")
         if m.min() < -1e-12:
             raise InvalidStateError(f"overlap entry {m.min()!r} below -1e-12")
         self.matrix = np.clip(m, 0.0, None)
         self.matrix.setflags(write=False)
-        self.singular_values = np.linalg.svd(self.matrix, compute_uv=False)
         self.source = source
+
+    @functools.cached_property
+    def singular_values(self) -> np.ndarray:
+        return np.linalg.svd(self.matrix, compute_uv=False)
 
     @property
     def shape(self):
@@ -66,29 +76,31 @@ class OverlapMatrix:
 
     @functools.cached_property
     def _sum_error(self) -> float:
-        """``_matrix_sum_error`` of the matrix, which is read-only."""
-        return _matrix_sum_error(self.matrix)
+        """Largest |row or column sum - 1| of the read-only matrix; inf unless square."""
+        m = self.matrix
+        if m.shape[0] != m.shape[1]:
+            return math.inf
+        sums = np.concatenate((m.sum(axis=0), m.sum(axis=1)))
+        return float(np.abs(sums - 1.0).max())
 
     def is_doubly_stochastic(self, tol: float = _DS_TOL) -> bool:
+        """Whether every row and column sums to 1 within ``tol``; False unless square."""
         return self._sum_error <= tol
 
     def __repr__(self):
         return f"OverlapMatrix(shape={self.shape}, source={self.source!r})"
 
 
-def _matrix_sum_error(m: np.ndarray) -> float:
-    """Largest |row or column sum - 1| of a matrix; inf unless it is square."""
-    if m.shape[0] != m.shape[1]:
-        return math.inf
-    sums = np.concatenate((m.sum(axis=0), m.sum(axis=1)))
-    return float(np.abs(sums - 1.0).max())
+def _as_overlap(c) -> OverlapMatrix:
+    """``c`` itself if it is an OverlapMatrix, else ``c`` validated as one."""
+    return c if isinstance(c, OverlapMatrix) else OverlapMatrix(c)
 
 
 def build_overlap(x: ProjectiveMeasurement, y: ProjectiveMeasurement) -> OverlapMatrix:
     """Overlap matrix Tr(X_i Y_j) of two measurements on the same system.
 
-    For rank-1 pairs the result is checked to be doubly stochastic within
-    1e-10.
+    For rank-1 pairs the result is checked to be doubly stochastic, with
+    the package's one tolerance (see :meth:`OverlapMatrix.is_doubly_stochastic`).
 
     Raises:
         DimensionMismatchError: if the measurements act on different dimensions.
@@ -105,12 +117,7 @@ def build_overlap(x: ProjectiveMeasurement, y: ProjectiveMeasurement) -> Overlap
 
 def from_unitary(u: np.ndarray) -> OverlapMatrix:
     """Unistochastic overlap |u_ij|^2 of a change-of-basis unitary."""
-    u = np.asarray(u, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise DimensionMismatchError(f"expected a square matrix, got {u.shape}")
-    if np.abs(u.conj().T @ u - np.eye(u.shape[0])).max() > 1e-10:
-        raise InvalidStateError("matrix is not unitary within 1e-10")
-    return OverlapMatrix(np.abs(u) ** 2, source="from_unitary")
+    return OverlapMatrix(np.abs(_check_unitary(u)) ** 2, source="from_unitary")
 
 
 def rotation_overlap_2d(theta: float) -> OverlapMatrix:
@@ -147,9 +154,7 @@ def tensor_overlap(a: OverlapMatrix, b: OverlapMatrix) -> OverlapMatrix:
 
 def second_singular_value(c) -> float:
     """Second largest singular value of an overlap matrix or plain array."""
-    if not isinstance(c, OverlapMatrix):
-        c = OverlapMatrix(np.asarray(c, dtype=float))
-    return c.sigma2
+    return _as_overlap(c).sigma2
 
 
 def to_text(c: OverlapMatrix) -> str:

@@ -132,6 +132,16 @@ def basis_measurement(d: int) -> ProjectiveMeasurement:
     return ProjectiveMeasurement(np.einsum("ki,kj->kij", eye, eye.conj()))
 
 
+def _check_unitary(u) -> np.ndarray:
+    """``u`` as a complex array, checked to be a unitary within 1e-10."""
+    u = np.asarray(u, dtype=complex)
+    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+        raise DimensionMismatchError(f"expected a square matrix, got {u.shape}")
+    if np.abs(u.conj().T @ u - np.eye(u.shape[0])).max() > 1e-10:
+        raise InvalidStateError("matrix is not unitary within 1e-10")
+    return u
+
+
 def measurement_from_unitary(u: np.ndarray) -> ProjectiveMeasurement:
     """Rank-1 measurement onto the columns of a unitary ``u``.
 
@@ -141,11 +151,7 @@ def measurement_from_unitary(u: np.ndarray) -> ProjectiveMeasurement:
     Raises:
         InvalidStateError: if ``u`` is not unitary within 1e-10.
     """
-    u = np.asarray(u, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise DimensionMismatchError(f"expected a square matrix, got {u.shape}")
-    if np.abs(u.conj().T @ u - np.eye(u.shape[0])).max() > 1e-10:
-        raise InvalidStateError("matrix is not unitary within 1e-10")
+    u = _check_unitary(u)
     return ProjectiveMeasurement(np.einsum("ik,jk->kij", u, u.conj()))
 
 
@@ -201,6 +207,12 @@ def _check_distribution(p: np.ndarray) -> np.ndarray:
     return np.clip(p, 0.0, None)
 
 
+def _entropy(p: np.ndarray, base: LogBase) -> float:
+    """-sum p log p over the positive entries of ``p``, in ``base`` units."""
+    pos = p[p > 0.0]
+    return float(-(pos * np.log(pos)).sum() / base.ln)
+
+
 def shannon_entropy(p, base: LogBase = LogBase.TWO) -> float:
     """Shannon entropy of a probability vector.
 
@@ -212,16 +224,12 @@ def shannon_entropy(p, base: LogBase = LogBase.TWO) -> float:
     Returns:
         Entropy in units of the chosen base; zero terms contribute zero.
     """
-    p = _check_distribution(p)
-    pos = p[p > 0.0]
-    return float(-(pos * np.log(pos)).sum() / base.ln)
+    return _entropy(_check_distribution(p), base)
 
 
 def von_neumann_entropy(rho: DensityMatrix, base: LogBase = LogBase.TWO) -> float:
     """Von Neumann entropy of a density matrix via its eigenvalues."""
-    w = rho.eigenvalues()
-    pos = w[w > 0.0]
-    return float(-(pos * np.log(pos)).sum() / base.ln)
+    return _entropy(rho.eigenvalues(), base)
 
 
 def measurement_distribution(rho: DensityMatrix, meas: ProjectiveMeasurement) -> np.ndarray:

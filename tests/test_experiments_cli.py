@@ -14,6 +14,8 @@ import pytest
 
 from entrobound import (
     COMPARE_RANDOM_OPTS,
+    InvalidStateError,
+    OverlapMatrix,
     SolverOptions,
     Table,
     cli,
@@ -157,6 +159,16 @@ def test_solver_failure_exits_two(tmp_path, capsys):
                      "--max-iterations", "1", "--tolerance", "1e-18"])
     assert code == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("entry", ["inf", "nan"])
+def test_non_finite_matrix_entry_exits_one(tmp_path, capsys, entry):
+    mat = tmp_path / "m.txt"
+    mat.write_text(f"{entry} 0\n0 1\n")
+    assert cli.main(["norm", "--file", str(mat), "--r", "2", "--s", "3"]) == 1
+    assert "finite" in capsys.readouterr().err
+    with pytest.raises(InvalidStateError):
+        OverlapMatrix([[float(entry), 0.0], [0.0, 1.0]])
 
 
 def test_fuzz_counterexample_exits_two_with_artifact(tmp_path, capsys):

@@ -6,11 +6,14 @@ import numpy as np
 import pytest
 
 from entrobound import (
+    DimensionMismatchError,
+    InvalidStateError,
     NormMethod,
     OverlapMatrix,
     SolverFailureError,
     SolverOptions,
     WeightTriple,
+    bccrr_rhs,
     conjecture_region_contains,
     feasible_weight_grid,
     from_unitary,
@@ -334,6 +337,39 @@ def test_closed_form_bits_match_for_an_overlap_matrix_and_its_array(d):
     assert norm_closed_form(c, 1.5, 3.0) is None
     assert norm_closed_form(OverlapMatrix(0.9 * c.matrix), 3.0, 1.5) is None
     assert norm_closed_form(OverlapMatrix(c.matrix[:, 1:]), 3.0, 1.5) is None
+
+
+_VALIDATING = {
+    "OverlapMatrix": OverlapMatrix,
+    "norm": lambda c: norm(c, WeightTriple(1.0, 0.5, 0.5)),
+    "norm_closed_form": lambda c: norm_closed_form(c, 2.0, 1.5),
+    "norm_numeric": lambda c: norm_numeric(c, 1.5, 2.0),
+    "hessian_spectrum_at_ones": lambda c: hessian_spectrum_at_ones(c, 0.5, 0.5),
+    "second_singular_value": second_singular_value,
+    "bccrr_rhs": lambda c: bccrr_rhs(c, 0.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_VALIDATING))
+def test_one_validator_rejects_malformed_matrices_everywhere(name):
+    # Every entry point validates through OverlapMatrix, so each malformed
+    # input raises the same error type wherever it enters.
+    call = _VALIDATING[name]
+    with pytest.raises(DimensionMismatchError):
+        call([0.5, 0.5])
+    with pytest.raises(InvalidStateError):
+        call([[1.0 + 1e-6, -1e-6], [-1e-6, 1.0 + 1e-6]])
+
+
+def test_one_doubly_stochastic_tolerance():
+    # Sums off by 5e-9: every check must give the same verdict.
+    m = [[0.5 + 5e-9, 0.5], [0.5, 0.5 - 5e-9]]
+    assert not OverlapMatrix(m).is_doubly_stochastic()
+    assert norm_closed_form(m, 2.0, 1.5) is None
+    assert norm_closed_form(OverlapMatrix(m), 2.0, 1.5) is None
+    with pytest.raises(ValueError):
+        hessian_spectrum_at_ones(m, 0.5, 0.5)
+    assert norm_numeric(m, 2.0, 1.5).certified_bounds == (0.0, math.inf)
 
 
 # ---------------------------------------------------------------------------
