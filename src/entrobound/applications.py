@@ -27,9 +27,13 @@ from .qmath import (
     shannon_entropy,
     tensor_measurement,
     von_neumann_entropy,
+    _product_entropies,
 )
 
 _DEFICIT_TOL = 1e-9
+# Angle pairs scored per NumPy pass of the Werner scan: bounds its projector
+# stack (256 x 4 x 4 x 4 complex, 256 KiB) and the temporaries built from it.
+_SCAN_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -238,7 +242,10 @@ def werner_detection_scan(phi: float, theta_pairs,
 
     X measures both qubits in the standard basis; Y rotates qubit A by
     theta_a and qubit B by theta_b, giving sigma2 = max(cos 2 theta_a,
-    cos 2 theta_b).  S_max comes from the reduced state.
+    cos 2 theta_b).  S_max comes from the reduced state.  The Y entropies
+    are computed in batches of angle pairs, with the same checks and the
+    same bits as ``shannon_entropy(measurement_distribution(w,
+    tensor_measurement(...)))`` per pair.
 
     Args:
         phi: Werner parameter in [-1, 1].
@@ -254,17 +261,19 @@ def werner_detection_scan(phi: float, theta_pairs,
         von_neumann_entropy(partial_trace(w, (2, 2), 0), base),
         von_neumann_entropy(partial_trace(w, (2, 2), 1), base),
     )
-    rotations = {}
+    pairs = np.array([(float(ta), float(tb)) for ta, tb in theta_pairs]).reshape(-1, 2)
+    angles, which = np.unique(pairs, return_inverse=True)
+    which = which.reshape(pairs.shape)
+    rotations = np.array([rotated_measurement_2d(t).projectors for t in angles],
+                         dtype=complex).reshape(-1, 2, 2, 2)
+    h_y = np.empty(len(pairs))
+    for i in range(0, len(pairs), _SCAN_CHUNK):
+        a, b = which[i:i + _SCAN_CHUNK].T
+        h_y[i:i + _SCAN_CHUNK] = _product_entropies(w, rotations[a], rotations[b], base)
     out = []
-    for ta, tb in theta_pairs:
-        for t in (ta, tb):
-            if t not in rotations:
-                rotations[t] = rotated_measurement_2d(t)
-        y_meas = tensor_measurement(rotations[ta], rotations[tb])
-        h_y = shannon_entropy(measurement_distribution(w, y_meas), base)
+    for (ta, tb), hy in zip(pairs.tolist(), h_y.tolist()):
         sigma2 = max(math.cos(2.0 * ta), math.cos(2.0 * tb))
-        verdict = entanglement_witness_analytic(h_x, h_y, 4, sigma2, s_max, base)
-        out.append(bool(verdict))
+        out.append(bool(entanglement_witness_analytic(h_x, hy, 4, sigma2, s_max, base)))
     return np.array(out, dtype=bool)
 
 

@@ -148,8 +148,11 @@ def compare_state_independent(c: OverlapMatrix, opts: SolverOptions | None = Non
     conjectured norm value at that point is verified against the numeric
     solver within 1e-7.  If the solver finds a strictly larger norm the
     behaviour depends on ``on_violation``: ``"raise"`` aborts, while
-    ``"use_numeric"`` substitutes the numerically certified norm (a valid
-    lower bound on the constant) and marks the row ``conjecture_ok=False``.
+    ``"use_numeric"`` reports -(1 + sigma2) log of the solver's value and
+    marks the row ``conjecture_ok=False``.  The solver's value is attained
+    by its witness, so it is only a lower bound on the norm, and the
+    constant taken from it can overstate the true constant: it is not a
+    certified bound on the constant.
 
     Raises:
         ConjectureViolationError: if the numeric norm exceeds the

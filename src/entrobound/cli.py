@@ -200,7 +200,13 @@ def _cmd_randomness(args) -> int:
     return 0
 
 
-def _build_parser() -> _Parser:
+def _build_parser(chosen: str | None) -> _Parser:
+    """The full command tree, with arguments only on the ``chosen`` subcommand.
+
+    Every subcommand is registered, so the top-level help and the error for
+    a missing or unknown command stay the same; building all 81 arguments
+    would cost milliseconds per call for parsers that are never used.
+    """
     parser = _Parser(
         prog="entrobound",
         description="Weighted entropic uncertainty bounds: overlap-matrix norms, "
@@ -210,85 +216,96 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("norm", help="evaluate one r->s norm and print JSON")
-    _add_matrix_args(p)
-    p.add_argument("--r", type=float, help="input exponent (accepts inf)")
-    p.add_argument("--s", type=float, help="output exponent (accepts inf)")
-    p.add_argument("--mu", type=float, help="weight mu (with --lambda)")
-    p.add_argument("--lambda", type=float, dest="lam", help="weight lambda (with --mu)")
-    p.add_argument("--alpha", type=float, help="entropy weight alpha (default 1)")
-    _add_common(p, seeded=True)
-    p.set_defaults(func=_cmd_norm)
+    if chosen == "norm":
+        _add_matrix_args(p)
+        p.add_argument("--r", type=float, help="input exponent (accepts inf)")
+        p.add_argument("--s", type=float, help="output exponent (accepts inf)")
+        p.add_argument("--mu", type=float, help="weight mu (with --lambda)")
+        p.add_argument("--lambda", type=float, dest="lam", help="weight lambda (with --mu)")
+        p.add_argument("--alpha", type=float, help="entropy weight alpha (default 1)")
+        _add_common(p, seeded=True)
+        p.set_defaults(func=_cmd_norm)
 
     p = sub.add_parser("fig-region",
                        help="sample the (S, H_X+H_Y) region against the envelope")
-    p.add_argument("--d", type=int, default=2, help="dimension (default 2)")
-    p.add_argument("--theta", type=float, default=None,
-                   help="rotation angle in radians for d=2 "
-                        "(default 17 degrees; omit for d>2)")
-    p.add_argument("--samples", type=int, default=10_000,
-                   help="number of random states (default 10000)")
-    p.add_argument("--envelope-points", type=int, default=101, dest="envelope_points",
-                   help="entropy grid points for the bound lines (default 101)")
-    _add_common(p, seeded=True)
-    p.set_defaults(func=_cmd_fig_region)
+    if chosen == "fig-region":
+        p.add_argument("--d", type=int, default=2, help="dimension (default 2)")
+        p.add_argument("--theta", type=float, default=None,
+                       help="rotation angle in radians for d=2 "
+                            "(default 17 degrees; omit for d>2)")
+        p.add_argument("--samples", type=int, default=10_000,
+                       help="number of random states (default 10000)")
+        p.add_argument("--envelope-points", type=int, default=101, dest="envelope_points",
+                       help="entropy grid points for the bound lines (default 101)")
+        _add_common(p, seeded=True)
+        p.set_defaults(func=_cmd_fig_region)
 
     p = sub.add_parser("fig-norm-profile",
                        help="equal-weight norm profile of a rotated-basis matrix")
-    p.add_argument("--theta", type=float, default=math.pi / 6,
-                   help="rotation angle in radians (default pi/6)")
-    p.add_argument("--grid", type=int, default=200,
-                   help="number of weights in [1/2, 1] (default 200)")
-    _add_common(p)
-    p.set_defaults(func=_cmd_fig_norm_profile)
+    if chosen == "fig-norm-profile":
+        p.add_argument("--theta", type=float, default=math.pi / 6,
+                       help="rotation angle in radians (default pi/6)")
+        p.add_argument("--grid", type=int, default=200,
+                       help="number of weights in [1/2, 1] (default 200)")
+        _add_common(p)
+        p.set_defaults(func=_cmd_fig_norm_profile)
 
     p = sub.add_parser("fig-compare",
                        help="compare state-independent constants of three bounds")
-    p.add_argument("--sweep", type=int, default=101, metavar="N",
-                   help="rotation-angle sweep with N points (default mode)")
-    p.add_argument("--random", action="store_true",
-                   help="random-matrix mode: percentage where ours is best, per d")
-    p.add_argument("--dims", type=_parse_ints, default=list(range(2, 13)),
-                   help="dimensions for --random (default 2..12)")
-    p.add_argument("--samples", type=int, default=1000,
-                   help="random matrices per dimension (default 1000)")
-    _add_common(p, seeded=True)
-    p.set_defaults(func=_cmd_fig_compare)
+    if chosen == "fig-compare":
+        p.add_argument("--sweep", type=int, default=101, metavar="N",
+                       help="rotation-angle sweep with N points (default mode)")
+        p.add_argument("--random", action="store_true",
+                       help="random-matrix mode: percentage where ours is best, per d")
+        p.add_argument("--dims", type=_parse_ints, default=list(range(2, 13)),
+                       help="dimensions for --random (default 2..12)")
+        p.add_argument("--samples", type=int, default=1000,
+                       help="random matrices per dimension (default 1000)")
+        _add_common(p, seeded=True)
+        p.set_defaults(func=_cmd_fig_compare)
 
     p = sub.add_parser("werner",
                        help="detection masks of the two-qubit Werner-state witness")
-    p.add_argument("--phi", type=_parse_floats, default=[-1.0, -0.5, -0.1],
-                   help="comma-separated Werner parameters (use --phi=-1,-0.5,-0.1)")
-    p.add_argument("--grid", type=int, default=50,
-                   help="angles per axis over [0, pi/4] (default 50)")
-    _add_common(p)
-    p.set_defaults(func=_cmd_werner)
+    if chosen == "werner":
+        p.add_argument("--phi", type=_parse_floats, default=[-1.0, -0.5, -0.1],
+                       help="comma-separated Werner parameters (use --phi=-1,-0.5,-0.1)")
+        p.add_argument("--grid", type=int, default=50,
+                       help="angles per axis over [0, pi/4] (default 50)")
+        _add_common(p)
+        p.set_defaults(func=_cmd_werner)
 
     p = sub.add_parser("conjecture-fuzz",
                        help="fuzz the extended equality regime on random matrices")
-    p.add_argument("--dims", type=_parse_ints, default=[2, 3, 4],
-                   help="dimensions to fuzz (default 2,3,4)")
-    p.add_argument("--samples", type=int, default=1000,
-                   help="random matrices per dimension (default 1000)")
-    p.add_argument("--grid", type=int, default=11,
-                   help="weight lattice points per axis (default 11)")
-    _add_common(p, seeded=True)
-    p.set_defaults(func=_cmd_conjecture_fuzz)
+    if chosen == "conjecture-fuzz":
+        p.add_argument("--dims", type=_parse_ints, default=[2, 3, 4],
+                       help="dimensions to fuzz (default 2,3,4)")
+        p.add_argument("--samples", type=int, default=1000,
+                       help="random matrices per dimension (default 1000)")
+        p.add_argument("--grid", type=int, default=11,
+                       help="weight lattice points per axis (default 11)")
+        _add_common(p, seeded=True)
+        p.set_defaults(func=_cmd_conjecture_fuzz)
 
     p = sub.add_parser("randomness",
                        help="tabulate numeric vs analytic randomness bounds")
-    _add_matrix_args(p)
-    p.add_argument("--points", type=int, default=11,
-                   help="entropy lattice points per axis (default 11)")
-    p.add_argument("--weight-grid", type=int, default=21, dest="weight_grid",
-                   help="weight lattice points per axis (default 21)")
-    _add_common(p, seeded=True)
-    p.set_defaults(func=_cmd_randomness)
+    if chosen == "randomness":
+        _add_matrix_args(p)
+        p.add_argument("--points", type=int, default=11,
+                       help="entropy lattice points per axis (default 11)")
+        p.add_argument("--weight-grid", type=int, default=21, dest="weight_grid",
+                       help="weight lattice points per axis (default 21)")
+        _add_common(p, seeded=True)
+        p.set_defaults(func=_cmd_randomness)
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # The top level takes no option with a value, so its first non-option
+    # token names the subcommand.
+    chosen = next((a for a in argv if not a.startswith("-")), None)
+    args = _build_parser(chosen).parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

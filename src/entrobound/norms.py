@@ -277,10 +277,10 @@ def norm_closed_form(c, r=None, s=None, w: WeightTriple | None = None,
         witness = np.zeros(d)
         witness[j] = 1.0
         return _result(float(m.max()), witness, NormMethod.CLOSED_KMU, d, r, s, base)
-    if np.abs(m - 1.0 / d).max() <= 1e-12:
+    if c._is_constant:
         return _result(norm_mub(d, r, s), _uniform_unit_r(d, r),
                        NormMethod.CLOSED_MUB, d, r, s, base)
-    if np.abs(m - np.rint(m)).max() <= 1e-12:
+    if c._is_permutation:
         value = norm_identity(d, r, s)
         witness = _uniform_unit_r(d, r) if r >= s else np.eye(d)[0]
         return _result(value, witness, NormMethod.CLOSED_IDENTITY, d, r, s, base)

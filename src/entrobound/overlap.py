@@ -83,6 +83,18 @@ class OverlapMatrix:
         sums = np.concatenate((m.sum(axis=0), m.sum(axis=1)))
         return float(np.abs(sums - 1.0).max())
 
+    @functools.cached_property
+    def _is_constant(self) -> bool:
+        """Whether every entry is 1/d within 1e-12, d the row count."""
+        m = self.matrix
+        return bool(np.abs(m - 1.0 / m.shape[0]).max() <= 1e-12)
+
+    @functools.cached_property
+    def _is_permutation(self) -> bool:
+        """Whether every entry is an integer within 1e-12: a permutation, if doubly stochastic."""
+        m = self.matrix
+        return bool(np.abs(m - np.rint(m)).max() <= 1e-12)
+
     def is_doubly_stochastic(self, tol: float = _DS_TOL) -> bool:
         """Whether every row and column sums to 1 within ``tol``; False unless square."""
         return self._sum_error <= tol

@@ -22,6 +22,7 @@ _HERMITIAN_TOL = 1e-12
 _TRACE_TOL = 1e-12
 _EIG_TOL = 1e-10
 _DIST_TOL = 1e-12
+_PROJ_TOL = 1e-10
 
 
 class LogBase(enum.Enum):
@@ -80,6 +81,28 @@ class DensityMatrix:
         return np.clip(np.linalg.eigvalsh(self.matrix), 0.0, 1.0)
 
 
+def _check_projectors(p: np.ndarray) -> None:
+    """Check each projector set of a stack ``p`` of shape (..., n, d, d).
+
+    Every projector must be Hermitian and idempotent within 1e-10, and each
+    set must sum to the identity within 1e-10.  The first failing projector
+    of the first failing set is reported, Hermiticity before idempotence.
+
+    Raises:
+        InvalidStateError: if any check fails.
+    """
+    herm = np.abs(p - np.swapaxes(p, -1, -2).conj()).max(axis=(-2, -1)) > _PROJ_TOL
+    idem = np.abs(p @ p - p).max(axis=(-2, -1)) > _PROJ_TOL
+    bad = herm | idem
+    if np.count_nonzero(bad):
+        first = tuple(np.argwhere(bad)[0])
+        what = "Hermitian" if herm[first] else "idempotent"
+        raise InvalidStateError(f"projector {first[-1]} is not {what}")
+    off = np.abs(p.sum(axis=-3) - np.eye(p.shape[-1])).max(axis=(-2, -1))
+    if np.count_nonzero(off > _PROJ_TOL):
+        raise InvalidStateError("projectors do not sum to the identity")
+
+
 @dataclass(frozen=True)
 class ProjectiveMeasurement:
     """A finite projective measurement on a d-dimensional system.
@@ -99,14 +122,7 @@ class ProjectiveMeasurement:
             raise DimensionMismatchError(
                 f"expected projectors of shape (n, d, d), got {p.shape}"
             )
-        for k in range(p.shape[0]):
-            pk = p[k]
-            if np.abs(pk - pk.conj().T).max() > 1e-10:
-                raise InvalidStateError(f"projector {k} is not Hermitian")
-            if np.abs(pk @ pk - pk).max() > 1e-10:
-                raise InvalidStateError(f"projector {k} is not idempotent")
-        if np.abs(p.sum(axis=0) - np.eye(p.shape[1])).max() > 1e-10:
-            raise InvalidStateError("projectors do not sum to the identity")
+        _check_projectors(p)
         object.__setattr__(self, "projectors", p)
         if self.labels is None:
             object.__setattr__(self, "labels", tuple(str(k) for k in range(p.shape[0])))
@@ -170,11 +186,19 @@ def fourier_measurement(d: int) -> ProjectiveMeasurement:
 
 def tensor_measurement(a: ProjectiveMeasurement, b: ProjectiveMeasurement) -> ProjectiveMeasurement:
     """Product measurement with projectors P_i (x) Q_j, outcomes in row-major order."""
-    proj = np.einsum("iab,jcd->ijacbd", a.projectors, b.projectors)
-    n = a.n_outcomes * b.n_outcomes
-    d = a.dim * b.dim
     labels = tuple(f"{la},{lb}" for la in a.labels for lb in b.labels)
-    return ProjectiveMeasurement(proj.reshape(n, d, d), labels)
+    return ProjectiveMeasurement(_tensor_projectors(a.projectors, b.projectors), labels)
+
+
+def _tensor_projectors(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Projectors P_i (x) Q_j, row-major in (i, j), of stacks a (..., n, d, d), b (..., m, e, e).
+
+    Each entry is a single product, so a stack gives the same bits as its slices.
+    """
+    *lead, n, d, _ = a.shape
+    m, e = b.shape[-3], b.shape[-1]
+    proj = np.einsum("...iab,...jcd->...ijacbd", a, b)
+    return proj.reshape(*lead, n * m, d * e, d * e)
 
 
 def partial_trace(rho: DensityMatrix, dims: tuple, keep: int) -> DensityMatrix:
@@ -196,21 +220,44 @@ def partial_trace(rho: DensityMatrix, dims: tuple, keep: int) -> DensityMatrix:
     raise ValueError(f"keep must be 0 or 1, got {keep}")
 
 
-def _check_distribution(p: np.ndarray) -> np.ndarray:
-    p = np.asarray(p, dtype=float)
-    if p.ndim != 1:
-        raise InvalidDistributionError(f"expected a vector, got shape {p.shape}")
-    if p.min() < -_DIST_TOL:
-        raise InvalidDistributionError(f"negative entry {p.min()!r} beyond tolerance")
-    if abs(p.sum() - 1.0) > 1e-10:
-        raise InvalidDistributionError(f"entries sum to {p.sum()!r}, not 1")
-    return np.clip(p, 0.0, None)
+def _check_distributions(p: np.ndarray) -> np.ndarray:
+    """``p`` with tiny negatives clipped to zero, once each row (last axis) is checked.
+
+    Each row gets its own verdict, as if checked alone.
+
+    Raises:
+        InvalidDistributionError: if an entry is below -1e-12 or a row does
+            not sum to 1 within 1e-10.
+    """
+    bad = p.min(axis=-1) < -_DIST_TOL
+    if np.count_nonzero(bad):
+        raise InvalidDistributionError(f"negative entry {p[bad].min()!r} beyond tolerance")
+    sums = p.sum(axis=-1)
+    bad = np.abs(sums - 1.0) > 1e-10
+    if np.count_nonzero(bad):
+        raise InvalidDistributionError(f"entries sum to {sums[bad].flat[0]!r}, not 1")
+    return np.maximum(p, 0.0)
 
 
-def _entropy(p: np.ndarray, base: LogBase) -> float:
-    """-sum p log p over the positive entries of ``p``, in ``base`` units."""
-    pos = p[p > 0.0]
-    return float(-(pos * np.log(pos)).sum() / base.ln)
+def _entropies(p: np.ndarray, base: LogBase) -> np.ndarray:
+    """-sum p log p over the positive entries of each row (last axis) of ``p``, in ``base`` units.
+
+    A row's positive entries are summed on their own and in order, never
+    with zero terms standing in for the rest: NumPy sums nine or more
+    entries in pairwise blocks, so where a zero sits would move the bits.
+    Rows are therefore grouped by their count of positive entries.
+    """
+    pos = p > 0.0
+    if np.count_nonzero(pos) == p.size:
+        return -(p * np.log(p)).sum(axis=-1) / base.ln
+    rows, pos = p.reshape(-1, p.shape[-1]), pos.reshape(-1, p.shape[-1])
+    counts = pos.sum(axis=1)
+    out = np.empty(len(rows))
+    for m in set(counts.tolist()):
+        sel = counts == m
+        kept = rows[sel][pos[sel]].reshape(-1, m)
+        out[sel] = -(kept * np.log(kept)).sum(axis=1) / base.ln
+    return out.reshape(p.shape[:-1])
 
 
 def shannon_entropy(p, base: LogBase = LogBase.TWO) -> float:
@@ -224,12 +271,15 @@ def shannon_entropy(p, base: LogBase = LogBase.TWO) -> float:
     Returns:
         Entropy in units of the chosen base; zero terms contribute zero.
     """
-    return _entropy(_check_distribution(p), base)
+    p = np.asarray(p, dtype=float)
+    if p.ndim != 1:
+        raise InvalidDistributionError(f"expected a vector, got shape {p.shape}")
+    return float(_entropies(_check_distributions(p), base))
 
 
 def von_neumann_entropy(rho: DensityMatrix, base: LogBase = LogBase.TWO) -> float:
     """Von Neumann entropy of a density matrix via its eigenvalues."""
-    return _entropy(rho.eigenvalues(), base)
+    return float(_entropies(rho.eigenvalues(), base))
 
 
 def measurement_distribution(rho: DensityMatrix, meas: ProjectiveMeasurement) -> np.ndarray:
@@ -241,14 +291,37 @@ def measurement_distribution(rho: DensityMatrix, meas: ProjectiveMeasurement) ->
     Raises:
         DimensionMismatchError: if state and measurement dimensions differ.
     """
-    if rho.dim != meas.dim:
+    return _distributions(rho, meas.projectors)
+
+
+def _distributions(rho: DensityMatrix, projectors: np.ndarray) -> np.ndarray:
+    """p_k = Tr(rho P_k) along the outcome axis of a stack of shape (..., n, d, d).
+
+    Tiny negatives (above -1e-10) are clipped to zero; each distribution
+    gets its own verdict, as if computed alone.
+    """
+    if rho.dim != projectors.shape[-1]:
         raise DimensionMismatchError(
-            f"state dimension {rho.dim} != measurement dimension {meas.dim}"
+            f"state dimension {rho.dim} != measurement dimension {projectors.shape[-1]}"
         )
-    p = np.einsum("kij,ji->k", meas.projectors, rho.matrix).real
-    if p.min() < -_EIG_TOL:
-        raise InvalidDistributionError(f"probability {p.min()!r} below -1e-10")
-    return np.clip(p, 0.0, None)
+    p = np.einsum("...kij,ji->...k", projectors, rho.matrix).real
+    bad = p.min(axis=-1) < -_EIG_TOL
+    if np.count_nonzero(bad):
+        raise InvalidDistributionError(f"probability {p[bad].min()!r} below -1e-10")
+    return np.maximum(p, 0.0)  # the ufunc np.clip(p, 0.0, None) runs, without its overhead
+
+
+def _product_entropies(rho: DensityMatrix, a: np.ndarray, b: np.ndarray,
+                       base: LogBase) -> np.ndarray:
+    """Shannon entropy of each product measurement a[k] (x) b[k] on ``rho``.
+
+    ``a`` and ``b`` are stacks of projector sets, shape (m, n, d, d).  Each
+    entry runs the checks and has the bits of ``shannon_entropy(
+    measurement_distribution(rho, tensor_measurement(A_k, B_k)), base)``.
+    """
+    proj = _tensor_projectors(a, b)
+    _check_projectors(proj)
+    return _entropies(_check_distributions(_distributions(rho, proj)), base)
 
 
 def haar_random_unitary(d: int, seed) -> np.ndarray:

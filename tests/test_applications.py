@@ -36,6 +36,8 @@ from entrobound import (
     werner_detection_scan,
     werner_state,
 )
+from entrobound import applications
+from entrobound.qmath import _product_entropies
 
 SEED = 61
 FAST = SolverOptions(restarts=6)
@@ -302,6 +304,84 @@ def test_werner_detection_scan_verdicts():
     assert out[0]          # most entangled state, unbiased local bases
     assert not out[1] and not out[2]  # theta = 0 makes sigma2 = 1
     assert not werner_detection_scan(0.5, [(math.pi / 4, math.pi / 4)])[0]
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+# Phi* = -0.669916 to six places: the corner flips there (see test_acceptance).
+@pytest.mark.parametrize("base", [LogBase.TWO, LogBase.NATURAL])
+@pytest.mark.parametrize("phi", [-1.0, -0.5, -0.1, -0.669916 - 1e-6, -0.669916 + 1e-6])
+def test_werner_scan_matches_the_per_pair_path_bit_for_bit(monkeypatch, phi, base):
+    """The batched scan hands the witness the per-pair H(Y), bits and all."""
+    axis = np.linspace(0.0, math.pi / 4, 50)
+    pairs = [(float(a), float(b)) for a in axis for b in axis]  # ten chunks
+    seen = []
+    witness = applications.entanglement_witness_analytic
+
+    def recording(h_x, h_y, d, sigma2, s_max, base):
+        seen.append((h_x, h_y, sigma2, s_max))
+        return witness(h_x, h_y, d, sigma2, s_max, base)
+
+    monkeypatch.setattr(applications, "entanglement_witness_analytic", recording)
+    got = werner_detection_scan(phi, pairs, base)
+    assert len(seen) == len(pairs)
+    w = werner_state(2, phi)
+    x = tensor_measurement(basis_measurement(2), basis_measurement(2))
+    h_x = shannon_entropy(measurement_distribution(w, x), base)
+    s_max = von_neumann_entropy(partial_trace(w, (2, 2), 0), base)
+    h_y, expected = [], []
+    for ta, tb in pairs:
+        y = tensor_measurement(rotated_measurement_2d(ta), rotated_measurement_2d(tb))
+        h_y.append(shannon_entropy(measurement_distribution(w, y), base))
+        sigma2 = max(math.cos(2.0 * ta), math.cos(2.0 * tb))
+        expected.append(bool(witness(h_x, h_y[-1], 4, sigma2, s_max, base)))
+    assert (_bits([r[1] for r in seen]) == _bits(h_y)).all()
+    assert all(r[0] == h_x and r[3] == s_max for r in seen)
+    assert got.tolist() == expected
+
+
+# H(Y) of the per-pair path before the scan was batched, as float.hex, at the
+# pairs (0, 0), (pi/16, 0.3) and (pi/4, pi/4).
+WERNER_H_Y_PINS = {
+    (-1.0, LogBase.TWO): ("0x1.0000000000000p+0", "0x1.15ded579ca193p+0", "0x1.0000000000000p+0"),
+    (-1.0, LogBase.NATURAL): ("0x1.62e42fefa39efp-1", "0x1.8135d1b08fc2ep-1",
+                              "0x1.62e42fefa39efp-1"),
+    (-0.5, LogBase.TWO): ("0x1.a667de92a57acp+0", "0x1.aa94b6737b2eep+0", "0x1.a667de92a57acp+0"),
+    (-0.5, LogBase.NATURAL): ("0x1.24ca12b0bf1fap+0", "0x1.27aef04f6715dp+0",
+                              "0x1.24ca12b0bf1fap+0"),
+}
+
+
+@pytest.mark.parametrize("phi, base", sorted(WERNER_H_Y_PINS, key=str))
+def test_werner_scan_entropies_are_pinned(monkeypatch, phi, base):
+    seen = []
+    witness = applications.entanglement_witness_analytic
+
+    def recording(h_x, h_y, *rest):
+        seen.append(h_y.hex())
+        return witness(h_x, h_y, *rest)
+
+    monkeypatch.setattr(applications, "entanglement_witness_analytic", recording)
+    werner_detection_scan(phi, [(0.0, 0.0), (math.pi / 16, 0.3), (math.pi / 4, math.pi / 4)], base)
+    assert tuple(seen) == WERNER_H_Y_PINS[phi, base]
+
+
+def test_werner_scan_handles_unsorted_repeated_angles_across_chunks():
+    rng = np.random.default_rng(SEED)
+    angles = rng.uniform(0.0, math.pi / 4, 40)
+    pairs = [(float(a), float(b)) for a, b in rng.choice(angles, (700, 2))]
+    w = werner_state(2, -0.8)
+    a = np.array([rotated_measurement_2d(ta).projectors for ta, _ in pairs])
+    b = np.array([rotated_measurement_2d(tb).projectors for _, tb in pairs])
+    batched = _product_entropies(w, a, b, LogBase.TWO)
+    per_pair = [shannon_entropy(measurement_distribution(w, tensor_measurement(
+        rotated_measurement_2d(ta), rotated_measurement_2d(tb)))) for ta, tb in pairs]
+    assert (_bits(batched) == _bits(per_pair)).all()
+    scan = werner_detection_scan(-0.8, pairs)
+    assert scan.tolist() == [bool(werner_detection_scan(-0.8, [p])[0]) for p in pairs]
+    assert werner_detection_scan(-0.8, []).shape == (0,)
 
 
 # ---------------------------------------------------------------------------

@@ -152,6 +152,41 @@ def test_argparse_failures_exit_one():
         assert excinfo.value.code == 1
 
 
+SUBCOMMAND_OPTIONS = {
+    "norm": ["--mub", "--identity", "--rotation", "--haar", "--file", "--r", "--s",
+             "--mu", "--lambda", "--alpha", "--seed"],
+    "fig-region": ["--d", "--theta", "--samples", "--envelope-points", "--seed"],
+    "fig-norm-profile": ["--theta", "--grid"],
+    "fig-compare": ["--sweep", "--random", "--dims", "--samples", "--seed"],
+    "werner": ["--phi", "--grid"],
+    "conjecture-fuzz": ["--dims", "--samples", "--grid", "--seed"],
+    "randomness": ["--mub", "--identity", "--rotation", "--haar", "--file", "--points",
+                   "--weight-grid", "--seed"],
+}
+COMMON_OPTIONS = ["--help", "--out", "--base", "--restarts", "--max-iterations", "--tolerance"]
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_OPTIONS))
+def test_every_subcommand_help_lists_its_options(command, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "100")
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main([command, "--help"])
+    assert excinfo.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: entrobound {command} ")
+    listed = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", out))
+    assert listed == set(SUBCOMMAND_OPTIONS[command] + COMMON_OPTIONS)
+
+
+def test_top_level_help_lists_every_subcommand(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["--help"])
+    assert excinfo.value.code == 0
+    out = capsys.readouterr().out
+    for command in SUBCOMMAND_OPTIONS:
+        assert re.search(rf"^    {command} ", out, re.MULTILINE), command
+
+
 def test_solver_failure_exits_two(tmp_path, capsys):
     mat = tmp_path / "m.txt"
     mat.write_text("1.0 2.0\n3.0 4.0\n")

@@ -24,6 +24,7 @@ from entrobound import (
     von_neumann_entropy,
 )
 from entrobound.errors import InvalidDistributionError, InvalidStateError
+from entrobound.qmath import _check_projectors, _entropies, _product_entropies
 
 # Frozen oracle: H([3/4, 1/4]) = 2 - (3/4) log2 3, computed by hand.
 H_THREE_QUARTERS = 2.0 - 0.75 * math.log2(3.0)
@@ -177,3 +178,63 @@ def test_gibbs_gap_rejects_non_hermitian_operator():
     rho = DensityMatrix(np.eye(2) / 2)
     with pytest.raises(InvalidStateError):
         gibbs_gap(rho, np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def _raised(fn, *args):
+    with pytest.raises(Exception) as excinfo:
+        fn(*args)
+    return type(excinfo.value), str(excinfo.value)
+
+
+def _broken_sets():
+    """A valid 4x4 product measurement and three sets that each break one check."""
+    good = tensor_measurement(rotated_measurement_2d(0.3), rotated_measurement_2d(0.7)).projectors
+    non_hermitian = good.copy()
+    non_hermitian[2, 0, 1] += 1e-6j
+    non_idempotent = good.copy()
+    non_idempotent[1] *= 1.01
+    incomplete = good.copy()
+    incomplete[3] = 0.0
+    return good, (non_hermitian, non_idempotent, incomplete)
+
+
+def test_projector_stack_raises_like_projective_measurement():
+    good, broken = _broken_sets()
+    messages = ("projector 2 is not Hermitian", "projector 1 is not idempotent",
+                "projectors do not sum to the identity")
+    for bad, message in zip(broken, messages):
+        expected = _raised(ProjectiveMeasurement, bad)
+        assert expected == (InvalidStateError, message)
+        for at in (0, 3, 5):
+            stack = np.array([good] * 6)
+            stack[at] = bad
+            assert _raised(_check_projectors, stack) == expected
+    _check_projectors(np.array([good] * 6))
+
+
+def test_product_entropies_check_their_projectors():
+    rho = DensityMatrix(np.eye(4) / 4)
+    a = np.array([rotated_measurement_2d(t).projectors for t in (0.1, 0.2, 0.3)])
+    b = a[::-1].copy()
+    assert np.allclose(_product_entropies(rho, a, b, LogBase.TWO), 2.0, atol=1e-12)
+    a[1, 0, 0, 1] += 1e-6j
+    assert _raised(_product_entropies, rho, a, b, LogBase.TWO)[0] is InvalidStateError
+
+
+@pytest.mark.parametrize("n", [9, 10, 16, 17, 33])
+def test_shannon_entropy_keeps_its_bits_from_nine_entries(n):
+    """Zero entries are dropped, not summed as zeros: NumPy sums 9+ entries pairwise."""
+    rng = np.random.default_rng(n)
+    rows = []
+    for zeros in range(n - 1):
+        p = rng.random(n)
+        p[rng.choice(n, zeros, replace=False)] = 0.0
+        rows.append(p / p.sum())
+    for base in (LogBase.TWO, LogBase.NATURAL):
+        reference = []
+        for p in rows:
+            pos = p[p > 0.0]
+            reference.append(float(-(pos * np.log(pos)).sum() / base.ln))
+            assert shannon_entropy(p, base).hex() == reference[-1].hex()
+        batched = _entropies(np.array(rows), base)
+        assert [float(h).hex() for h in batched] == [h.hex() for h in reference]
