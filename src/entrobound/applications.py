@@ -49,17 +49,28 @@ class EntropyDeficits:
     delta_y: float
 
     def __post_init__(self):
-        for name, v in (("delta_x", self.delta_x), ("delta_y", self.delta_y)):
-            if v < -_DEFICIT_TOL:
-                raise ValueError(f"{name} is negative: {v}")
-        object.__setattr__(self, "delta_x", max(self.delta_x, 0.0))
-        object.__setattr__(self, "delta_y", max(self.delta_y, 0.0))
+        for name in ("delta_x", "delta_y"):
+            object.__setattr__(self, name, float(_checked_deficit(name, getattr(self, name))))
 
     @property
     def gamma(self) -> float:
-        if self.delta_y == 0.0:
-            return 1.0 if self.delta_x == 0.0 else math.inf
-        return math.sqrt(self.delta_x / self.delta_y)
+        return float(_gamma(self.delta_x, self.delta_y))
+
+
+def _checked_deficit(name: str, v):
+    """Deficit ``v`` (a float or an array) clipped at zero, once no entry is below -1e-9."""
+    v = np.asarray(v, dtype=float)
+    bad = v < -_DEFICIT_TOL
+    if np.count_nonzero(bad):
+        raise ValueError(f"{name} is negative: {v[bad].flat[0]}")
+    return np.maximum(v, 0.0)
+
+
+def _gamma(dx, dy):
+    """sqrt(dx / dy) elementwise: 1 where both deficits vanish, inf where only dy does."""
+    dx, dy = np.asarray(dx, dtype=float), np.asarray(dy, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(dy == 0.0, np.where(dx == 0.0, 1.0, np.inf), np.sqrt(dx / dy))
 
 
 def deficits_from_entropies(h_x: float, h_y: float, d: int,
@@ -147,17 +158,32 @@ def optimal_weights(gamma: float, sigma2: float) -> tuple:
         raise ValueError(f"sigma2 must lie in [0, 1], got {sigma2}")
     if sigma2 == 1.0:
         raise DegenerateCaseError("sigma2 = 1 leaves no usable weights")
-    if sigma2 == 0.0:
-        return (1.0, 1.0)
-    if gamma < sigma2:
-        return (1.0, 0.0)
-    if gamma > 1.0 / sigma2:
-        return (0.0, 1.0)
-    den = 1.0 - sigma2**2
-    mu = (1.0 - sigma2 * gamma) / den
-    lam = (1.0 - sigma2 / gamma) / den
-    # Rounding at the clamp thresholds can overshoot [0, 1] by one ulp.
-    return (min(max(mu, 0.0), 1.0), min(max(lam, 0.0), 1.0))
+    mu, lam = _optimal_weights(gamma, sigma2)
+    return (float(mu), float(lam))
+
+
+def _square(x):
+    """x**2 with the bits of Python's float power (libm ``pow``).
+
+    NumPy's ``x ** 2`` multiplies, which differs in the last bit for about
+    one input in 1,200; ``float_power`` calls ``pow``.
+    """
+    return np.float_power(x, 2)
+
+
+def _optimal_weights(gamma, sigma2):
+    """(mu, lambda) of :func:`optimal_weights`, elementwise, for 0 <= sigma2 < 1."""
+    gamma, sigma2 = np.asarray(gamma, dtype=float), np.asarray(sigma2, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        den = 1.0 - _square(sigma2)
+        # Rounding at the clamp thresholds can overshoot [0, 1] by one ulp.
+        mu = np.clip((1.0 - sigma2 * gamma) / den, 0.0, 1.0)
+        lam = np.clip((1.0 - sigma2 / gamma) / den, 0.0, 1.0)
+        low, high = gamma < sigma2, gamma > 1.0 / sigma2
+    unbiased = sigma2 == 0.0
+    mu = np.where(unbiased | low, 1.0, np.where(high, 0.0, mu))
+    lam = np.where(unbiased, 1.0, np.where(low, 0.0, np.where(high, 1.0, lam)))
+    return mu, lam
 
 
 @dataclass(frozen=True)
@@ -203,21 +229,37 @@ def entanglement_witness_analytic(h_xab: float, h_yab: float, d: int,
 
     and the clamped branches test the single-deficit conditions exactly.
     """
-    if not 0.0 <= sigma2 <= 1.0:
-        raise ValueError(f"sigma2 must lie in [0, 1], got {sigma2}")
-    if sigma2 == 1.0:
-        return WitnessResult(False, False, math.nan, math.nan)
-    dd = deficits_from_entropies(h_xab, h_yab, d, base)
-    gamma = dd.gamma
-    mu, lam = optimal_weights(gamma, sigma2)
+    detected, conjectured, mu, lam = _witness(h_xab, h_yab, d, sigma2, s_max, base)
+    return WitnessResult(bool(detected), bool(conjectured), float(mu), float(lam))
+
+
+def _witness(h_x: float, h_y, d: int, sigma2, s_max: float, base: LogBase) -> tuple:
+    """:func:`entanglement_witness_analytic` elementwise over arrays ``h_y`` and ``sigma2``.
+
+    ``h_x`` and ``s_max`` are floats.  Returns arrays (detected,
+    conjectured, mu, lam) with the bits of the scalar results; log d is
+    computed once.
+    """
+    h_y, sigma2 = np.broadcast_arrays(np.asarray(h_y, dtype=float),
+                                      np.asarray(sigma2, dtype=float))
+    bad = ~((0.0 <= sigma2) & (sigma2 <= 1.0))
+    if np.count_nonzero(bad):
+        raise ValueError(f"sigma2 must lie in [0, 1], got {sigma2[bad].flat[0]}")
+    # sigma2 = 1 never certifies, and its entropies are not checked.
+    live = sigma2 < 1.0
     log_d = base.log(d)
-    if sigma2 > 0.0 and (gamma < sigma2 or gamma > 1.0 / sigma2):
-        detected = lam * dd.delta_x + mu * dd.delta_y > log_d - s_max
-        return WitnessResult(bool(detected), False, mu, lam)
-    rhs = ((1.0 - sigma2**2) * s_max + (1.0 + sigma2**2) * log_d
-           - 2.0 * sigma2 * math.sqrt(dd.delta_x * dd.delta_y))
-    detected = h_xab + h_yab < rhs
-    return WitnessResult(bool(detected), sigma2 > 0.0, mu, lam)
+    dx = _checked_deficit("delta_x", np.where(live, log_d - h_x, 0.0))
+    dy = _checked_deficit("delta_y", np.where(live, log_d - h_y, 0.0))
+    gamma = _gamma(dx, dy)
+    mu, lam = _optimal_weights(gamma, sigma2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        clamped = (sigma2 > 0.0) & ((gamma < sigma2) | (gamma > 1.0 / sigma2))
+        sq = _square(sigma2)
+        rhs = (1.0 - sq) * s_max + (1.0 + sq) * log_d - 2.0 * sigma2 * np.sqrt(dx * dy)
+        detected = np.where(clamped, lam * dx + mu * dy > log_d - s_max, h_x + h_y < rhs)
+    conjectured = ~clamped & (sigma2 > 0.0)
+    return (detected & live, conjectured & live,
+            np.where(live, mu, np.nan), np.where(live, lam, np.nan))
 
 
 def werner_state(d: int, phi: float) -> DensityMatrix:
@@ -245,7 +287,9 @@ def werner_detection_scan(phi: float, theta_pairs,
     cos 2 theta_b).  S_max comes from the reduced state.  The Y entropies
     are computed in batches of angle pairs, with the same checks and the
     same bits as ``shannon_entropy(measurement_distribution(w,
-    tensor_measurement(...)))`` per pair.
+    tensor_measurement(...)))`` per pair, and the witness scores every
+    pair in one pass with the verdicts of
+    :func:`entanglement_witness_analytic`.
 
     Args:
         phi: Werner parameter in [-1, 1].
@@ -270,11 +314,9 @@ def werner_detection_scan(phi: float, theta_pairs,
     for i in range(0, len(pairs), _SCAN_CHUNK):
         a, b = which[i:i + _SCAN_CHUNK].T
         h_y[i:i + _SCAN_CHUNK] = _product_entropies(w, rotations[a], rotations[b], base)
-    out = []
-    for (ta, tb), hy in zip(pairs.tolist(), h_y.tolist()):
-        sigma2 = max(math.cos(2.0 * ta), math.cos(2.0 * tb))
-        out.append(bool(entanglement_witness_analytic(h_x, hy, 4, sigma2, s_max, base)))
-    return np.array(out, dtype=bool)
+    cos2 = np.array([math.cos(2.0 * t) for t in angles.tolist()])  # libm cos, as per pair
+    sigma2 = np.maximum(cos2[which[:, 0]], cos2[which[:, 1]])
+    return _witness(h_x, h_y, 4, sigma2, s_max, base)[0]
 
 
 def eavesdropper_entropy_bound(h_x: float, h_y: float, d_a: int, d_b: int,

@@ -27,7 +27,7 @@ from .norms import (
     norm_mub,
     norm_numeric,
 )
-from .overlap import OverlapMatrix, _as_overlap, build_overlap
+from .overlap import _as_overlap, build_overlap
 from .qmath import (
     DensityMatrix,
     LogBase,
@@ -138,18 +138,23 @@ def rpz2_rhs(c, s_rho: float, base: LogBase = LogBase.TWO) -> float:
     return s_rho + _rpz2_constant(_entries_desc(c), base)[3]
 
 
-def compare_state_independent(c: OverlapMatrix, opts: SolverOptions | None = None,
+def compare_state_independent(c, opts: SolverOptions | None = None,
                               base: LogBase = LogBase.TWO,
                               on_violation: str = "raise") -> ComparisonRow:
     """State-independent constants of ours, largest-overlap, second-overlap.
 
     Ours evaluates the conjectured (1 - sigma2) log d at the optimal
-    equal weights mu = lambda = 1/(1 + sigma2); before reporting, the
-    conjectured norm value at that point is verified against the numeric
-    solver within 1e-7.  If the solver finds a strictly larger norm the
-    behaviour depends on ``on_violation``: ``"raise"`` aborts, while
-    ``"use_numeric"`` reports -(1 + sigma2) log of the solver's value and
-    marks the row ``conjecture_ok=False``.  The solver's value is attained
+    equal weights mu = lambda = 1/(1 + sigma2).  For a 2x2 doubly
+    stochastic C the value at that point is proven, not searched: the
+    norm equals 2^(1/s - 1/r) on the whole closed region, mu* included
+    (two-point hypercontractivity: Bonami 1970; Beckner, Ann. Math. 102,
+    1975), so no solver runs and ``conjecture_ok`` is True.  For any
+    other C, before reporting, the conjectured norm value at that point
+    is verified against the numeric solver within 1e-7.  If the solver
+    finds a strictly larger norm the behaviour depends on
+    ``on_violation``: ``"raise"`` aborts, while ``"use_numeric"``
+    reports -(1 + sigma2) log of the solver's value and marks the row
+    ``conjecture_ok=False``.  The solver's value is attained
     by its witness, so it is only a lower bound on the norm, and the
     constant taken from it can overstate the true constant: it is not a
     certified bound on the constant.
@@ -161,6 +166,7 @@ def compare_state_independent(c: OverlapMatrix, opts: SolverOptions | None = Non
     """
     if on_violation not in ("raise", "use_numeric"):
         raise ValueError(f"unknown on_violation mode {on_violation!r}")
+    c = _as_overlap(c)
     m = c.matrix
     if m.shape[0] != m.shape[1]:
         raise ValueError("comparison requires a square overlap matrix")
@@ -169,8 +175,11 @@ def compare_state_independent(c: OverlapMatrix, opts: SolverOptions | None = Non
     ms = mu_star(sigma2)
     r, s = 1.0 / ms, 1.0 / (1.0 - ms) if ms < 1.0 else np.inf
     conjectured = norm_mub(d, r, s)
-    numeric = norm_numeric(c, r, s, opts=opts, base=base)
-    conjecture_ok = numeric.value <= conjectured + 1e-7 * max(1.0, conjectured)
+    if d == 2 and c.is_doubly_stochastic():
+        conjecture_ok = True  # the d = 2 theorem above
+    else:
+        numeric = norm_numeric(c, r, s, opts=opts, base=base)
+        conjecture_ok = numeric.value <= conjectured + 1e-7 * max(1.0, conjectured)
     if conjecture_ok:
         ours = (1.0 - sigma2) * base.log(d)
     elif on_violation == "raise":

@@ -51,25 +51,23 @@ class DensityMatrix:
 
     Args:
         matrix: square complex matrix, Hermitian within 1e-12, unit trace
-            within 1e-12, eigenvalues above -1e-10.
+            within 1e-12, eigenvalues above -1e-10.  The state keeps a
+            read-only copy.
 
     Raises:
         InvalidStateError: if any of the state invariants fails.
     """
 
     matrix: np.ndarray
+    # Spectrum clipped to [0, 1], computed once by the validation.
+    _spectrum: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+        m = np.array(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InvalidStateError(f"expected a square matrix, got shape {m.shape}")
-        if np.abs(m - m.conj().T).max() > _HERMITIAN_TOL:
-            raise InvalidStateError("matrix is not Hermitian within 1e-12")
-        tr = np.trace(m).real
-        if abs(tr - 1.0) > _TRACE_TOL:
-            raise InvalidStateError(f"trace is {tr!r}, not 1 within 1e-12")
-        if np.linalg.eigvalsh(m).min() < -_EIG_TOL:
-            raise InvalidStateError("matrix has an eigenvalue below -1e-10")
+        object.__setattr__(self, "_spectrum", _check_states(m))
+        m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
     @property
@@ -78,7 +76,33 @@ class DensityMatrix:
 
     def eigenvalues(self) -> np.ndarray:
         """Real eigenvalues in ascending order, clipped to [0, 1]."""
-        return np.clip(np.linalg.eigvalsh(self.matrix), 0.0, 1.0)
+        return self._spectrum.copy()
+
+
+def _check_states(m: np.ndarray) -> np.ndarray:
+    """Spectrum of each state of a stack ``m`` of shape (..., d, d), clipped to [0, 1].
+
+    Each state gets its own verdict, as if checked alone: Hermitian within
+    1e-12, unit trace within 1e-12, eigenvalues above -1e-10.  The first
+    failing state is reported, with its first failing check in that order.
+
+    Raises:
+        InvalidStateError: if any check fails.
+    """
+    herm = np.abs(m - np.swapaxes(m, -1, -2).conj()).max(axis=(-2, -1)) > _HERMITIAN_TOL
+    tr = np.trace(m, axis1=-2, axis2=-1).real
+    off = np.abs(tr - 1.0) > _TRACE_TOL
+    w = np.linalg.eigvalsh(m)
+    neg = w.min(axis=-1) < -_EIG_TOL
+    bad = herm | off | neg
+    if np.count_nonzero(bad):
+        first = tuple(np.argwhere(bad)[0])
+        if herm[first]:
+            raise InvalidStateError("matrix is not Hermitian within 1e-12")
+        if off[first]:
+            raise InvalidStateError(f"trace is {tr[first]!r}, not 1 within 1e-12")
+        raise InvalidStateError("matrix has an eigenvalue below -1e-10")
+    return np.clip(w, 0.0, 1.0)
 
 
 def _check_projectors(p: np.ndarray) -> None:
@@ -279,7 +303,7 @@ def shannon_entropy(p, base: LogBase = LogBase.TWO) -> float:
 
 def von_neumann_entropy(rho: DensityMatrix, base: LogBase = LogBase.TWO) -> float:
     """Von Neumann entropy of a density matrix via its eigenvalues."""
-    return float(_entropies(rho.eigenvalues(), base))
+    return float(_entropies(rho._spectrum, base))
 
 
 def measurement_distribution(rho: DensityMatrix, meas: ProjectiveMeasurement) -> np.ndarray:
@@ -291,24 +315,34 @@ def measurement_distribution(rho: DensityMatrix, meas: ProjectiveMeasurement) ->
     Raises:
         DimensionMismatchError: if state and measurement dimensions differ.
     """
-    return _distributions(rho, meas.projectors)
+    return _distributions(rho.matrix, meas.projectors)
 
 
-def _distributions(rho: DensityMatrix, projectors: np.ndarray) -> np.ndarray:
-    """p_k = Tr(rho P_k) along the outcome axis of a stack of shape (..., n, d, d).
+def _distributions(m: np.ndarray, projectors: np.ndarray) -> np.ndarray:
+    """p_k = Tr(rho P_k) of states (..., d, d) and projector sets (..., n, d, d).
 
-    Tiny negatives (above -1e-10) are clipped to zero; each distribution
-    gets its own verdict, as if computed alone.
+    The leading axes of the two stacks broadcast against each other.  Tiny
+    negatives (above -1e-10) are clipped to zero; each distribution gets
+    its own verdict, as if computed alone.
     """
-    if rho.dim != projectors.shape[-1]:
+    if m.shape[-1] != projectors.shape[-1]:
         raise DimensionMismatchError(
-            f"state dimension {rho.dim} != measurement dimension {projectors.shape[-1]}"
+            f"state dimension {m.shape[-1]} != measurement dimension {projectors.shape[-1]}"
         )
-    p = np.einsum("...kij,ji->...k", projectors, rho.matrix).real
+    p = np.einsum("...kij,...ji->...k", projectors, m).real
     bad = p.min(axis=-1) < -_EIG_TOL
     if np.count_nonzero(bad):
         raise InvalidDistributionError(f"probability {p[bad].min()!r} below -1e-10")
     return np.maximum(p, 0.0)  # the ufunc np.clip(p, 0.0, None) runs, without its overhead
+
+
+def _outcome_entropies(m: np.ndarray, projectors: np.ndarray, base: LogBase) -> np.ndarray:
+    """Shannon entropy of each outcome distribution of :func:`_distributions`.
+
+    Each entry runs the checks and has the bits of ``shannon_entropy(
+    measurement_distribution(rho, meas), base)``.
+    """
+    return _entropies(_check_distributions(_distributions(m, projectors)), base)
 
 
 def _product_entropies(rho: DensityMatrix, a: np.ndarray, b: np.ndarray,
@@ -321,7 +355,7 @@ def _product_entropies(rho: DensityMatrix, a: np.ndarray, b: np.ndarray,
     """
     proj = _tensor_projectors(a, b)
     _check_projectors(proj)
-    return _entropies(_check_distributions(_distributions(rho, proj)), base)
+    return _outcome_entropies(rho.matrix, proj, base)
 
 
 def haar_random_unitary(d: int, seed) -> np.ndarray:
@@ -344,10 +378,19 @@ def random_density_matrix(d: int, seed) -> DensityMatrix:
     """Hilbert-Schmidt distributed random state, G G^dag normalized."""
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    m = g @ g.conj().T
-    return DensityMatrix(m / np.trace(m).real)
+    return DensityMatrix(_random_states(np.random.default_rng(seed), 1, d)[0])
+
+
+def _random_states(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
+    """Stack of ``n`` unchecked states G G^dag / Tr, shape (n, d, d).
+
+    Draws the same stream, in the same order, as ``n`` calls of
+    :func:`random_density_matrix`, and each state has the same bits.
+    """
+    g = rng.standard_normal((n, 2, d, d))
+    g = g[:, 0] + 1j * g[:, 1]
+    m = g @ np.swapaxes(g.conj(), -1, -2)
+    return m / np.trace(m, axis1=-2, axis2=-1).real[:, None, None]
 
 
 def gibbs_gap(rho: DensityMatrix, lind: np.ndarray, base: LogBase = LogBase.TWO) -> float:

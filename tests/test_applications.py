@@ -1,6 +1,7 @@
 """Tests for randomness, entanglement-witness, and eavesdropper bounds."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -219,6 +220,78 @@ def test_witness_passes_innocent_states():
     assert not verdict and math.isnan(verdict.mu)
 
 
+def _scalar_witness(h_x, h_y, d, sigma2, s_max, base):
+    """The witness in Python floats, as it read before it took arrays: (detected, conj, mu, lam)."""
+    if sigma2 == 1.0:
+        return False, False, math.nan, math.nan
+    log_d = math.log(d) / base.ln
+    dx, dy = max(log_d - h_x, 0.0), max(log_d - h_y, 0.0)
+    gamma = (1.0 if dx == 0.0 else math.inf) if dy == 0.0 else math.sqrt(dx / dy)
+    if sigma2 == 0.0:
+        mu, lam = 1.0, 1.0
+    elif gamma < sigma2:
+        mu, lam = 1.0, 0.0
+    elif gamma > 1.0 / sigma2:
+        mu, lam = 0.0, 1.0
+    else:
+        den = 1.0 - sigma2**2
+        mu = min(max((1.0 - sigma2 * gamma) / den, 0.0), 1.0)
+        lam = min(max((1.0 - sigma2 / gamma) / den, 0.0), 1.0)
+    if sigma2 > 0.0 and (gamma < sigma2 or gamma > 1.0 / sigma2):
+        return lam * dx + mu * dy > log_d - s_max, False, mu, lam
+    rhs = ((1.0 - sigma2**2) * s_max + (1.0 + sigma2**2) * log_d
+           - 2.0 * sigma2 * math.sqrt(dx * dy))
+    return h_x + h_y < rhs, sigma2 > 0.0, mu, lam
+
+
+def _fbits(x):
+    return struct.pack("<d", x)
+
+
+@pytest.mark.parametrize("base", [LogBase.TWO, LogBase.NATURAL])
+def test_witness_body_has_the_bits_of_the_scalar_formula(base):
+    """One array body serves the scalar witness and the scan, with Python-float bits."""
+    rng = np.random.default_rng(SEED + 7)
+    log_d = math.log(4) / base.ln
+    sigma2 = rng.random(2000)
+    sigma2[::5] = rng.choice([0.0, 1e-12, 0.5, 1.0 - 1e-12, 1.0], size=400)
+    h_y = rng.random(2000) * log_d
+    h_y[::7] = log_d
+    h_y[1::9] = log_d + 5e-10
+    for h_x, s_max in ((0.3 * log_d, 0.2), (log_d, 0.5), (0.0, 0.0), (log_d + 5e-10, 1.0)):
+        det, conj, mu, lam = applications._witness(h_x, h_y, 4, sigma2, s_max, base)
+        for k in range(len(h_y)):
+            ref = _scalar_witness(h_x, float(h_y[k]), 4, float(sigma2[k]), s_max, base)
+            one = entanglement_witness_analytic(h_x, float(h_y[k]), 4, float(sigma2[k]),
+                                                s_max, base)
+            assert (bool(det[k]), bool(conj[k])) == ref[:2] == (one.detected, one.conjectured)
+            for got, want in ((mu[k], ref[2]), (lam[k], ref[3]), (one.mu, ref[2]),
+                              (one.lam, ref[3])):
+                assert _fbits(got) == _fbits(want)
+            if 0.0 < sigma2[k] < 1.0:
+                gamma = deficits_from_entropies(h_x, float(h_y[k]), 4, base).gamma
+                weights = optimal_weights(gamma, float(sigma2[k]))
+                if not (gamma < sigma2[k] or gamma > 1.0 / sigma2[k]):
+                    assert tuple(map(_fbits, weights)) == (_fbits(ref[2]), _fbits(ref[3]))
+
+
+def test_square_has_the_bits_of_python_float_power():
+    x = np.random.default_rng(SEED).random(200_000)
+    assert [v**2 for v in x.tolist()] == applications._square(x).tolist()
+
+
+def test_witness_rejects_what_the_scalar_rejects():
+    with pytest.raises(ValueError, match="sigma2 must lie in"):
+        applications._witness(1.0, np.array([1.0, 1.0]), 4, np.array([0.5, 1.5]), 0.0, LogBase.TWO)
+    with pytest.raises(ValueError, match="delta_y is negative"):
+        applications._witness(1.0, np.array([1.0, 2.1]), 4, np.array([0.5, 0.5]), 0.0, LogBase.TWO)
+    # sigma2 = 1 never certifies, so its entropies are not checked, as in the scalar form.
+    det, *_ = applications._witness(1.0, np.array([1.0, 2.1]), 4, np.array([0.5, 1.0]), 0.0,
+                                    LogBase.TWO)
+    assert det.tolist() == [False, False]
+    assert not entanglement_witness_analytic(1.0, 2.1, 4, 1.0, 0.0)
+
+
 def _random_separable_qubit_pair(rng):
     n = int(rng.integers(1, 9))
     weights = rng.dirichlet(np.ones(n))
@@ -314,31 +387,34 @@ def _bits(values) -> np.ndarray:
 @pytest.mark.parametrize("base", [LogBase.TWO, LogBase.NATURAL])
 @pytest.mark.parametrize("phi", [-1.0, -0.5, -0.1, -0.669916 - 1e-6, -0.669916 + 1e-6])
 def test_werner_scan_matches_the_per_pair_path_bit_for_bit(monkeypatch, phi, base):
-    """The batched scan hands the witness the per-pair H(Y), bits and all."""
+    """The batched scan hands the witness the per-pair H(Y) and sigma2, bits and all."""
     axis = np.linspace(0.0, math.pi / 4, 50)
     pairs = [(float(a), float(b)) for a in axis for b in axis]  # ten chunks
     seen = []
-    witness = applications.entanglement_witness_analytic
+    witness = applications._witness
 
     def recording(h_x, h_y, d, sigma2, s_max, base):
-        seen.append((h_x, h_y, sigma2, s_max))
+        seen.append((h_x, np.array(h_y), np.array(sigma2), s_max))
         return witness(h_x, h_y, d, sigma2, s_max, base)
 
-    monkeypatch.setattr(applications, "entanglement_witness_analytic", recording)
+    monkeypatch.setattr(applications, "_witness", recording)
     got = werner_detection_scan(phi, pairs, base)
-    assert len(seen) == len(pairs)
+    monkeypatch.undo()
+    assert len(seen) == 1 and seen[0][1].shape == seen[0][2].shape == (len(pairs),)
     w = werner_state(2, phi)
     x = tensor_measurement(basis_measurement(2), basis_measurement(2))
     h_x = shannon_entropy(measurement_distribution(w, x), base)
     s_max = von_neumann_entropy(partial_trace(w, (2, 2), 0), base)
-    h_y, expected = [], []
+    h_y, sigma2, expected = [], [], []
     for ta, tb in pairs:
         y = tensor_measurement(rotated_measurement_2d(ta), rotated_measurement_2d(tb))
         h_y.append(shannon_entropy(measurement_distribution(w, y), base))
-        sigma2 = max(math.cos(2.0 * ta), math.cos(2.0 * tb))
-        expected.append(bool(witness(h_x, h_y[-1], 4, sigma2, s_max, base)))
-    assert (_bits([r[1] for r in seen]) == _bits(h_y)).all()
-    assert all(r[0] == h_x and r[3] == s_max for r in seen)
+        sigma2.append(max(math.cos(2.0 * ta), math.cos(2.0 * tb)))
+        expected.append(bool(entanglement_witness_analytic(h_x, h_y[-1], 4, sigma2[-1],
+                                                           s_max, base)))
+    assert (_bits(seen[0][1]) == _bits(h_y)).all()
+    assert (_bits(seen[0][2]) == _bits(sigma2)).all()
+    assert seen[0][0] == h_x and seen[0][3] == s_max
     assert got.tolist() == expected
 
 
@@ -357,13 +433,13 @@ WERNER_H_Y_PINS = {
 @pytest.mark.parametrize("phi, base", sorted(WERNER_H_Y_PINS, key=str))
 def test_werner_scan_entropies_are_pinned(monkeypatch, phi, base):
     seen = []
-    witness = applications.entanglement_witness_analytic
+    witness = applications._witness
 
     def recording(h_x, h_y, *rest):
-        seen.append(h_y.hex())
+        seen.extend(v.hex() for v in np.asarray(h_y).tolist())
         return witness(h_x, h_y, *rest)
 
-    monkeypatch.setattr(applications, "entanglement_witness_analytic", recording)
+    monkeypatch.setattr(applications, "_witness", recording)
     werner_detection_scan(phi, [(0.0, 0.0), (math.pi / 16, 0.3), (math.pi / 4, math.pi / 4)], base)
     assert tuple(seen) == WERNER_H_Y_PINS[phi, base]
 

@@ -201,6 +201,40 @@ def test_compare_rejects_bad_mode_and_shape():
         compare_state_independent(OverlapMatrix(np.full((2, 3), 0.5)))
 
 
+def test_compare_takes_an_array_like_its_overlap_matrix():
+    from entrobound import OverlapMatrix
+
+    rng = np.random.default_rng(SEED)
+    for c in (rotation_overlap_2d(0.4), from_unitary(haar_random_unitary(3, rng))):
+        row = compare_state_independent(c, opts=FAST, on_violation="use_numeric")
+        for plain in (np.array(c.matrix), c.matrix.tolist()):
+            assert compare_state_independent(plain, opts=FAST, on_violation="use_numeric") == row
+        assert compare_state_independent(OverlapMatrix(c.matrix), opts=FAST,
+                                         on_violation="use_numeric") == row
+
+
+def test_compare_runs_the_solver_only_where_no_theorem_applies(monkeypatch):
+    from entrobound import bounds
+
+    calls = []
+    solver = bounds.norm_numeric
+
+    def counting(c, *args, **kwargs):
+        calls.append(c.shape)
+        return solver(c, *args, **kwargs)
+
+    monkeypatch.setattr(bounds, "norm_numeric", counting)
+    for theta in (0.0, 0.3, math.pi / 6, math.pi / 4):
+        assert compare_state_independent(rotation_overlap_2d(theta), opts=FAST).conjecture_ok
+    assert compare_state_independent(np.eye(2)[::-1], opts=FAST).conjecture_ok
+    assert calls == []
+    compare_state_independent(from_unitary(haar_random_unitary(3, np.random.default_rng(SEED))),
+                              opts=FAST, on_violation="use_numeric")
+    assert calls == [(3, 3)]
+    compare_state_independent([[0.6, 0.3], [0.4, 0.7]], opts=FAST, on_violation="use_numeric")
+    assert calls == [(3, 3), (2, 2)]
+
+
 def test_compare_fallback_on_conjecture_violation():
     # For some qutrit overlaps the numeric norm at the optimal weights
     # exceeds the constant-matrix value; the fallback mode must keep a

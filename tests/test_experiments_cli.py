@@ -14,12 +14,21 @@ import pytest
 
 from entrobound import (
     COMPARE_RANDOM_OPTS,
+    DensityMatrix,
     InvalidStateError,
     OverlapMatrix,
     SolverOptions,
     Table,
+    WeightTriple,
+    basis_measurement,
     cli,
     config_hash,
+    experiments,
+    fourier_measurement,
+    measurement_distribution,
+    norms,
+    random_density_matrix,
+    rotated_measurement_2d,
     run_compare_random,
     run_compare_sweep,
     run_conjecture_fuzz,
@@ -27,9 +36,10 @@ from entrobound import (
     run_norm_profile,
     run_randomness_sweep,
     run_werner_masks,
+    shannon_entropy,
+    von_neumann_entropy,
     write_table,
 )
-from entrobound import norms
 
 FAST = SolverOptions(restarts=4)
 REPO = Path(__file__).resolve().parents[1]
@@ -276,6 +286,27 @@ def test_fig_region_engine_stats():
     kinds = {row[0] for row in t.rows}
     assert kinds == {"sample", "mu_line", "envelope"}
     assert sum(1 for row in t.rows if row[0] == "sample") == 51  # + mixed state
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_fig_region_scores_like_the_per_state_path_bit_for_bit(monkeypatch, d, seed):
+    """The stacked cloud has the bits of one random_density_matrix and its entropies per state."""
+    monkeypatch.setattr(experiments, "_REGION_CHUNK", 7)  # several chunks and a short last one
+    samples = 40
+    t = run_fig_region(d=d, samples=samples, seed=seed, n_env=5,
+                       weight_grid=[WeightTriple(1.0, 0.5, 0.5)], opts=FAST)
+    got = [(s.hex(), h.hex()) for kind, s, h in t.rows if kind == "sample"]
+    x = basis_measurement(d)
+    y = rotated_measurement_2d(math.radians(17.0)) if d == 2 else fourier_measurement(d)
+    rng = np.random.default_rng(seed)
+    states = [random_density_matrix(d, rng) for _ in range(samples)]
+    states.append(DensityMatrix(np.eye(d) / d))
+    expected = [(von_neumann_entropy(rho).hex(),
+                 (shannon_entropy(measurement_distribution(rho, x))
+                  + shannon_entropy(measurement_distribution(rho, y))).hex())
+                for rho in states]
+    assert got == expected
 
 
 def test_fig_region_higher_dimension_rules():

@@ -14,6 +14,7 @@ from entrobound import (
     SolverOptions,
     WeightTriple,
     bccrr_rhs,
+    compare_state_independent,
     conjecture_region_contains,
     feasible_weight_grid,
     from_unitary,
@@ -347,6 +348,7 @@ _VALIDATING = {
     "hessian_spectrum_at_ones": lambda c: hessian_spectrum_at_ones(c, 0.5, 0.5),
     "second_singular_value": second_singular_value,
     "bccrr_rhs": lambda c: bccrr_rhs(c, 0.0),
+    "compare_state_independent": compare_state_independent,
 }
 
 

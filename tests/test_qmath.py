@@ -24,7 +24,13 @@ from entrobound import (
     von_neumann_entropy,
 )
 from entrobound.errors import InvalidDistributionError, InvalidStateError
-from entrobound.qmath import _check_projectors, _entropies, _product_entropies
+from entrobound.qmath import (
+    _check_projectors,
+    _check_states,
+    _entropies,
+    _product_entropies,
+    _random_states,
+)
 
 # Frozen oracle: H([3/4, 1/4]) = 2 - (3/4) log2 3, computed by hand.
 H_THREE_QUARTERS = 2.0 - 0.75 * math.log2(3.0)
@@ -210,6 +216,58 @@ def test_projector_stack_raises_like_projective_measurement():
             stack[at] = bad
             assert _raised(_check_projectors, stack) == expected
     _check_projectors(np.array([good] * 6))
+
+
+def test_state_stack_raises_like_density_matrix():
+    good = random_density_matrix(3, np.random.default_rng(11)).matrix
+    non_hermitian = good.copy()
+    non_hermitian[0, 1] += 1e-6j
+    off_trace = good * (1.0 + 1e-9)
+    w, v = np.linalg.eigh(good)
+    shift = w[0] + 1e-6  # moves the smallest eigenvalue to -1e-6, keeping the trace
+    negative = (v * (w + np.array([-shift, 0.0, shift]))) @ v.conj().T
+    messages = ("matrix is not Hermitian within 1e-12",
+                f"trace is {np.trace(off_trace).real!r}, not 1 within 1e-12",
+                "matrix has an eigenvalue below -1e-10")
+    for bad, message in zip((non_hermitian, off_trace, negative), messages):
+        expected = _raised(DensityMatrix, bad)
+        assert expected == (InvalidStateError, message)
+        for at in (0, 3, 5):
+            stack = np.array([good] * 6)
+            stack[at] = bad
+            assert _raised(_check_states, stack) == expected
+    spectra = _check_states(np.array([good] * 6))
+    assert (spectra == DensityMatrix(good).eigenvalues()).all()
+
+
+def test_density_matrix_keeps_its_validated_spectrum():
+    m = np.diag([0.75, 0.25]).astype(complex)
+    rho = DensityMatrix(m)
+    m[0, 0] = 5.0
+    assert rho.matrix[0, 0] == 0.75
+    assert not rho.matrix.flags.writeable
+    with pytest.raises(ValueError):
+        rho.matrix[0, 0] = 5.0
+    assert rho.eigenvalues().tolist() == [0.25, 0.75]
+    assert von_neumann_entropy(rho) == shannon_entropy([0.25, 0.75])
+
+
+def test_state_stack_reports_the_first_failing_state_first():
+    good = np.eye(2, dtype=complex) / 2
+    off_trace = np.eye(2, dtype=complex)
+    non_hermitian = good + np.array([[0.0, 1e-6j], [0.0, 0.0]])
+    stack = np.array([good, off_trace, non_hermitian])
+    assert _raised(_check_states, stack) == _raised(DensityMatrix, off_trace)
+
+
+def test_random_states_draw_the_stream_of_random_density_matrix():
+    for d in (1, 2, 5):
+        one_by_one = np.random.default_rng(d)
+        expected = np.array([random_density_matrix(d, one_by_one).matrix for _ in range(9)])
+        stacked = np.random.default_rng(d)
+        got = np.concatenate([_random_states(stacked, n, d) for n in (4, 1, 4)])
+        assert (got.view(np.int64) == expected.view(np.int64)).all()
+        assert one_by_one.random() == stacked.random()
 
 
 def test_product_entropies_check_their_projectors():
