@@ -212,8 +212,6 @@ def entropy_upper_bound(h_x: float, h_y: float, c, grid=None,
     pairs = [(1.0, 1.0)]
     if grid is not None:
         pairs.extend((float(l), float(m)) for l, m in grid)
-    if not pairs:
-        raise ValueError("weight grid is empty")
     best = np.inf
     for lam, mu in pairs:
         w = WeightTriple(1.0, lam, mu)

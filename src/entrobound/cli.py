@@ -124,7 +124,7 @@ def _cmd_norm(args) -> int:
     if have_rs:
         if args.r is None or args.s is None:
             raise ValueError("--r and --s must be given together")
-        if args.r < 1.0 or args.s < 1.0:
+        if not (args.r >= 1.0 and args.s >= 1.0):  # NaN fails both comparisons
             raise ValueError("exponents must satisfy r >= 1 and s >= 1")
         w = WeightTriple(1.0, 1.0 - 1.0 / args.s, 1.0 / args.r)
     elif have_w:

@@ -132,7 +132,7 @@ def norm_report(c, w: WeightTriple, opts: SolverOptions | None = None,
         "log_base": base.name,
         "method": res.method.value,
         "certified_bounds": [_num(b) for b in res.certified_bounds],
-        "witness": None if res.witness is None else [float(x) for x in res.witness],
+        "witness": [float(x) for x in res.witness],
     }
 
 
@@ -414,10 +414,10 @@ def run_conjecture_fuzz(dims=(2, 3, 4), samples: int = 1000, grid: int = 11,
                 if excess > excess_tol:
                     violations += 1
                     max_excess = max(max_excess, excess)
-                    witness = "" if res.witness is None else _flat17(res.witness)
                     violation_rows.append((
                         "violation", d, k, "", "", "", mu, lam, sigma2,
-                        res.value, conjectured, excess, _flat17(c.matrix), witness,
+                        res.value, conjectured, excess, _flat17(c.matrix),
+                        _flat17(res.witness),
                     ))
         summary_rows.append((
             "summary", d, "", samples, evals, violations, "", "", "", "", "",

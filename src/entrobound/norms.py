@@ -3,7 +3,7 @@
 For a doubly stochastic matrix C the norm ||C||_{r->s} admits closed
 forms in several regimes (constant matrix, permutation matrix, s <= r,
 and the r=1, s=inf corner).  Outside those regimes the norm is computed
-by a multistart nonlinear power iteration with a line-search fallback.
+by a multistart nonlinear power iteration.
 Weighted entropic bounds use the exponents r = alpha/mu and
 s = alpha/(alpha - lambda).
 """
@@ -98,7 +98,7 @@ def _exponents(r=None, s=None, w: WeightTriple | None = None):
     if r is None or s is None:
         raise ValueError("pass either (r, s) or w")
     r, s = float(r), float(s)
-    if r < 1.0 or s < 1.0:
+    if not (r >= 1.0 and s >= 1.0):  # NaN fails both comparisons
         raise ValueError(f"exponents must be >= 1, got r={r}, s={s}")
     return r, s
 
@@ -302,31 +302,6 @@ def _result(value, witness, method, d, r, s, base) -> NormResult:
     return NormResult(float(value), float(log_value), witness, method, bounds)
 
 
-def _line_search(c, a, b, r, s, iters=70):
-    """Golden-section maximization of the objective on the segment [a, b]."""
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-
-    def g(t):
-        return _ratio(c, (1.0 - t) * a + t * b, r, s)
-
-    lo, hi = 0.0, 1.0
-    t1, t2 = hi - phi * (hi - lo), lo + phi * (hi - lo)
-    g1, g2 = g(t1), g(t2)
-    for _ in range(iters):
-        if g1 < g2:
-            lo, t1, g1 = t1, t2, g2
-            t2 = lo + phi * (hi - lo)
-            g2 = g(t2)
-        else:
-            hi, t2, g2 = t2, t1, g1
-            t1 = hi - phi * (hi - lo)
-            g1 = g(t1)
-    cands = [(g(0.0), 0.0), (g1, t1), (g2, t2), (g(1.0), 1.0)]
-    gb, tb = max(cands, key=lambda p: p[0])
-    v = (1.0 - tb) * a + tb * b
-    return _unit_r(v, r), gb
-
-
 def _multistart_ascent(m, r, s, opts):
     """Vectorized power iteration over a bank of starts; returns best point.
 
@@ -336,7 +311,10 @@ def _multistart_ascent(m, r, s, opts):
     divided by its column maxima and raised to 1/(r - 1), so every nonzero
     column has a maximum of exactly 1.0 (x / x = 1 and 1 ** p = 1) and its
     r-norm is the plain sum of powers; an all-zero column sums to 0 and
-    keeps its previous point.
+    keeps its previous point.  There is no line search: by Hoelder's
+    inequality a step cannot lower the objective in exact arithmetic
+    (Boyd 1974), so a drop is rounding, and ``best_x`` keeps the best
+    point seen.
     """
     n = m.shape[1]
     rng = default_rng(opts.seed)
@@ -362,14 +340,6 @@ def _multistart_ascent(m, r, s, opts):
             nrm = np.where(dead, 1.0, nrm)
         xn = xn / nrm
         fn, yn = _scaled_pnorm(m @ xn, s)
-        dropped = fn < f - 1e-15
-        if np.count_nonzero(dropped):
-            for j in np.flatnonzero(dropped):
-                xj, fj = _line_search(m, x[:, j], xn[:, j], r, s)
-                xn[:, j], fn[j] = xj, fj
-            # Recompute the whole product, not only the searched columns: a
-            # matrix-vector product may round differently from this one.
-            yn = _scale_columns(m @ xn)[1]
         rel = np.abs(fn - f) / np.maximum(fn, 1e-300)
         converged |= rel < tol
         improved = fn > best_f
@@ -407,8 +377,7 @@ def norm_numeric(c, r=None, s=None, w: WeightTriple | None = None,
 
     Interior exponents use a multistart power iteration (starts: the
     all-ones vector, every standard basis vector, and ``opts.restarts``
-    seeded random positive vectors) with a golden-section line search
-    whenever a step would decrease the objective.  Boundary exponents
+    seeded random positive vectors).  Boundary exponents
     reduce exactly: r = 1 picks the best column, s = inf the best row
     (via its Hoelder dual vector), r = inf the all-ones vector, and
     s = 1 the dual of the column sums.

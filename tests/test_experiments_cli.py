@@ -143,6 +143,12 @@ def test_norm_argument_conflicts_exit_one(capsys):
         assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("r, s", [("nan", "2"), ("2", "nan")])
+def test_norm_nan_exponent_exits_one_naming_the_exponents(capsys, r, s):
+    assert cli.main(["norm", "--mub", "3", "--r", r, "--s", s]) == 1
+    assert "exponents must satisfy r >= 1 and s >= 1" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 

@@ -107,6 +107,23 @@ def test_exponent_argument_validation():
         norm_mub(0, r=2.0, s=3.0)
 
 
+_NAN_EXPONENT_CALLS = {
+    "norm_mub": lambda r, s: norm_mub(2, r, s),
+    "norm_identity": lambda r, s: norm_identity(2, r, s),
+    "norm_closed_form": lambda r, s: norm_closed_form(rotation_overlap_2d(0.5), r, s),
+    "norm_numeric": lambda r, s: norm_numeric(rotation_overlap_2d(0.5), r, s),
+}
+
+
+@pytest.mark.parametrize("r, s", [(math.nan, 2.0), (2.0, math.nan)])
+@pytest.mark.parametrize("name", sorted(_NAN_EXPONENT_CALLS))
+def test_nan_exponent_is_rejected(name, r, s):
+    # Every comparison with NaN is False, so a check written as "r < 1"
+    # lets NaN through to a nan value, a None, or the iteration cap.
+    with pytest.raises(ValueError, match="exponents must be >= 1"):
+        _NAN_EXPONENT_CALLS[name](r, s)
+
+
 # ---------------------------------------------------------------------------
 # closed forms
 
@@ -279,6 +296,30 @@ def test_solver_failure_reports_best_attempt():
     err = excinfo.value
     assert err.best_value is not None and err.best_value > 0.0
     assert err.best_point is not None and len(err.best_point) == 2
+
+
+#: Sparse, badly scaled inputs on which a step of the ascent drops the
+#: objective by rounding, with the value an ascent that ran a golden-section
+#: line search after each such drop found (restarts=4), as float.hex.
+_ROUNDING_DROP_CASES = [
+    ([[0.5, 1e-3], [7.0, 1e3]], 5.0, 3.0, "0x1.f4cf4b01ff2d0p+9"),
+    ([[1.0, 1e3, 0.5], [1e3, 3.0, 0.0], [0.0, 0.0, 3.0]], 1.5, 3.0, "0x1.f400004eb82aep+9"),
+    ([[0.0, 0.0, 0.0], [1e-6, 0.0, 1e6], [1e6, 0.0, 0.0]], 7.5, 5.0, "0x1.ff5fc3ee269f2p+19"),
+    ([[1e-3, 0.0], [1e3, 1e-6], [1.0, 1e3]], 2.0, 3.0, "0x1.f40010651a75dp+9"),
+    ([[7.0, 1e3, 1e-6], [1e-3, 0.5, 3.0]], 1.5, 3.0, "0x1.f40003bf726a2p+9"),
+    ([[1e6, 0.0], [1e-3, 1e-6], [1e6, 1e6], [0.0, 1e6]], 1.25, 1.5, "0x1.9093d47bbf6acp+20"),
+]
+
+
+@pytest.mark.parametrize("m, r, s, value", _ROUNDING_DROP_CASES,
+                         ids=[f"{len(c[0])}x{len(c[0][0])}-r{c[1]}-s{c[2]}"
+                              for c in _ROUNDING_DROP_CASES])
+def test_rounding_drops_need_no_line_search(m, r, s, value):
+    # By Hoelder a power step cannot lower the objective in exact
+    # arithmetic; keeping the best point seen is all a drop needs.
+    res = norm_numeric(m, r, s, opts=SolverOptions(restarts=4))  # converges: no SolverFailureError
+    assert res.value == pytest.approx(float.fromhex(value), rel=1e-14, abs=0.0)
+    assert _ratio(m, res.witness, r, s) == pytest.approx(res.value, rel=1e-12, abs=0.0)
 
 
 #: Witnesses of norm_numeric at mu* = 1 / (1 + sigma2) with 8 restarts, for
