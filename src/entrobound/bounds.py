@@ -22,6 +22,7 @@ from .norms import (
     NormMethod,
     SolverOptions,
     WeightTriple,
+    _norm_many,
     mu_star,
     norm,
     norm_mub,
@@ -252,7 +253,7 @@ def envelope_curve(c, s_grid, weight_grid=None,
         if w.lam != w.mu or w.lam == 0.0:
             raise ValueError(f"envelope grid needs lambda = mu > 0, got {w}")
     env = np.full(s_vals.shape, -np.inf)
-    for w in triples:
-        c_val = c_lower_bound(c, w, opts=opts, base=base)
+    for w, res in zip(triples, _norm_many(c, triples, opts=opts, base=base)):
+        c_val = -w.alpha * res.log_value  # c_lower_bound; alpha >= lambda > 0
         env = np.maximum(env, (w.alpha * s_vals + c_val) / w.lam)
     return s_vals, env

@@ -126,16 +126,16 @@ def _cmd_norm(args) -> int:
             raise ValueError("--r and --s must be given together")
         if not (args.r >= 1.0 and args.s >= 1.0):  # NaN fails both comparisons
             raise ValueError("exponents must satisfy r >= 1 and s >= 1")
-        w = WeightTriple(1.0, 1.0 - 1.0 / args.s, 1.0 / args.r)
+        point = {"r": args.r, "s": args.s}  # solved and reported as given
     elif have_w:
         if args.mu is None or args.lam is None:
             raise ValueError("--mu and --lambda must be given together")
         alpha = 1.0 if args.alpha is None else args.alpha
-        w = WeightTriple(alpha, args.lam, args.mu)
+        point = {"w": WeightTriple(alpha, args.lam, args.mu)}
     else:
         raise ValueError("specify exponents via --r/--s or weights via --mu/--lambda")
-    payload = experiments.norm_report(c, w, opts=_solver_opts(args),
-                                      base=_BASES[args.base])
+    payload = experiments.norm_report(c, opts=_solver_opts(args),
+                                      base=_BASES[args.base], **point)
     _write_output(args, lambda f: f.write(json.dumps(payload, indent=2, sort_keys=True) + "\n"))
     return 0
 

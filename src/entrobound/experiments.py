@@ -28,11 +28,13 @@ from .errors import NormConsistencyError
 from .norms import (
     SolverOptions,
     WeightTriple,
+    _exponents,
+    _norm_many,
+    _numeric_many,
     feasible_weight_grid,
     mu_star,
     norm,
     norm_mub,
-    norm_numeric,
 )
 from .overlap import _as_overlap, build_overlap, rotation_overlap_2d, from_unitary
 from .qmath import (
@@ -116,17 +118,21 @@ def _opts_config(opts: SolverOptions) -> dict:
     }
 
 
-def norm_report(c, w: WeightTriple, opts: SolverOptions | None = None,
-                base: LogBase = LogBase.TWO) -> dict:
-    """Evaluate one norm and package the result for JSON output."""
-    res = norm(c, w, opts=opts, base=base)
+def norm_report(c, w: WeightTriple | None = None, opts: SolverOptions | None = None,
+                base: LogBase = LogBase.TWO, *, r=None, s=None) -> dict:
+    """Evaluate one norm at (r, s) or a weight triple and package it for JSON output.
+
+    The reported exponents are those solved at: (r, s) as given, or the triple's.
+    """
+    r, s = _exponents(r, s, w)
+    res = norm(c, opts=opts, base=base, r=r, s=s)
 
     def _num(v):
         return float(v) if np.isfinite(v) else "inf"
 
     return {
-        "r": _num(w.r),
-        "s": _num(w.s),
+        "r": _num(r),
+        "s": _num(s),
         "value": float(res.value),
         "log_value": float(res.log_value),
         "log_base": base.name,
@@ -240,9 +246,10 @@ def run_norm_profile(theta: float = math.pi / 6, grid: int = 200,
     rows = []
     max_equal_dev = 0.0
     min_excess_beyond = np.inf
-    for mu in np.linspace(0.5, 1.0, grid):
-        w = WeightTriple(1.0, float(mu), float(mu))
-        res = norm_numeric(c, w.r, w.s, opts=opts, base=base)
+    mus = np.linspace(0.5, 1.0, grid)
+    triples = [WeightTriple(1.0, float(mu), float(mu)) for mu in mus]
+    solved = _numeric_many(c, [(w.r, w.s) for w in triples], opts=opts, base=base)
+    for mu, res in zip(mus, solved):
         mub_line = (1.0 - 2.0 * mu) * ln2
         excess = res.log_value - mub_line
         if excess < -1e-7:
@@ -460,14 +467,10 @@ def run_randomness_sweep(c, points: int = 11, weight_grid_n: int = 21,
     log_d = float(base.log(d))
 
     axis = np.linspace(0.0, 1.0, weight_grid_n)
-    mus, lams, log_norms = [], [], []
-    for mu in axis:
-        for lam in axis:
-            w = WeightTriple(1.0, float(lam), float(mu))
-            log_norms.append(norm(c, w, opts=opts, base=base).log_value)
-            mus.append(float(mu))
-            lams.append(float(lam))
-    mus, lams, log_norms = map(np.asarray, (mus, lams, log_norms))
+    triples = [WeightTriple(1.0, float(lam), float(mu)) for mu in axis for lam in axis]
+    log_norms = [res.log_value for res in _norm_many(c, triples, opts=opts, base=base)]
+    mus, lams, log_norms = map(np.asarray, ([w.mu for w in triples],
+                                            [w.lam for w in triples], log_norms))
 
     rows = []
     h_axis = np.linspace(0.0, log_d, points)

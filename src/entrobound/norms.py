@@ -6,6 +6,17 @@ and the r=1, s=inf corner).  Outside those regimes the norm is computed
 by a multistart nonlinear power iteration.
 Weighted entropic bounds use the exponents r = alpha/mu and
 s = alpha/(alpha - lambda).
+
+Engines that need many norms of one matrix (a weight lattice, a profile)
+solve their numeric problems together: ``_stacked_ascent`` runs the power
+step of ``_multistart_ascent`` on a ``(P, n, k)`` stack, one slice per
+problem, and drops each problem from the stack once it stops.  A stacked
+result has the bits of the single-problem one as long as every problem
+keeps its own start bank as one slice (a stacked ``matmul`` equals the
+per-slice product, but widening a bank with more columns moves the bits)
+and no exponent in the stack is one at which NumPy's ``x ** e`` takes a
+scalar fast path (-1, 1/2, 2); ``_numeric_many`` sends every other
+problem to ``norm_numeric``.
 """
 
 from __future__ import annotations
@@ -106,25 +117,40 @@ def _exponents(r=None, s=None, w: WeightTriple | None = None):
 def _scale_columns(v: np.ndarray) -> tuple:
     """(column maxima, v divided by them); all-zero columns stay as they are.
 
-    A 1-D ``v`` is one column.  The zero guard is taken only when some
-    maximum is not positive; indexing at ``argmin`` stands in for
-    ``.min()``, which costs several times more on arrays this short.
+    Columns run down axis 0 of a 1-D (one column) or 2-D ``v`` and down
+    axis 1 of a ``(P, n, k)`` stack, whose maxima keep that axis so they
+    broadcast.  The zero guard is taken only when some maximum is not
+    positive; indexing at ``argmin`` stands in for ``.min()``, which costs
+    several times more on arrays this short.
     """
-    vmax = np.maximum.reduce(v, axis=0)
-    if (vmax if vmax.ndim == 0 else vmax[vmax.argmin()]) > 0.0:
+    if v.ndim == 3:
+        vmax = np.maximum.reduce(v, axis=1, keepdims=True)
+        low = vmax.min()
+    else:
+        vmax = np.maximum.reduce(v, axis=0)
+        low = vmax if vmax.ndim == 0 else vmax[vmax.argmin()]
+    if low > 0.0:
         return vmax, v / vmax
     return vmax, v / np.where(vmax > 0.0, vmax, 1.0)
 
 
-def _scaled_pnorm(v: np.ndarray, p: float) -> tuple:
+def _column_sums(v: np.ndarray) -> np.ndarray:
+    """Sums down the columns, laid out as in ``_scale_columns``."""
+    if v.ndim == 3:
+        return np.add.reduce(v, axis=1, keepdims=True)
+    return np.add.reduce(v, axis=0)
+
+
+def _scaled_pnorm(v: np.ndarray, p) -> tuple:
     """(p-norms of the columns of nonnegative ``v``, ``v`` over its column maxima).
 
     Scaling by the maximum keeps large finite p from overflowing.  The
     ascent kernel carries the scaled matrix into its next step, so this is
-    the one definition of the objective's norm: its bits are pinned.
+    the one definition of the objective's norm: its bits are pinned.  For
+    a stack, ``p`` may be a ``(P, 1, 1)`` array of per-problem exponents.
     """
     vmax, scaled = _scale_columns(v)
-    return vmax * np.add.reduce(scaled**p, axis=0) ** (1.0 / p), scaled
+    return vmax * _column_sums(scaled**p) ** (1.0 / p), scaled
 
 
 def _pnorm(x: np.ndarray, p: float) -> np.ndarray:
@@ -302,6 +328,44 @@ def _result(value, witness, method, d, r, s, base) -> NormResult:
     return NormResult(float(value), float(log_value), witness, method, bounds)
 
 
+#: Exponents at which NumPy's ``x ** e`` takes a scalar fast path whose
+#: bits differ from those of the same exponent in an array.
+_POW_FAST_PATHS = (-1.0, 0.5, 2.0)
+
+
+def _start_bank(n: int, opts: SolverOptions) -> np.ndarray:
+    """Starts of every ascent, as columns: all-ones, the basis, seeded randoms."""
+    starts = [np.ones((n, 1)), np.eye(n)]
+    if opts.restarts > 0:
+        starts.append(default_rng(opts.seed).standard_exponential((n, opts.restarts)))
+    return np.concatenate(starts, axis=1)
+
+
+def _power_step(m, mt, x, f, yn, e, tol, best_f, best_x, converged):
+    """One power step from unit-r points ``x`` with values ``f`` and scaled images ``yn``.
+
+    Returns the new points, values and scaled images, and updates the
+    best values and points seen and the convergence mask in place.
+    ``x`` is ``(n, k)`` with scalar exponents ``e`` = (s - 1, 1/(r - 1),
+    r, 1/r, s), or a ``(P, n, k)`` stack with ``(P, 1, 1)`` exponent arrays.
+    """
+    s_minus_1, inv_r_minus_1, r, inv_r, s = e
+    xn = _scale_columns(mt @ yn**s_minus_1)[1] ** inv_r_minus_1
+    nrm = _column_sums(xn**r) ** inv_r
+    dead = nrm <= 0.0
+    if np.count_nonzero(dead):
+        xn = np.where(dead, x, xn)
+        nrm = np.where(dead, 1.0, nrm)
+    xn = xn / nrm
+    fn, yn = _scaled_pnorm(m @ xn, s)
+    rel = np.abs(fn - f) / np.maximum(fn, 1e-300)
+    converged |= rel < tol
+    improved = fn > best_f
+    np.copyto(best_f, fn, where=improved)
+    np.copyto(best_x, xn, where=improved)
+    return xn, fn, yn
+
+
 def _multistart_ascent(m, r, s, opts):
     """Vectorized power iteration over a bank of starts; returns best point.
 
@@ -315,37 +379,24 @@ def _multistart_ascent(m, r, s, opts):
     inequality a step cannot lower the objective in exact arithmetic
     (Boyd 1974), so a drop is rounding, and ``best_x`` keeps the best
     point seen.
+
+    This is the single-problem loop; ``_stacked_ascent`` runs the same
+    ``_power_step`` and stop rules on many problems at once and returns
+    the same bits when each problem keeps this start bank as its own
+    slice (never widened with other problems' columns) and no exponent
+    in the stack is a NumPy fast-path power (see ``_stackable``).
     """
-    n = m.shape[1]
-    rng = default_rng(opts.seed)
-    starts = [np.ones((n, 1)), np.eye(n)]
-    if opts.restarts > 0:
-        starts.append(rng.standard_exponential((n, opts.restarts)))
-    x = np.concatenate(starts, axis=1)
+    x = _start_bank(m.shape[1], opts)
     x = x / _pnorm(x, r)
-    k = x.shape[1]
     mt = m.T
-    s_minus_1, inv_r_minus_1 = s - 1.0, 1.0 / (r - 1.0)
-    inv_r, tol = 1.0 / r, opts.tolerance
+    e = (s - 1.0, 1.0 / (r - 1.0), r, 1.0 / r, s)
+    tol = opts.tolerance
     f, yn = _scaled_pnorm(m @ x, s)
     best_f, best_x = f.copy(), x.copy()
-    converged = np.zeros(k, dtype=bool)
+    converged = np.zeros(x.shape[1], dtype=bool)
     stall, last_best = 0, best_f[best_f.argmax()]
     for _ in range(opts.max_iterations):
-        xn = _scale_columns(mt @ yn**s_minus_1)[1] ** inv_r_minus_1
-        nrm = np.add.reduce(xn**r, axis=0) ** inv_r
-        dead = nrm <= 0.0
-        if np.count_nonzero(dead):
-            xn[:, dead] = x[:, dead]
-            nrm = np.where(dead, 1.0, nrm)
-        xn = xn / nrm
-        fn, yn = _scaled_pnorm(m @ xn, s)
-        rel = np.abs(fn - f) / np.maximum(fn, 1e-300)
-        converged |= rel < tol
-        improved = fn > best_f
-        np.copyto(best_f, fn, where=improved)
-        np.copyto(best_x, xn, where=improved)
-        x, f = xn, fn
+        x, f, yn = _power_step(m, mt, x, f, yn, e, tol, best_f, best_x, converged)
         # Indexing at argmin/argmax stands in for .all() and .max(): on
         # arrays this short it costs a fraction of the reduction's overhead.
         if converged[converged.argmin()]:
@@ -360,14 +411,81 @@ def _multistart_ascent(m, r, s, opts):
         last_best = top
     else:
         if not converged.any():
-            j = int(np.argmax(best_f))
-            raise SolverFailureError(
-                "no start of the power iteration converged",
-                best_value=float(best_f[j]),
-                best_point=best_x[:, j],
-            )
+            raise _no_convergence(best_f, best_x)
+    return _best_start(best_f, best_x)
+
+
+def _best_start(best_f, best_x) -> np.ndarray:
+    """The best point of an ascent whose starts are the columns of ``best_x``."""
+    return best_x[:, int(np.argmax(best_f))]
+
+
+def _no_convergence(best_f, best_x) -> SolverFailureError:
+    """The failure of an ascent none of whose starts converged."""
     j = int(np.argmax(best_f))
-    return best_x[:, j]
+    return SolverFailureError(
+        "no start of the power iteration converged",
+        best_value=float(best_f[j]),
+        best_point=best_x[:, j],
+    )
+
+
+def _stacked_ascent(m, exps, opts) -> list:
+    """``_multistart_ascent(m, r, s, opts)`` for every (r, s) in ``exps`` at once.
+
+    Each problem is one slice of a ``(P, n, k)`` stack with its own start
+    bank, convergence mask, 60-step stall counter and best points; a
+    problem leaves the stack at the step at which its single-problem loop
+    would stop.  Returns, per problem in order, the witness or the
+    ``SolverFailureError`` the single-problem loop would raise.
+    """
+    p = len(exps)
+    r = np.array([e[0] for e in exps]).reshape(p, 1, 1)
+    s = np.array([e[1] for e in exps]).reshape(p, 1, 1)
+    x0 = _start_bank(m.shape[1], opts)
+    x = x0 / _scaled_pnorm(np.broadcast_to(x0, (p,) + x0.shape), r)[0]
+    mt = m.T
+    e = [s - 1.0, 1.0 / (r - 1.0), r, 1.0 / r, s]
+    tol = opts.tolerance
+    f, yn = _scaled_pnorm(m @ x, s)
+    best_f, best_x = f.copy(), x.copy()
+    converged = np.zeros(f.shape, dtype=bool)
+    stall = np.zeros(p, dtype=int)
+    last_best = best_f.max(axis=(1, 2))
+    live = np.arange(p)  # input position of each slice
+    out = [None] * p
+    for _ in range(opts.max_iterations):
+        x, f, yn = _power_step(m, mt, x, f, yn, e, tol, best_f, best_x, converged)
+        top = best_f.max(axis=(1, 2))
+        stall = np.where(top <= last_best * (1.0 + 1e-13), stall + 1, 0)
+        last_best = top
+        done = converged.all(axis=(1, 2)) | (stall >= 60)
+        if done.any():
+            for i in np.flatnonzero(done):
+                out[live[i]] = _best_start(best_f[i, 0], best_x[i])
+            keep = ~done
+            if not keep.any():
+                return out
+            live, x, yn, f, best_f, best_x, converged, stall, last_best = (
+                a[keep] for a in (live, x, yn, f, best_f, best_x, converged, stall, last_best))
+            e = [a[keep] for a in e]
+    for i, j in enumerate(live):  # stopped by the iteration cap
+        finish = _best_start if converged[i].any() else _no_convergence
+        out[j] = finish(best_f[i, 0], best_x[i])
+    return out
+
+
+def _stackable(r: float, s: float) -> bool:
+    """Whether the problem (r, s) keeps its single-problem bits in a stack.
+
+    Boundary exponents take their exact reductions in ``norm_numeric``.
+    Every power the ascent takes must avoid ``_POW_FAST_PATHS``, which
+    NumPy applies to a scalar exponent but not to an exponent array.
+    """
+    if not (1.0 < r < math.inf and 1.0 < s < math.inf):
+        return False
+    powers = (s - 1.0, 1.0 / (r - 1.0), r, s, 1.0 / r, 1.0 / s)
+    return not any(e in _POW_FAST_PATHS for e in powers)
 
 
 def norm_numeric(c, r=None, s=None, w: WeightTriple | None = None,
@@ -418,7 +536,12 @@ def norm_numeric(c, r=None, s=None, w: WeightTriple | None = None,
     else:
         witness = _multistart_ascent(m, r, s, opts)
         value = _ratio(m, witness, r, s)
+    return _numeric_result(c, r, s, witness, value, base)
 
+
+def _numeric_result(c, r, s, witness, value, base) -> NormResult:
+    """Check a numeric value against what is certified and package it."""
+    m = c.matrix
     if c.is_doubly_stochastic():
         d = m.shape[0]
         lo, hi = norm_mub(d, r, s), norm_identity(d, r, s)
@@ -439,14 +562,53 @@ def norm_numeric(c, r=None, s=None, w: WeightTriple | None = None,
                       NormMethod.NUMERIC_MULTISTART, bounds)
 
 
-def norm(c, w: WeightTriple, opts: SolverOptions | None = None,
-         base: LogBase = LogBase.TWO) -> NormResult:
-    """Norm at the weight triple's exponents: closed form if available, else numeric."""
+def _numeric_many(c, exps, opts: SolverOptions | None = None,
+                  base: LogBase = LogBase.TWO):
+    """Yield ``norm_numeric(c, r, s, opts=opts, base=base)`` for each (r, s), in order.
+
+    When two or more problems are ``_stackable`` they are solved in one
+    ``_stacked_ascent`` before the first result is yielded; every other
+    problem goes to ``norm_numeric`` when its turn comes.  Results and
+    errors come out in input order, with the bits, messages and values of
+    the per-problem calls.
+    """
+    c = _as_overlap(c)
+    opts = opts or SolverOptions()
+    exps = [_exponents(r, s) for r, s in exps]
+    stack = [i for i, (r, s) in enumerate(exps) if _stackable(r, s)]
+    solved = {}
+    if len(stack) > 1:
+        solved = dict(zip(stack, _stacked_ascent(c.matrix, [exps[i] for i in stack], opts)))
+    for i, (r, s) in enumerate(exps):
+        if i not in solved:
+            yield norm_numeric(c, r, s, opts=opts, base=base)
+            continue
+        witness = solved[i]
+        if isinstance(witness, SolverFailureError):
+            raise witness
+        yield _numeric_result(c, r, s, witness, _ratio(c.matrix, witness, r, s), base)
+
+
+def norm(c, w: WeightTriple | None = None, opts: SolverOptions | None = None,
+         base: LogBase = LogBase.TWO, *, r=None, s=None) -> NormResult:
+    """Norm at exponents (r, s) or a weight triple's: closed form if available, else numeric."""
+    r, s = _exponents(r, s, w)
     c = _as_overlap(c)  # validated once for both paths
-    closed = norm_closed_form(c, w=w, base=base)
+    closed = norm_closed_form(c, r, s, base=base)
     if closed is not None:
         return closed
-    return norm_numeric(c, w=w, opts=opts, base=base)
+    return norm_numeric(c, r, s, opts=opts, base=base)
+
+
+def _norm_many(c, weights, opts: SolverOptions | None = None,
+               base: LogBase = LogBase.TWO):
+    """Yield ``norm(c, w, opts, base)`` for each triple, numeric misses via ``_numeric_many``."""
+    c = _as_overlap(c)
+    closed = [norm_closed_form(c, w=w, base=base) for w in weights]
+    numeric = _numeric_many(c, [(w.r, w.s) for w, cl in zip(weights, closed) if cl is None],
+                            opts, base)
+    for cl in closed:
+        yield cl if cl is not None else next(numeric)
 
 
 def feasible_weight_grid(sigma2: float, n: int = 21) -> list:

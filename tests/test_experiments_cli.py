@@ -26,9 +26,12 @@ from entrobound import (
     experiments,
     fourier_measurement,
     measurement_distribution,
+    mub_overlap,
+    norm,
     norms,
     random_density_matrix,
     rotated_measurement_2d,
+    rotation_overlap_2d,
     run_compare_random,
     run_compare_sweep,
     run_conjecture_fuzz,
@@ -141,6 +144,20 @@ def test_norm_argument_conflicts_exit_one(capsys):
     for argv in bad:
         assert cli.main(argv) == 1
         assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("matrix", [["--mub", "3"], ["--rotation", "0.5235987755982988"]])
+def test_norm_solves_and_reports_the_exponents_as_given(capsys, matrix):
+    # --r/--s are not turned into weights and back: 1 / (1 - (1 - 1/3)) is
+    # 3.000000000000001.
+    assert cli.main(["norm", *matrix, "--r", "1.5", "--s", "3", "--seed", "0"]) == 0
+    out = capsys.readouterr().out
+    assert '"r": 1.5,' in out and '"s": 3.0,' in out
+    payload = json.loads(out)
+    c = mub_overlap(3) if matrix[0] == "--mub" else rotation_overlap_2d(0.5235987755982988)
+    want = norm(c, r=1.5, s=3.0)
+    assert payload["value"] == want.value
+    assert payload["witness"] == want.witness.tolist()
 
 
 @pytest.mark.parametrize("r, s", [("nan", "2"), ("2", "nan")])

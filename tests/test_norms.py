@@ -16,6 +16,7 @@ from entrobound import (
     bccrr_rhs,
     compare_state_independent,
     conjecture_region_contains,
+    default_envelope_grid,
     feasible_weight_grid,
     from_unitary,
     hessian_spectrum_at_ones,
@@ -27,12 +28,12 @@ from entrobound import (
     norm_identity,
     norm_mub,
     norm_numeric,
+    norms,
     qmath,
     rotation_overlap_2d,
     scan_2d_objective,
     second_singular_value,
 )
-
 SEED = 43
 
 
@@ -361,6 +362,149 @@ def test_zero_column_and_zero_image_keep_the_ascent_finite(r, s):
     assert res.value == pytest.approx(_p([0.6, 0.4], s), abs=1e-12)
     assert res.witness.tolist() == [1.0, 0.0]
     assert res.certified_bounds == (0.0, math.inf)
+
+
+# ---------------------------------------------------------------------------
+# stacked solves: one ascent for many problems of one matrix
+
+
+def _same_bits(a, b):
+    """Two NormResults with the same bits in every field."""
+    return (a.witness.tobytes() == b.witness.tobytes() and a.witness.shape == b.witness.shape
+            and float(a.value).hex() == float(b.value).hex()
+            and float(a.log_value).hex() == float(b.log_value).hex()
+            and a.method == b.method and a.certified_bounds == b.certified_bounds)
+
+
+def _counting_ascent(monkeypatch):
+    """Record the (r, s) of every single-problem ascent."""
+    calls = []
+    ascent = norms._multistart_ascent
+
+    def counting(m, r, s, opts):
+        calls.append((r, s))
+        return ascent(m, r, s, opts)
+
+    monkeypatch.setattr(norms, "_multistart_ascent", counting)
+    return calls
+
+
+def _fast_path(r, s):
+    """Interior (r, s) at which the ascent takes a NumPy fast-path power."""
+    if not (1.0 < r < math.inf and 1.0 < s < math.inf):
+        return False
+    powers = (s - 1.0, 1.0 / (r - 1.0), r, s, 1.0 / r, 1.0 / s)
+    return any(p in (-1.0, 0.5, 2.0) for p in powers)
+
+
+def test_stacked_profile_solves_match_norm_numeric_bit_for_bit(monkeypatch):
+    # fig-norm-profile's list: 198 of 200 points share one stack; mu = 1/2
+    # (r = s = 2) and mu = 1 (r = 1, s = inf) take the public path.
+    c = rotation_overlap_2d(math.pi / 6)
+    triples = [WeightTriple(1.0, float(mu), float(mu)) for mu in np.linspace(0.5, 1.0, 200)]
+    points = [(w.r, w.s) for w in triples]
+    want = [norm_numeric(c, r, s) for r, s in points]
+    calls = _counting_ascent(monkeypatch)
+    got = list(norms._numeric_many(c, points))
+    assert len(got) == len(want) and all(_same_bits(a, b) for a, b in zip(got, want))
+    assert calls == [(2.0, 2.0)]
+    assert sum(norms._stackable(r, s) for r, s in points) == 198
+
+
+@pytest.mark.parametrize("engine", ["randomness", "envelope"])
+def test_stacked_weight_lattices_match_norm_bit_for_bit(monkeypatch, engine):
+    # The randomness sweep's 21 x 21 lattice and fig-region's default
+    # envelope grid, at theta = pi/6: closed forms where they apply, the
+    # numeric misses in one stack, fast-path exponents one at a time.
+    c = rotation_overlap_2d(math.pi / 6)
+    axis = np.linspace(0.0, 1.0, 21)
+    triples = ([WeightTriple(1.0, float(lam), float(mu)) for mu in axis for lam in axis]
+               if engine == "randomness" else default_envelope_grid())
+    want = [norm(c, w) for w in triples]
+    misses = [(w.r, w.s) for w in triples if norm_closed_form(c, w=w) is None]
+    calls = _counting_ascent(monkeypatch)
+    got = list(norms._norm_many(c, triples))
+    assert len(got) == len(want) and all(_same_bits(a, b) for a, b in zip(got, want))
+    stacked = [p for p in misses if norms._stackable(*p)]
+    assert len(stacked) == {"randomness": 164, "envelope": 40}[engine]
+    assert calls == [p for p in misses if _fast_path(*p)]
+
+
+@pytest.mark.parametrize("restarts", [2, 8])
+def test_stacked_d3_lattice_matches_norm_numeric_bit_for_bit(restarts):
+    c = from_unitary(qmath.haar_random_unitary(3, np.random.default_rng([0, 3])))
+    sigma2 = min(second_singular_value(c), 1.0)
+    points = [(1.0 / mu, 1.0 / (1.0 - lam))
+              for mu, lam in feasible_weight_grid(sigma2, 21)
+              if 0.0 < mu < 1.0 and 0.0 < lam < 1.0 and mu + lam > 1.0]
+    opts = SolverOptions(restarts=restarts)
+    want = [norm_numeric(c, r, s, opts=opts) for r, s in points]
+    got = list(norms._numeric_many(c, points, opts=opts))
+    assert len(got) == len(want) and all(_same_bits(a, b) for a, b in zip(got, want))
+    assert sum(norms._stackable(r, s) for r, s in points) == 23
+
+
+def test_half_weights_take_the_single_problem_path(monkeypatch):
+    # mu = 1/2 gives r = 2 and lambda = 1/2 gives s = 2: NumPy squares a
+    # scalar exponent 2 by a fast path whose bits an exponent array lacks.
+    c = rotation_overlap_2d(math.pi / 6)
+    points = [(2.0, 1.0 / (1.0 - lam)) for lam in (0.55, 0.6, 0.7, 0.8)]
+    points += [(1.0 / mu, 2.0) for mu in (0.55, 0.6, 0.7)]
+    points += [(1.0 / 0.6, 1.0 / 0.3), (1.0 / 0.7, 1.0 / 0.25)]  # stackable
+    want = [norm_numeric(c, r, s) for r, s in points]
+    calls = _counting_ascent(monkeypatch)
+    got = list(norms._numeric_many(c, points))
+    assert all(_same_bits(a, b) for a, b in zip(got, want))
+    assert calls == points[:7]
+    assert [norms._stackable(r, s) for r, s in points] == [False] * 7 + [True] * 2
+
+
+def test_stacked_dead_column_stays_finite_and_matches():
+    # Every start of e2 maps to y = 0 in every slice, so the stack takes
+    # the zero-maximum guards and the dead-column path.
+    m = [[0.6, 0.0], [0.4, 0.0]]
+    points = [(1.5, 3.0), (1.7, 2.5), (3.0, 4.0), (1.25, 1.75)]
+    with np.errstate(divide="raise", invalid="raise"):
+        want = [norm_numeric(m, r, s) for r, s in points]
+        got = list(norms._numeric_many(m, points))
+    assert all(_same_bits(a, b) for a, b in zip(got, want))
+    assert all(res.witness.tolist() == [1.0, 0.0] for res in got)
+
+
+@pytest.mark.parametrize("points", [
+    [(1.0, 3.0), (1.1, 1.1), (6.0, 7.0), (1.3, 1.7), (1.5, 3.0), (4.0, 1.1)],
+    [(1.1, 1.1), (1.5, 3.0), (1.3, 1.7), (6.0, 7.0), (2.5, 2.5)],
+], ids=["stacked-first", "single-first"])
+def test_stacked_failure_is_the_first_in_input_order(points):
+    # With 3 iterations some problems converge and some do not; the first
+    # failure in input order is raised, after the results before it.
+    m = np.array([[1.0, 2.0, 0.5], [3.0, 4.0, 1.0], [0.2, 1.0, 2.0]])
+    opts = SolverOptions(restarts=2, max_iterations=3)
+    want = []
+    with pytest.raises(SolverFailureError) as single:
+        for r, s in points:
+            want.append(norm_numeric(m, r, s, opts=opts))
+    got = []
+    with pytest.raises(SolverFailureError) as stacked:
+        for res in norms._numeric_many(m, points, opts=opts):
+            got.append(res)
+    assert len(got) == len(want) >= 1
+    assert all(_same_bits(a, b) for a, b in zip(got, want))
+    a, b = stacked.value, single.value
+    assert str(a) == str(b)
+    assert float(a.best_value).hex() == float(b.best_value).hex()
+    assert a.best_point.tobytes() == b.best_point.tobytes()
+
+
+def test_norm_takes_exponents_or_a_weight_triple():
+    c = rotation_overlap_2d(math.pi / 6)
+    assert _same_bits(norm(c, r=1.5, s=3.0), norm_numeric(c, 1.5, 3.0))
+    assert _same_bits(norm(c, r=3.0, s=1.5), norm_closed_form(c, 3.0, 1.5))
+    w = WeightTriple(1.0, 0.7, 0.6)
+    assert _same_bits(norm(c, r=w.r, s=w.s), norm(c, w))
+    for bad in [dict(), dict(r=1.5), dict(w=w, r=1.5, s=3.0)]:
+        with pytest.raises(ValueError):
+            norm(c, **bad)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 12])
