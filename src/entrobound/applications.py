@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateCaseError
-from .norms import SolverOptions, WeightTriple, norm
+from .norms import SolverOptions, WeightTriple, _norm_many, norm
 from .overlap import OverlapMatrix
 from .qmath import (
     DensityMatrix,
@@ -92,26 +92,30 @@ class RandomnessBound:
         return self.value
 
 
-def randomness_bound_numeric(h_x: float, h_y: float, c, grid,
+def randomness_bound_numeric(h_x, h_y, c, grid,
                              opts: SolverOptions | None = None,
-                             base: LogBase = LogBase.TWO) -> float:
+                             base: LogBase = LogBase.TWO):
     """Maximize (1 - lambda) H(X) - mu H(Y) - log||C||_{1/mu -> 1/(1-lambda)}.
 
     Args:
-        grid: iterable of (mu, lambda) pairs in [0, 1]^2.
+        h_x, h_y: floats, or arrays that broadcast together.
+        grid: iterable of (mu, lambda) pairs in [0, 1]^2, solved in one pass.
 
     Returns:
-        The best lower bound on the conditional entropy H(X|E) over the grid.
+        The best lower bound on H(X|E) over the grid, per entropy pair; a
+        float for float entropies.
     """
-    pairs = [(float(m), float(l)) for m, l in grid]
-    if not pairs:
+    triples = [WeightTriple(1.0, float(l), float(m)) for m, l in grid]
+    if not triples:
         raise ValueError("weight grid is empty")
-    best = -np.inf
-    for mu, lam in pairs:
-        w = WeightTriple(1.0, lam, mu)
-        res = norm(c, w, opts=opts, base=base)
-        best = max(best, (1.0 - lam) * h_x - mu * h_y - res.log_value)
-    return float(best)
+    log_norms = np.array([res.log_value for res in _norm_many(c, triples, opts, base)])
+    lam, mu = np.array([(w.lam, w.mu) for w in triples]).T
+    h_x, h_y = np.broadcast_arrays(np.asarray(h_x, dtype=float), np.asarray(h_y, dtype=float))
+    best = np.empty(h_x.shape)
+    for i in np.ndindex(h_x.shape[:-1]):  # a table per row of entropies bounds peak memory
+        x, y = h_x[i][..., None], h_y[i][..., None]
+        best[i] = np.max((1.0 - lam) * x - mu * y - log_norms, axis=-1)
+    return float(best) if best.ndim == 0 else best
 
 
 def randomness_bound_analytic(deficits: EntropyDeficits, sigma2: float) -> RandomnessBound:

@@ -174,12 +174,12 @@ def compare_state_independent(c, opts: SolverOptions | None = None,
     d = m.shape[0]
     sigma2 = min(c.sigma2, 1.0)
     ms = mu_star(sigma2)
-    r, s = 1.0 / ms, 1.0 / (1.0 - ms) if ms < 1.0 else np.inf
-    conjectured = norm_mub(d, r, s)
+    w = WeightTriple(1.0, ms, ms)
+    conjectured = norm_mub(d, w=w)
     if d == 2 and c.is_doubly_stochastic():
         conjecture_ok = True  # the d = 2 theorem above
     else:
-        numeric = norm_numeric(c, r, s, opts=opts, base=base)
+        numeric = norm_numeric(c, w=w, opts=opts, base=base)
         conjecture_ok = numeric.value <= conjectured + 1e-7 * max(1.0, conjectured)
     if conjecture_ok:
         ours = (1.0 - sigma2) * base.log(d)
@@ -204,21 +204,18 @@ def entropy_upper_bound(h_x: float, h_y: float, c, grid=None,
 
     Each grid point (lambda, mu) with alpha = 1 contributes
     lambda h_x + mu h_y - c_lower_bound; the mutually-unbiased corner
-    (1, 1) is always evaluated in addition, so the result never exceeds
-    the plain largest-overlap value.
+    (1, 1) is always added, so the result never exceeds the plain
+    largest-overlap value.  All points are solved in one ``_norm_many`` pass.
 
     Args:
         grid: iterable of (lambda, mu) pairs; defaults to the corner only.
     """
-    pairs = [(1.0, 1.0)]
-    if grid is not None:
-        pairs.extend((float(l), float(m)) for l, m in grid)
-    best = np.inf
-    for lam, mu in pairs:
-        w = WeightTriple(1.0, lam, mu)
-        val = lam * h_x + mu * h_y - c_lower_bound(c, w, opts=opts, base=base)
-        best = min(best, val)
-    return float(best)
+    pairs = [(1.0, 1.0)] + ([] if grid is None else list(grid))
+    triples = [WeightTriple(1.0, float(l), float(m)) for l, m in pairs]
+    log_norms = np.array([res.log_value for res in _norm_many(c, triples, opts, base)])
+    lam, mu = np.array([(w.lam, w.mu) for w in triples]).T
+    # - c_lower_bound = -(-alpha * log_norm) = log_norm exactly, at alpha = 1.
+    return float(np.min(lam * h_x + mu * h_y + log_norms))
 
 
 def default_envelope_grid(n_alpha: int = 11, n_lam: int = 11) -> list:

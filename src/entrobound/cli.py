@@ -136,7 +136,8 @@ def _cmd_norm(args) -> int:
         raise ValueError("specify exponents via --r/--s or weights via --mu/--lambda")
     payload = experiments.norm_report(c, opts=_solver_opts(args),
                                       base=_BASES[args.base], **point)
-    _write_output(args, lambda f: f.write(json.dumps(payload, indent=2, sort_keys=True) + "\n"))
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    _write_output(args, lambda f: f.write(text))
     return 0
 
 

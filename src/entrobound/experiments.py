@@ -21,6 +21,7 @@ from . import __version__
 from .applications import (
     deficits_from_entropies,
     randomness_bound_analytic,
+    randomness_bound_numeric,
     werner_detection_scan,
 )
 from .bounds import compare_state_independent, default_envelope_grid, envelope_curve
@@ -29,7 +30,6 @@ from .norms import (
     SolverOptions,
     WeightTriple,
     _exponents,
-    _norm_many,
     _numeric_many,
     feasible_weight_grid,
     mu_star,
@@ -127,14 +127,14 @@ def norm_report(c, w: WeightTriple | None = None, opts: SolverOptions | None = N
     r, s = _exponents(r, s, w)
     res = norm(c, opts=opts, base=base, r=r, s=s)
 
-    def _num(v):
-        return float(v) if np.isfinite(v) else "inf"
+    def _num(v):  # strict JSON has no infinities
+        return float(v) if np.isfinite(v) else ("-inf" if v < 0.0 else "inf")
 
     return {
         "r": _num(r),
         "s": _num(s),
         "value": float(res.value),
-        "log_value": float(res.log_value),
+        "log_value": _num(res.log_value),
         "log_base": base.name,
         "method": res.method.value,
         "certified_bounds": [_num(b) for b in res.certified_bounds],
@@ -449,8 +449,8 @@ def run_randomness_sweep(c, points: int = 11, weight_grid_n: int = 21,
     """Tabulate numeric and analytic randomness bounds over an entropy lattice.
 
     Sweeps observed entropies (H_X, H_Y) over [0, log d]^2.  The numeric
-    column maximizes (1 - lambda) H_X - mu H_Y - log-norm over a weight
-    lattice (norms computed once and reused); the analytic column is the
+    column is one :func:`randomness_bound_numeric` call over a weight
+    lattice and the whole entropy mesh; the analytic column is the
     closed-form optimum where it applies (delta_X <= delta_Y), with the
     flag column marking values that rely on the extended equality regime.
     """
@@ -466,24 +466,20 @@ def run_randomness_sweep(c, points: int = 11, weight_grid_n: int = 21,
     sigma2 = min(float(c.sigma2), 1.0)
     log_d = float(base.log(d))
 
-    axis = np.linspace(0.0, 1.0, weight_grid_n)
-    triples = [WeightTriple(1.0, float(lam), float(mu)) for mu in axis for lam in axis]
-    log_norms = [res.log_value for res in _norm_many(c, triples, opts=opts, base=base)]
-    mus, lams, log_norms = map(np.asarray, ([w.mu for w in triples],
-                                            [w.lam for w in triples], log_norms))
+    axis = np.linspace(0.0, 1.0, weight_grid_n)  # (mu, lambda) lattice
+    h_axis = np.linspace(0.0, log_d, points)
+    numerics = randomness_bound_numeric(h_axis[:, None], h_axis, c, itertools.product(axis, axis),
+                                        opts=opts, base=base)
 
     rows = []
-    h_axis = np.linspace(0.0, log_d, points)
-    for h_x in h_axis:
-        for h_y in h_axis:
-            numeric = float(np.max((1.0 - lams) * h_x - mus * h_y - log_norms))
-            try:
-                rb = randomness_bound_analytic(
-                    deficits_from_entropies(float(h_x), float(h_y), d, base), sigma2)
-                analytic, flag = float(rb.value), int(rb.conjectured)
-            except ValueError:
-                analytic, flag = "", ""
-            rows.append((float(h_x), float(h_y), numeric, analytic, flag))
+    for (h_x, h_y), numeric in zip(itertools.product(h_axis, h_axis), numerics.flat):
+        try:
+            rb = randomness_bound_analytic(
+                deficits_from_entropies(float(h_x), float(h_y), d, base), sigma2)
+            analytic, flag = float(rb.value), int(rb.conjectured)
+        except ValueError:
+            analytic, flag = "", ""
+        rows.append((float(h_x), float(h_y), float(numeric), analytic, flag))
     config = {
         "cmd": "randomness", "d": d, "sigma2": sigma2, "points": points,
         "weight_grid_n": weight_grid_n, "source": c.source, "base": base.name,

@@ -267,13 +267,11 @@ def scan_2d_objective(theta: float, mu: float, lam: float, grid: int):
         raise ValueError(f"need 0 < mu <= 1 and 0 <= lambda < 1, got {mu}, {lam}")
     if grid < 2:
         raise ValueError(f"grid must have at least 2 points, got {grid}")
-    r, s = 1.0 / mu, 1.0 / (1.0 - lam)
+    w = WeightTriple(1.0, lam, mu)
     t2 = math.tan(theta) ** 2
     z = np.linspace(0.0, 1.0, grid)
-    a, b = 1.0 + z * t2, z + t2
-    big = np.maximum(a, b)
-    num = big * ((a / big) ** s + (b / big) ** s) ** (1.0 / s)
-    den = (1.0 + z**r) ** (1.0 / r)
+    num = _pnorm(np.stack([1.0 + z * t2, z + t2]), w.s)  # ||C (1, z)||_s / cos^2 theta
+    den = _pnorm(np.stack([np.ones(grid), z]), w.r)  # ||(1, z)||_r
     f = math.cos(theta) ** 2 * num / den
     return z, f / f[-1]
 
@@ -327,6 +325,9 @@ def _result(value, witness, method, d, r, s, base) -> NormResult:
     log_value = base.log(value) if value > 0.0 else -math.inf
     return NormResult(float(value), float(log_value), witness, method, bounds)
 
+
+#: Both ascent loops stop after _STALL_STEPS steps in a row of relative growth <= _STALL_RTOL.
+_STALL_STEPS, _STALL_RTOL = 60, 1e-13
 
 #: Exponents at which NumPy's ``x ** e`` takes a scalar fast path whose
 #: bits differ from those of the same exponent in an array.
@@ -402,9 +403,9 @@ def _multistart_ascent(m, r, s, opts):
         if converged[converged.argmin()]:
             break
         top = best_f[best_f.argmax()]
-        if top <= last_best * (1.0 + 1e-13):
+        if top <= last_best * (1.0 + _STALL_RTOL):
             stall += 1
-            if stall >= 60:
+            if stall >= _STALL_STEPS:
                 break
         else:
             stall = 0
@@ -434,7 +435,7 @@ def _stacked_ascent(m, exps, opts) -> list:
     """``_multistart_ascent(m, r, s, opts)`` for every (r, s) in ``exps`` at once.
 
     Each problem is one slice of a ``(P, n, k)`` stack with its own start
-    bank, convergence mask, 60-step stall counter and best points; a
+    bank, convergence mask, ``_STALL_STEPS`` stall counter and best points; a
     problem leaves the stack at the step at which its single-problem loop
     would stop.  Returns, per problem in order, the witness or the
     ``SolverFailureError`` the single-problem loop would raise.
@@ -457,9 +458,9 @@ def _stacked_ascent(m, exps, opts) -> list:
     for _ in range(opts.max_iterations):
         x, f, yn = _power_step(m, mt, x, f, yn, e, tol, best_f, best_x, converged)
         top = best_f.max(axis=(1, 2))
-        stall = np.where(top <= last_best * (1.0 + 1e-13), stall + 1, 0)
+        stall = np.where(top <= last_best * (1.0 + _STALL_RTOL), stall + 1, 0)
         last_best = top
-        done = converged.all(axis=(1, 2)) | (stall >= 60)
+        done = converged.all(axis=(1, 2)) | (stall >= _STALL_STEPS)
         if done.any():
             for i in np.flatnonzero(done):
                 out[live[i]] = _best_start(best_f[i, 0], best_x[i])

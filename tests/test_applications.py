@@ -20,6 +20,7 @@ from entrobound import (
     entanglement_witness_general,
     feasible_weight_grid,
     fourier_measurement,
+    from_unitary,
     haar_random_unitary,
     measurement_distribution,
     mub_overlap,
@@ -30,6 +31,7 @@ from entrobound import (
     randomness_bound_numeric,
     rotated_measurement_2d,
     rotation_overlap_2d,
+    run_randomness_sweep,
     shannon_entropy,
     tensor_measurement,
     tensor_overlap,
@@ -37,7 +39,7 @@ from entrobound import (
     werner_detection_scan,
     werner_state,
 )
-from entrobound import applications
+from entrobound import applications, norms
 from entrobound.qmath import _product_entropies
 
 SEED = 61
@@ -134,6 +136,89 @@ def test_randomness_numeric_matches_analytic_on_random_inputs():
         grid = base_grid + [optimal_weights(dd.gamma, sigma2)]
         numeric = randomness_bound_numeric(h_x, h_y, c, grid, opts=FAST)
         assert numeric == pytest.approx(analytic.value, abs=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# the numeric randomness bound on a full weight lattice
+
+_AXIS21 = np.linspace(0.0, 1.0, 21)
+LATTICE21 = [(float(a), float(b)) for a in _AXIS21 for b in _AXIS21]  # (mu, lambda)
+
+
+def _lattice_matrix(name):
+    """(overlap matrix, solver options) of a recorded lattice case."""
+    if name == "rot":
+        return rotation_overlap_2d(math.pi / 6), None
+    haar = haar_random_unitary(3, np.random.default_rng([0, 3]))
+    return from_unitary(haar), SolverOptions(restarts=8)
+
+
+# float.hex of randomness_bound_numeric on LATTICE21, recorded when each
+# grid point was solved by its own norm() call.  The entropy pairs are
+# chosen so that most optima sit on numerically solved points.
+RANDOMNESS_BITS = {
+    ("rot", LogBase.TWO): [
+        (0.125, 0.25, "0x1.00ec98f17ee37p-2"), (0.125, 0.5, "0x1.9c1e4fe1aa950p-4"),
+        (0.2, 0.6, "0x1.fac020dc03870p-5"), (0.4, 0.2, "0x1.79700b2d77d30p-2"),
+        (0.55, 0.55, "0x1.42a4e205a8308p-3"),
+    ],
+    ("rot", LogBase.NATURAL): [(0.1, 0.2, "0x1.457721715c04dp-3")],
+    ("haar3", LogBase.TWO): [
+        (0.2, 0.2, "0x1.bc1f006bb09c0p-3"), (0.2, 0.4, "0x1.d5f261cbd16cap-4"),
+        (0.3, 0.3, "0x1.92aec2980ea66p-3"), (0.6, 0.6, "0x1.241c998293348p-3"),
+        (0.95, 0.6, "0x1.6bb800c820db6p-2"),
+    ],
+}
+
+
+@pytest.mark.parametrize("name, base", list(RANDOMNESS_BITS))
+def test_randomness_numeric_keeps_its_recorded_bits(name, base):
+    c, opts = _lattice_matrix(name)
+    for h_x, h_y, bits in RANDOMNESS_BITS[name, base]:
+        value = randomness_bound_numeric(h_x, h_y, c, LATTICE21, opts=opts, base=base)
+        assert isinstance(value, float)
+        assert value.hex() == bits, (h_x, h_y)
+
+
+def test_randomness_numeric_broadcasts_with_the_bits_of_scalar_calls():
+    c = rotation_overlap_2d(math.pi / 6)
+    h_x = np.array([[0.0], [0.125], [0.55]])
+    h_y = np.array([0.25, 0.5, 0.55, 1.0])
+    got = randomness_bound_numeric(h_x, h_y, c, LATTICE21)
+    assert got.shape == (3, 4)
+    for i, j in np.ndindex(got.shape):
+        want = randomness_bound_numeric(float(h_x[i, 0]), float(h_y[j]), c, LATTICE21)
+        assert float(got[i, j]).hex() == want.hex(), (i, j)
+
+
+@pytest.mark.parametrize("base", [LogBase.TWO, LogBase.NATURAL])
+def test_sweep_numeric_column_is_randomness_bound_numeric(base):
+    c = rotation_overlap_2d(0.3)
+    axis = np.linspace(0.0, 1.0, 9)
+    grid = [(mu, lam) for mu in axis for lam in axis]
+    table = run_randomness_sweep(c, points=4, weight_grid_n=9, base=base)
+    assert len(table.rows) == 16
+    for h_x, h_y, numeric, _, _ in table.rows:
+        want = randomness_bound_numeric(h_x, h_y, c, grid, base=base)
+        assert numeric.hex() == want.hex(), (h_x, h_y)
+
+
+def test_randomness_numeric_runs_one_ascent_per_fast_path_point(monkeypatch):
+    # The lattice's 182 numeric points are solved in one pass: 164 share one
+    # stack and only the 18 whose exponents hit a NumPy fast-path power
+    # take the single-problem ascent.
+    calls = []
+    ascent = norms._multistart_ascent
+
+    def counting(m, r, s, opts):
+        calls.append((r, s))
+        return ascent(m, r, s, opts)
+
+    monkeypatch.setattr(norms, "_multistart_ascent", counting)
+    value = randomness_bound_numeric(0.55, 0.55, rotation_overlap_2d(math.pi / 6), LATTICE21)
+    assert value.hex() == "0x1.42a4e205a8308p-3"
+    assert len(calls) == 18
+    assert not any(norms._stackable(r, s) for r, s in calls)
 
 
 # ---------------------------------------------------------------------------

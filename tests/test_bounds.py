@@ -34,6 +34,7 @@ from entrobound import (
     shannon_entropy,
     von_neumann_entropy,
 )
+from entrobound import norms
 
 SEED = 53
 FAST = SolverOptions(restarts=8)
@@ -288,6 +289,63 @@ def test_entropy_upper_bound_dominates_true_entropy():
         h_y = shannon_entropy(measurement_distribution(rho, y))
         bound = entropy_upper_bound(h_x, h_y, c, grid=grid, opts=FAST)
         assert bound >= von_neumann_entropy(rho) - 1e-8
+
+
+_AXIS21 = np.linspace(0.0, 1.0, 21)
+LATTICE21 = [(float(a), float(b)) for a in _AXIS21 for b in _AXIS21]  # (lambda, mu)
+
+
+def _lattice_matrix(name):
+    """(overlap matrix, solver options) of a recorded lattice case."""
+    if name == "rot":
+        return rotation_overlap_2d(math.pi / 6), None
+    haar = haar_random_unitary(3, np.random.default_rng([0, 3]))
+    return from_unitary(haar), SolverOptions(restarts=8)
+
+
+# float.hex of entropy_upper_bound on LATTICE21, recorded when the corner
+# and each grid point were solved by their own norm() calls.  Most minima
+# sit on numerically solved points.
+ENTROPY_UPPER_BITS = {
+    ("rot", LogBase.TWO): [
+        (0.125, 0.25, "-0x1.01d931e2fdc6ep-3"), (0.125, 0.5, "0x1.8f86c07955ac0p-6"),
+        (0.2, 0.6, "0x1.1ae9916298b80p-3"), (0.4, 0.2, "0x1.014c73610e350p-5"),
+        (0.55, 0.55, "0x1.91e0c2305f1b0p-2"),
+    ],
+    ("rot", LogBase.NATURAL): [(0.1, 0.2, "-0x1.e2a952923ce00p-5")],
+    ("haar3", LogBase.TWO): [
+        (0.2, 0.2, "-0x1.142b3690b8140p-6"), (0.2, 0.4, "0x1.5d40d16761c6ep-4"),
+        (0.3, 0.3, "0x1.a76f479caf800p-4"), (0.6, 0.6, "0x1.d45819a51ccc2p-2"),
+        (0.95, 0.6, "0x1.308a660255f8bp-1"),
+    ],
+}
+
+
+@pytest.mark.parametrize("name, base", list(ENTROPY_UPPER_BITS))
+def test_entropy_upper_bound_keeps_its_recorded_bits(name, base):
+    c, opts = _lattice_matrix(name)
+    for h_x, h_y, bits in ENTROPY_UPPER_BITS[name, base]:
+        value = entropy_upper_bound(h_x, h_y, c, grid=LATTICE21, opts=opts, base=base)
+        assert isinstance(value, float)
+        assert value.hex() == bits, (h_x, h_y)
+
+
+def test_entropy_upper_bound_runs_one_ascent_per_fast_path_point(monkeypatch):
+    # The corner and the lattice are solved in one pass: only the 18 points
+    # whose exponents hit a NumPy fast-path power take the single-problem
+    # ascent; the other 164 numeric points share one stack.
+    calls = []
+    ascent = norms._multistart_ascent
+
+    def counting(m, r, s, opts):
+        calls.append((r, s))
+        return ascent(m, r, s, opts)
+
+    monkeypatch.setattr(norms, "_multistart_ascent", counting)
+    value = entropy_upper_bound(0.55, 0.55, rotation_overlap_2d(math.pi / 6), grid=LATTICE21)
+    assert value.hex() == "0x1.91e0c2305f1b0p-2"
+    assert len(calls) == 18
+    assert not any(norms._stackable(r, s) for r, s in calls)
 
 
 def test_envelope_endpoints():

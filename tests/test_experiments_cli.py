@@ -160,6 +160,21 @@ def test_norm_solves_and_reports_the_exponents_as_given(capsys, matrix):
     assert payload["witness"] == want.witness.tolist()
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+def test_norm_json_is_strict_for_a_zero_norm(tmp_path, capsys):
+    # log 0 = -inf is written as the string "-inf", as "inf" is elsewhere.
+    mat = tmp_path / "zero.txt"
+    mat.write_text("0 0\n0 0\n")
+    assert cli.main(["norm", "--file", str(mat), "--r", "2", "--s", "3"]) == 0
+    payload = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert payload["value"] == 0.0
+    assert payload["log_value"] == "-inf"
+    assert payload["certified_bounds"] == [0.0, "inf"]
+
+
 @pytest.mark.parametrize("r, s", [("nan", "2"), ("2", "nan")])
 def test_norm_nan_exponent_exits_one_naming_the_exponents(capsys, r, s):
     assert cli.main(["norm", "--mub", "3", "--r", r, "--s", s]) == 1

@@ -654,6 +654,30 @@ def test_scan_2d_objective_profile():
             scan_2d_objective(*bad)
 
 
+# float.hex of scan_2d_objective values, recorded when the scan wrote its
+# own exponents and p-norms; (pi/4, 1, 0) has a value one ulp above 1.
+SCAN_BITS = [
+    ((0.5235987755982988, 0.9, 0.9, 5),
+     ["0x1.4e4abf5c3e4fcp+0", "0x1.3024df07714c9p+0", "0x1.15df40b6be2cap+0",
+      "0x1.052a6d5e41b6bp+0", "0x1.0000000000000p+0"]),
+    ((0.3, 0.5, 0.2, 6),
+     ["0x1.8ba13e5ba29f8p-1", "0x1.baa67882fe4a9p-1", "0x1.de0d840faf189p-1",
+      "0x1.f35df6a67ce2ep-1", "0x1.fd6760aaa01fdp-1", "0x1.0000000000000p+0"]),
+    ((0.7853981633974483, 1.0, 0.0, 4),
+     ["0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000001p+0",
+      "0x1.0000000000000p+0"]),
+    ((0.1, 0.35, 0.8, 5),
+     ["0x1.1937ff85d19a1p+0", "0x1.1822fa2a6c1a4p+0", "0x1.0fece9d141256p+0",
+      "0x1.04905984830fbp+0", "0x1.0000000000000p+0"]),
+]
+
+
+@pytest.mark.parametrize("args, bits", SCAN_BITS)
+def test_scan_2d_objective_keeps_its_recorded_bits(args, bits):
+    _, f = scan_2d_objective(*args)
+    assert [float(v).hex() for v in f] == bits
+
+
 def test_norm_at_degenerate_weight_triple():
     # alpha = 0 sends both exponents to infinity; doubly stochastic input
     # then has unit norm via the all-ones vector.
