@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import _check_entropies
 from .errors import DegenerateCaseError
 from .norms import SolverOptions, WeightTriple, _norm_many, norm
 from .overlap import OverlapMatrix
@@ -104,7 +105,11 @@ def randomness_bound_numeric(h_x, h_y, c, grid,
     Returns:
         The best lower bound on H(X|E) over the grid, per entropy pair; a
         float for float entropies.
+
+    Raises:
+        ValueError: if an entropy is not finite, or the grid is empty.
     """
+    _check_entropies(h_x, h_y)
     triples = [WeightTriple(1.0, float(l), float(m)) for m, l in grid]
     if not triples:
         raise ValueError("weight grid is empty")

@@ -23,6 +23,7 @@ from .norms import (
     SolverOptions,
     WeightTriple,
     _norm_many,
+    _numeric_many,
     mu_star,
     norm,
     norm_mub,
@@ -73,8 +74,12 @@ def c_lower_bound(c, w: WeightTriple, opts: SolverOptions | None = None,
     """Additive constant -alpha log ||C||_{r->s}; zero when alpha = 0."""
     if w.alpha == 0.0:
         return 0.0
-    res = norm(c, w, opts=opts, base=base)
-    return -w.alpha * res.log_value
+    return _constant(w, norm(c, w, opts=opts, base=base).log_value)
+
+
+def _constant(w: WeightTriple, log_norm: float) -> float:
+    """The additive constant -alpha log ||C||_{r->s} from the norm's log."""
+    return -w.alpha * log_norm
 
 
 def evaluate_eur(rho: DensityMatrix, x: ProjectiveMeasurement,
@@ -89,7 +94,7 @@ def evaluate_eur(rho: DensityMatrix, x: ProjectiveMeasurement,
         c_val, method = 0.0, NormMethod.CLOSED_S_LE_R
     else:
         res = norm(build_overlap(x, y), w, opts=opts, base=base)
-        c_val, method = -w.alpha * res.log_value, res.method
+        c_val, method = _constant(w, res.log_value), res.method
     rhs = w.alpha * von_neumann_entropy(rho, base) + c_val
     return BoundReport(lhs, rhs, lhs - rhs, c_val, method, w)
 
@@ -165,22 +170,53 @@ def compare_state_independent(c, opts: SolverOptions | None = None,
             conjectured closed form at the optimal weights and
             ``on_violation`` is ``"raise"``.
     """
+    c, w, proven = _at_mu_star(c, on_violation)
+    numeric = None if proven else norm_numeric(c, w=w, opts=opts, base=base)
+    return _comparison_row(c, w, numeric, base, on_violation)
+
+
+def _compare_many(cs, opts: SolverOptions | None = None, base: LogBase = LogBase.TWO,
+                  on_violation: str = "raise"):
+    """Yield ``compare_state_independent(c, opts, base, on_violation)`` for each c, in order.
+
+    The numeric problems at mu* are solved together by ``_numeric_many``,
+    one matrix per problem, with the bits of the per-matrix solves.  Rows,
+    solver errors and ``ConjectureViolationError`` come out in input
+    order; an input that ``compare_state_independent`` rejects before
+    solving is rejected before any solve.
+    """
+    setups = [_at_mu_star(c, on_violation) for c in cs]
+    searched = [(c, w) for c, w, proven in setups if not proven]
+    numeric = _numeric_many([c for c, _ in searched], [(w.r, w.s) for _, w in searched],
+                            opts, base, per_problem=True)
+    for c, w, proven in setups:
+        yield _comparison_row(c, w, None if proven else next(numeric), base, on_violation)
+
+
+def _at_mu_star(c, on_violation: str) -> tuple:
+    """(matrix, weights mu = lambda = mu*, whether the d = 2 theorem gives the norm)."""
     if on_violation not in ("raise", "use_numeric"):
         raise ValueError(f"unknown on_violation mode {on_violation!r}")
     c = _as_overlap(c)
     m = c.matrix
     if m.shape[0] != m.shape[1]:
         raise ValueError("comparison requires a square overlap matrix")
-    d = m.shape[0]
+    ms = mu_star(min(c.sigma2, 1.0))
+    return c, WeightTriple(1.0, ms, ms), m.shape[0] == 2 and c.is_doubly_stochastic()
+
+
+def _comparison_row(c, w: WeightTriple, numeric, base: LogBase,
+                    on_violation: str) -> ComparisonRow:
+    """The row of ``compare_state_independent`` from the norm at mu*.
+
+    ``numeric`` is the solver's result, or None where the d = 2 theorem
+    gives the conjectured value.
+    """
+    d = c.matrix.shape[0]
     sigma2 = min(c.sigma2, 1.0)
-    ms = mu_star(sigma2)
-    w = WeightTriple(1.0, ms, ms)
     conjectured = norm_mub(d, w=w)
-    if d == 2 and c.is_doubly_stochastic():
-        conjecture_ok = True  # the d = 2 theorem above
-    else:
-        numeric = norm_numeric(c, w=w, opts=opts, base=base)
-        conjecture_ok = numeric.value <= conjectured + 1e-7 * max(1.0, conjectured)
+    conjecture_ok = numeric is None or (
+        numeric.value <= conjectured + 1e-7 * max(1.0, conjectured))
     if conjecture_ok:
         ours = (1.0 - sigma2) * base.log(d)
     elif on_violation == "raise":
@@ -209,13 +245,26 @@ def entropy_upper_bound(h_x: float, h_y: float, c, grid=None,
 
     Args:
         grid: iterable of (lambda, mu) pairs; defaults to the corner only.
+
+    Raises:
+        ValueError: if ``h_x`` or ``h_y`` is not finite.
     """
+    _check_entropies(h_x, h_y)
     pairs = [(1.0, 1.0)] + ([] if grid is None else list(grid))
     triples = [WeightTriple(1.0, float(l), float(m)) for l, m in pairs]
     log_norms = np.array([res.log_value for res in _norm_many(c, triples, opts, base)])
     lam, mu = np.array([(w.lam, w.mu) for w in triples]).T
     # - c_lower_bound = -(-alpha * log_norm) = log_norm exactly, at alpha = 1.
     return float(np.min(lam * h_x + mu * h_y + log_norms))
+
+
+def _check_entropies(h_x, h_y) -> None:
+    """Raise ValueError unless every entry of the entropies (floats or arrays) is finite."""
+    for name, h in (("h_x", h_x), ("h_y", h_y)):
+        h = np.asarray(h, dtype=float)
+        bad = ~np.isfinite(h)
+        if bad.any():
+            raise ValueError(f"{name} must be finite, got {h[bad].flat[0]}")
 
 
 def default_envelope_grid(n_alpha: int = 11, n_lam: int = 11) -> list:
@@ -251,6 +300,5 @@ def envelope_curve(c, s_grid, weight_grid=None,
             raise ValueError(f"envelope grid needs lambda = mu > 0, got {w}")
     env = np.full(s_vals.shape, -np.inf)
     for w, res in zip(triples, _norm_many(c, triples, opts=opts, base=base)):
-        c_val = -w.alpha * res.log_value  # c_lower_bound; alpha >= lambda > 0
-        env = np.maximum(env, (w.alpha * s_vals + c_val) / w.lam)
+        env = np.maximum(env, (w.alpha * s_vals + _constant(w, res.log_value)) / w.lam)
     return s_vals, env

@@ -24,12 +24,18 @@ from .applications import (
     randomness_bound_numeric,
     werner_detection_scan,
 )
-from .bounds import compare_state_independent, default_envelope_grid, envelope_curve
+from .bounds import (
+    _compare_many,
+    compare_state_independent,
+    default_envelope_grid,
+    envelope_curve,
+)
 from .errors import NormConsistencyError
 from .norms import (
     SolverOptions,
     WeightTriple,
     _exponents,
+    _norm_many,
     _numeric_many,
     feasible_weight_grid,
     mu_star,
@@ -313,7 +319,11 @@ def run_compare_random(dims=tuple(range(2, 13)), samples: int = 1000,
     how often the second-singular-value constant is at least as large as
     the largest-overlap and second-overlap constants.  Rows also report
     how many evaluations fell back to the numeric norm because the
-    conjectured closed form failed verification.
+    conjectured closed form failed verification.  A dimension's matrices
+    are drawn first and their mu* problems solved together
+    (``bounds._compare_many``), in stacks of at most
+    ``norms._STACK_FLOATS`` floats per array; each row has the bits of
+    ``compare_state_independent`` on its own matrix.
     """
     dims = tuple(int(d) for d in dims)
     if not dims or min(dims) < 2:
@@ -325,12 +335,10 @@ def run_compare_random(dims=tuple(range(2, 13)), samples: int = 1000,
     pct = {}
     for d in dims:
         rng = np.random.default_rng([seed, d])
+        cs = [from_unitary(haar_random_unitary(d, rng)) for _ in range(samples)]
         best = 0
         fallbacks = 0
-        for _ in range(samples):
-            c = from_unitary(haar_random_unitary(d, rng))
-            row = compare_state_independent(c, opts=opts, base=base,
-                                            on_violation="use_numeric")
+        for row in _compare_many(cs, opts, base, on_violation="use_numeric"):
             best += int(row.ours_at_least)
             fallbacks += int(not row.conjecture_ok)
         pct[d] = 100.0 * best / samples
@@ -386,10 +394,12 @@ def run_conjecture_fuzz(dims=(2, 3, 4), samples: int = 1000, grid: int = 11,
     ``tests/artifacts/equality_regime_counterexamples.csv``.  Lattice
     points with mu + lambda <= 1 (s <= r) take the proven closed form,
     so their excess is exactly 0; every other point runs the multistart
-    ascent.  Each numeric value is attained by its witness vector, so it
-    is a lower bound on the norm; any excess beyond ``excess_tol`` is a
-    genuine counterexample and is emitted with the full-precision matrix
-    and witness vector.
+    ascent; a matrix's whole lattice is one ``norms._norm_many`` pass,
+    whose numeric points share stacked ascents with the bits of
+    per-point ``norm`` calls.  Each numeric value is attained by its
+    witness vector, so it is a lower bound on the norm; any excess
+    beyond ``excess_tol`` is a genuine counterexample and is emitted with
+    the full-precision matrix and witness vector.
 
     Returns:
         Table with per-dimension summary rows followed by one row per
@@ -412,9 +422,9 @@ def run_conjecture_fuzz(dims=(2, 3, 4), samples: int = 1000, grid: int = 11,
         for k in range(samples):
             c = from_unitary(haar_random_unitary(d, rng))
             sigma2 = min(float(c.sigma2), 1.0)
-            for mu, lam in feasible_weight_grid(sigma2, grid):
-                w = WeightTriple(1.0, lam, mu)
-                res = norm(c, w, opts=opts, base=base)
+            triples = [WeightTriple(1.0, lam, mu)
+                       for mu, lam in feasible_weight_grid(sigma2, grid)]
+            for w, res in zip(triples, _norm_many(c, triples, opts, base)):
                 conjectured = norm_mub(d, w.r, w.s)
                 excess = res.value - conjectured
                 evals += 1
@@ -422,7 +432,7 @@ def run_conjecture_fuzz(dims=(2, 3, 4), samples: int = 1000, grid: int = 11,
                     violations += 1
                     max_excess = max(max_excess, excess)
                     violation_rows.append((
-                        "violation", d, k, "", "", "", mu, lam, sigma2,
+                        "violation", d, k, "", "", "", w.mu, w.lam, sigma2,
                         res.value, conjectured, excess, _flat17(c.matrix),
                         _flat17(res.witness),
                     ))

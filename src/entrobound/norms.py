@@ -7,16 +7,18 @@ by a multistart nonlinear power iteration.
 Weighted entropic bounds use the exponents r = alpha/mu and
 s = alpha/(alpha - lambda).
 
-Engines that need many norms of one matrix (a weight lattice, a profile)
-solve their numeric problems together: ``_stacked_ascent`` runs the power
-step of ``_multistart_ascent`` on a ``(P, n, k)`` stack, one slice per
-problem, and drops each problem from the stack once it stops.  A stacked
-result has the bits of the single-problem one as long as every problem
-keeps its own start bank as one slice (a stacked ``matmul`` equals the
-per-slice product, but widening a bank with more columns moves the bits)
-and no exponent in the stack is one at which NumPy's ``x ** e`` takes a
-scalar fast path (-1, 1/2, 2); ``_numeric_many`` sends every other
-problem to ``norm_numeric``.
+Engines that need many norms (a weight lattice, a profile, one weight per
+random matrix) solve their numeric problems together: ``_stacked_ascent``
+runs the power step of ``_multistart_ascent`` on a ``(P, n, k)`` stack, one
+slice per problem, against one shared ``(n, n)`` matrix or a ``(P, n, n)``
+stack of per-problem matrices, and drops each problem (and its matrix) from
+the stack once it stops.  A stacked result has the bits of the
+single-problem one as long as every problem keeps its own start bank as
+one slice (a stacked ``matmul`` equals the per-slice product, but widening
+a bank with more columns moves the bits) and no exponent in the stack is
+one at which NumPy's ``x ** e`` takes a scalar fast path (-1, 1/2, 2);
+``_numeric_many`` sends every other problem to ``norm_numeric`` and caps
+each stack at ``_STACK_FLOATS`` floats per ``(P, n, k)`` array.
 """
 
 from __future__ import annotations
@@ -320,10 +322,14 @@ def _uniform_unit_r(d: int, r: float) -> np.ndarray:
     return np.full(d, 1.0 / float(d) ** (1.0 / r))
 
 
+def _log_norm(value: float, base: LogBase) -> float:
+    """The log of a norm value in ``base``; -inf for a zero norm."""
+    return float(base.log(value)) if value > 0.0 else -math.inf
+
+
 def _result(value, witness, method, d, r, s, base) -> NormResult:
     bounds = (norm_mub(d, r, s), norm_identity(d, r, s))
-    log_value = base.log(value) if value > 0.0 else -math.inf
-    return NormResult(float(value), float(log_value), witness, method, bounds)
+    return NormResult(float(value), _log_norm(value, base), witness, method, bounds)
 
 
 #: Both ascent loops stop after _STALL_STEPS steps in a row of relative growth <= _STALL_RTOL.
@@ -332,6 +338,11 @@ _STALL_STEPS, _STALL_RTOL = 60, 1e-13
 #: Exponents at which NumPy's ``x ** e`` takes a scalar fast path whose
 #: bits differ from those of the same exponent in an array.
 _POW_FAST_PATHS = (-1.0, 0.5, 2.0)
+
+#: Most floats in one ``(P, n, k)`` array of a stacked ascent: bounds its
+#: memory (128 KiB per array; 455 problems per stack at d = 3 with 8
+#: restarts, 65 at d = 12).
+_STACK_FLOATS = 2**14
 
 
 def _start_bank(n: int, opts: SolverOptions) -> np.ndarray:
@@ -417,8 +428,12 @@ def _multistart_ascent(m, r, s, opts):
 
 
 def _best_start(best_f, best_x) -> np.ndarray:
-    """The best point of an ascent whose starts are the columns of ``best_x``."""
-    return best_x[:, int(np.argmax(best_f))]
+    """The best point of an ascent whose starts are the columns of ``best_x``.
+
+    A copy: a view would keep the whole of ``best_x`` alive, and in a stack
+    that is the stack's copy from the step at which the problem left it.
+    """
+    return best_x[:, int(np.argmax(best_f))].copy()
 
 
 def _no_convergence(best_f, best_x) -> SolverFailureError:
@@ -434,18 +449,20 @@ def _no_convergence(best_f, best_x) -> SolverFailureError:
 def _stacked_ascent(m, exps, opts) -> list:
     """``_multistart_ascent(m, r, s, opts)`` for every (r, s) in ``exps`` at once.
 
-    Each problem is one slice of a ``(P, n, k)`` stack with its own start
-    bank, convergence mask, ``_STALL_STEPS`` stall counter and best points; a
-    problem leaves the stack at the step at which its single-problem loop
+    ``m`` is one ``(n, n)`` matrix shared by every problem or a ``(P, n, n)``
+    stack with one matrix per problem.  Each problem is one slice of a
+    ``(P, n, k)`` stack with its own start bank, convergence mask,
+    ``_STALL_STEPS`` stall counter and best points; a problem (and its own
+    matrix) leaves the stack at the step at which its single-problem loop
     would stop.  Returns, per problem in order, the witness or the
     ``SolverFailureError`` the single-problem loop would raise.
     """
     p = len(exps)
     r = np.array([e[0] for e in exps]).reshape(p, 1, 1)
     s = np.array([e[1] for e in exps]).reshape(p, 1, 1)
-    x0 = _start_bank(m.shape[1], opts)
+    x0 = _start_bank(m.shape[-1], opts)
     x = x0 / _scaled_pnorm(np.broadcast_to(x0, (p,) + x0.shape), r)[0]
-    mt = m.T
+    mt = np.swapaxes(m, -1, -2)
     e = [s - 1.0, 1.0 / (r - 1.0), r, 1.0 / r, s]
     tol = opts.tolerance
     f, yn = _scaled_pnorm(m @ x, s)
@@ -470,6 +487,9 @@ def _stacked_ascent(m, exps, opts) -> list:
             live, x, yn, f, best_f, best_x, converged, stall, last_best = (
                 a[keep] for a in (live, x, yn, f, best_f, best_x, converged, stall, last_best))
             e = [a[keep] for a in e]
+            if m.ndim == 3:
+                m = m[keep]
+                mt = np.swapaxes(m, -1, -2)  # the layout of the single-problem m.T
     for i, j in enumerate(live):  # stopped by the iteration cap
         finish = _best_start if converged[i].any() else _no_convergence
         out[j] = finish(best_f[i, 0], best_x[i])
@@ -558,36 +578,47 @@ def _numeric_result(c, r, s, witness, value, base) -> NormResult:
         bounds = (lo, hi)
     else:
         bounds = (0.0, math.inf)
-    log_value = base.log(value) if value > 0.0 else -math.inf
-    return NormResult(value, float(log_value), witness,
+    return NormResult(value, _log_norm(value, base), witness,
                       NormMethod.NUMERIC_MULTISTART, bounds)
 
 
 def _numeric_many(c, exps, opts: SolverOptions | None = None,
-                  base: LogBase = LogBase.TWO):
+                  base: LogBase = LogBase.TWO, *, per_problem: bool = False):
     """Yield ``norm_numeric(c, r, s, opts=opts, base=base)`` for each (r, s), in order.
 
-    When two or more problems are ``_stackable`` they are solved in one
-    ``_stacked_ascent`` before the first result is yielded; every other
+    ``c`` is one matrix for every problem or, with ``per_problem``, a
+    sequence holding each problem's own matrix.  The ``_stackable``
+    problems of one matrix shape, when there are two or more, are solved
+    in ``_stacked_ascent`` stacks of at most ``_STACK_FLOATS`` floats per
+    ``(P, n, k)`` array before the first result is yielded; every other
     problem goes to ``norm_numeric`` when its turn comes.  Results and
     errors come out in input order, with the bits, messages and values of
     the per-problem calls.
     """
-    c = _as_overlap(c)
     opts = opts or SolverOptions()
     exps = [_exponents(r, s) for r, s in exps]
-    stack = [i for i, (r, s) in enumerate(exps) if _stackable(r, s)]
+    cs = [_as_overlap(a) for a in c] if per_problem else [_as_overlap(c)] * len(exps)
+    shapes = {}
+    for i, (r, s) in enumerate(exps):
+        if _stackable(r, s):
+            shapes.setdefault(cs[i].matrix.shape, []).append(i)
     solved = {}
-    if len(stack) > 1:
-        solved = dict(zip(stack, _stacked_ascent(c.matrix, [exps[i] for i in stack], opts)))
+    for (_, n), ids in shapes.items():
+        if len(ids) < 2:
+            continue
+        cap = max(1, _STACK_FLOATS // _start_bank(n, opts).size)
+        for j in range(0, len(ids), cap):
+            chunk = ids[j:j + cap]
+            m = np.stack([cs[i].matrix for i in chunk]) if per_problem else cs[0].matrix
+            solved.update(zip(chunk, _stacked_ascent(m, [exps[i] for i in chunk], opts)))
     for i, (r, s) in enumerate(exps):
         if i not in solved:
-            yield norm_numeric(c, r, s, opts=opts, base=base)
+            yield norm_numeric(cs[i], r, s, opts=opts, base=base)
             continue
         witness = solved[i]
         if isinstance(witness, SolverFailureError):
             raise witness
-        yield _numeric_result(c, r, s, witness, _ratio(c.matrix, witness, r, s), base)
+        yield _numeric_result(cs[i], r, s, witness, _ratio(cs[i].matrix, witness, r, s), base)
 
 
 def norm(c, w: WeightTriple | None = None, opts: SolverOptions | None = None,

@@ -116,6 +116,15 @@ def test_randomness_numeric_unbiased_corner():
         randomness_bound_numeric(1.0, 1.0, mub_overlap(4), [])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_randomness_numeric_rejects_non_finite_entropies(bad):
+    c = mub_overlap(2)
+    with pytest.raises(ValueError, match="h_x must be finite"):
+        randomness_bound_numeric(bad, 0.5, c, [(1.0, 1.0)])
+    with pytest.raises(ValueError, match="h_y must be finite"):
+        randomness_bound_numeric(0.5, np.array([0.2, bad]), c, [(1.0, 1.0)])
+
+
 def test_randomness_numeric_matches_clamped_analytic():
     c = rotation_overlap_2d(math.pi / 6)
     grid = feasible_weight_grid(0.5, 11)

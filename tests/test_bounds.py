@@ -256,6 +256,39 @@ def test_compare_fallback_on_conjecture_violation():
         compare_state_independent(violating, opts=FAST, on_violation="raise")
 
 
+def _compare_each(cs, on_violation):
+    """compare_state_independent per matrix: its rows, then the error that stopped it."""
+    rows = []
+    try:
+        for c in cs:
+            rows.append(compare_state_independent(c, opts=FAST, on_violation=on_violation))
+    except ConjectureViolationError as exc:
+        return rows, exc
+    return rows, None
+
+
+def test_compare_many_matches_per_matrix_calls():
+    # Mixed dimensions, the d = 2 theorem, a 2 x 2 matrix that is not
+    # doubly stochastic, and qutrits whose mu* norm beats the closed form.
+    from entrobound import bounds
+
+    rng = np.random.default_rng([1234, 3])
+    cs = [from_unitary(haar_random_unitary(d, rng)) for d in (3, 2, 4, 3, 3, 4, 3, 3, 3, 3)]
+    cs.insert(4, [[0.6, 0.3], [0.4, 0.7]])
+    want, _ = _compare_each(cs, "use_numeric")
+    assert not all(row.conjecture_ok for row in want)
+    assert list(bounds._compare_many(cs, FAST, on_violation="use_numeric")) == want
+    # In strict mode the first violation is raised after the rows before it.
+    want, error = _compare_each(cs, "raise")
+    got = []
+    with pytest.raises(ConjectureViolationError) as raised:
+        for row in bounds._compare_many(cs, FAST, on_violation="raise"):
+            got.append(row)
+    assert got == want and len(want) == 2 and str(raised.value) == str(error)
+    with pytest.raises(ValueError):
+        list(bounds._compare_many(cs, FAST, on_violation="ignore"))
+
+
 # ---------------------------------------------------------------------------
 # entropy certification and envelope
 
@@ -264,6 +297,14 @@ def test_entropy_upper_bound_corner():
     val = entropy_upper_bound(0.3, 0.9, mub_overlap(2))
     assert val == pytest.approx(0.2, abs=1e-12)
     assert entropy_upper_bound(0.3, 0.9, mub_overlap(2), grid=[]) == val
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_entropy_upper_bound_rejects_non_finite_entropies(bad):
+    with pytest.raises(ValueError, match="h_x must be finite"):
+        entropy_upper_bound(bad, 0.5, mub_overlap(2))
+    with pytest.raises(ValueError, match="h_y must be finite"):
+        entropy_upper_bound(0.5, bad, mub_overlap(2), grid=[(0.5, 0.5)])
 
 
 def test_entropy_upper_bound_improves_with_grid():

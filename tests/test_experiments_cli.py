@@ -22,9 +22,12 @@ from entrobound import (
     WeightTriple,
     basis_measurement,
     cli,
+    compare_state_independent,
     config_hash,
     experiments,
     fourier_measurement,
+    from_unitary,
+    haar_random_unitary,
     measurement_distribution,
     mub_overlap,
     norm,
@@ -402,6 +405,37 @@ def test_compare_random_engine():
         run_compare_random(dims=(1,), samples=2)
     with pytest.raises(ValueError):
         run_compare_random(dims=(2,), samples=0)
+
+
+def test_compare_random_rows_match_a_per_sample_loop():
+    # The engine draws a dimension's matrices first and solves them
+    # together; drawing and comparing one sample at a time gives its rows.
+    dims = tuple(range(2, 13))
+    rows = []
+    for d in dims:
+        rng = np.random.default_rng([3, d])
+        found = [compare_state_independent(from_unitary(haar_random_unitary(d, rng)),
+                                           opts=COMPARE_RANDOM_OPTS, on_violation="use_numeric")
+                 for _ in range(5)]
+        wins = sum(int(row.ours_at_least) for row in found)
+        fallbacks = sum(int(not row.conjecture_ok) for row in found)
+        rows.append((d, 5, 100.0 * wins / 5, fallbacks))
+    assert sum(row[3] for row in rows) > 0
+    assert run_compare_random(samples=5, seed=3).rows == tuple(rows)
+
+
+def test_fuzz_lattice_pass_has_the_bytes_of_per_point_norms(monkeypatch):
+    # Sample 2 at d = 3 is a counterexample, so its witness bits are in the CSV.
+    def csv():
+        buf = io.StringIO()
+        write_table(run_conjecture_fuzz(samples=3, seed=0), buf)
+        return buf.getvalue()
+
+    got = csv()
+    assert "\nviolation,3,2," in got
+    monkeypatch.setattr(experiments, "_norm_many",
+                        lambda c, triples, opts, base: [norm(c, w, opts, base) for w in triples])
+    assert csv() == got
 
 
 def test_werner_masks_engine_nesting():

@@ -9,6 +9,7 @@ from entrobound import (
     DimensionMismatchError,
     InvalidStateError,
     NormMethod,
+    NormResult,
     OverlapMatrix,
     SolverFailureError,
     SolverOptions,
@@ -494,6 +495,81 @@ def test_stacked_failure_is_the_first_in_input_order(points):
     assert str(a) == str(b)
     assert float(a.best_value).hex() == float(b.best_value).hex()
     assert a.best_point.tobytes() == b.best_point.tobytes()
+
+
+def _mu_star_problems(d, seed, samples):
+    """Haar-unistochastic matrices and the (r, s) of their mu* weights."""
+    rng = np.random.default_rng([seed, d])
+    cs = [from_unitary(qmath.haar_random_unitary(d, rng)) for _ in range(samples)]
+    ws = [WeightTriple(1.0, mu_star(min(c.sigma2, 1.0)), mu_star(min(c.sigma2, 1.0)))
+          for c in cs]
+    return cs, [(w.r, w.s) for w in ws]
+
+
+@pytest.mark.parametrize("d, samples", [(3, 12), (4, 12), (8, 8), (12, 70)])
+def test_per_problem_matrices_match_norm_numeric_bit_for_bit(monkeypatch, d, samples):
+    # compare's mu* problems, one matrix each.  At d = 12 a (P, 12, 21)
+    # array holds at most 2**14 // 252 = 65 problems, so 70 take two
+    # stacks.  The last problem sits at r = 2, a fast-path power, and
+    # takes the single-problem path.
+    opts = SolverOptions(restarts=8)
+    cs, points = _mu_star_problems(d, 1, samples)
+    points[-1] = (2.0, 3.0)
+    want = [norm_numeric(c, r, s, opts=opts) for c, (r, s) in zip(cs, points)]
+    stacks = []
+    stacked = norms._stacked_ascent
+
+    def counting(m, exps, opts):
+        stacks.append((m.shape, len(exps)))
+        return stacked(m, exps, opts)
+
+    monkeypatch.setattr(norms, "_stacked_ascent", counting)
+    calls = _counting_ascent(monkeypatch)
+    got = list(norms._numeric_many(cs, points, opts=opts, per_problem=True))
+    assert len(got) == len(want) and all(_same_bits(a, b) for a, b in zip(got, want))
+    assert calls == [(2.0, 3.0)]
+    cap = norms._STACK_FLOATS // (d * (d + 1 + opts.restarts))
+    sizes = [samples - 1] if samples - 1 <= cap else [cap, samples - 1 - cap]
+    assert stacks == [((n, d, d), n) for n in sizes]
+
+
+def test_per_problem_failure_is_the_first_in_input_order():
+    # Three iterations leave the ascents on the full random matrices
+    # unconverged, while those on the rank-one ones converge; the first
+    # failure in input order is raised, after the results before it.
+    rng = np.random.default_rng(5)
+    full = [rng.uniform(0.1, 2.0, (4, 4)) for _ in range(2)]
+    rank1 = [np.outer(rng.uniform(0.1, 1.0, 4), rng.uniform(0.1, 1.0, 4)) for _ in range(2)]
+    cs = [rank1[0], full[0], rank1[1], full[1], full[0]]
+    points = [(6.0, 7.0), (1.3, 1.7), (1.3, 1.7), (6.0, 7.0), (1.1, 1.1)]
+    assert all(norms._stackable(r, s) for r, s in points)
+    opts = SolverOptions(restarts=2, max_iterations=3)
+    outcomes = []
+    for c, (r, s) in zip(cs, points):
+        try:
+            outcomes.append(norm_numeric(c, r, s, opts=opts))
+        except SolverFailureError as exc:
+            outcomes.append(exc)
+    first = next(i for i, o in enumerate(outcomes) if isinstance(o, SolverFailureError))
+    assert any(isinstance(o, NormResult) for o in outcomes[first + 1:])
+    got = []
+    with pytest.raises(SolverFailureError) as stacked:
+        for res in norms._numeric_many(cs, points, opts=opts, per_problem=True):
+            got.append(res)
+    assert len(got) == first
+    assert all(_same_bits(a, b) for a, b in zip(got, outcomes))
+    a, b = stacked.value, outcomes[first]
+    assert str(a) == str(b)
+    assert float(a.best_value).hex() == float(b.best_value).hex()
+    assert a.best_point.tobytes() == b.best_point.tobytes()
+
+
+def test_stacked_witness_owns_its_data():
+    # A view would keep the stack's whole best-point array alive.
+    cs, points = _mu_star_problems(3, 1, 5)
+    for res in norms._numeric_many(cs, points, per_problem=True):
+        assert res.witness.base is None and res.witness.flags.owndata
+    assert norm_numeric(cs[0], *points[0]).witness.base is None
 
 
 def test_norm_takes_exponents_or_a_weight_triple():
