@@ -27,7 +27,6 @@ from .norms import (
     mu_star,
     norm,
     norm_mub,
-    norm_numeric,
 )
 from .overlap import _as_overlap, build_overlap
 from .qmath import (
@@ -170,9 +169,7 @@ def compare_state_independent(c, opts: SolverOptions | None = None,
             conjectured closed form at the optimal weights and
             ``on_violation`` is ``"raise"``.
     """
-    c, w, proven = _at_mu_star(c, on_violation)
-    numeric = None if proven else norm_numeric(c, w=w, opts=opts, base=base)
-    return _comparison_row(c, w, numeric, base, on_violation)
+    return next(_compare_many([c], opts, base, on_violation))
 
 
 def _compare_many(cs, opts: SolverOptions | None = None, base: LogBase = LogBase.TWO,
@@ -180,57 +177,47 @@ def _compare_many(cs, opts: SolverOptions | None = None, base: LogBase = LogBase
     """Yield ``compare_state_independent(c, opts, base, on_violation)`` for each c, in order.
 
     The numeric problems at mu* are solved together by ``_numeric_many``,
-    one matrix per problem, with the bits of the per-matrix solves.  Rows,
-    solver errors and ``ConjectureViolationError`` come out in input
-    order; an input that ``compare_state_independent`` rejects before
-    solving is rejected before any solve.
+    one matrix per problem, with the bits of the per-matrix solves (a lone
+    problem goes to ``norm_numeric``).  Rows, solver errors and
+    ``ConjectureViolationError`` come out in input order; an input that
+    would be rejected before solving is rejected before any solve.
     """
-    setups = [_at_mu_star(c, on_violation) for c in cs]
-    searched = [(c, w) for c, w, proven in setups if not proven]
-    numeric = _numeric_many([c for c, _ in searched], [(w.r, w.s) for _, w in searched],
-                            opts, base, per_problem=True)
-    for c, w, proven in setups:
-        yield _comparison_row(c, w, None if proven else next(numeric), base, on_violation)
-
-
-def _at_mu_star(c, on_violation: str) -> tuple:
-    """(matrix, weights mu = lambda = mu*, whether the d = 2 theorem gives the norm)."""
     if on_violation not in ("raise", "use_numeric"):
         raise ValueError(f"unknown on_violation mode {on_violation!r}")
-    c = _as_overlap(c)
-    m = c.matrix
-    if m.shape[0] != m.shape[1]:
-        raise ValueError("comparison requires a square overlap matrix")
-    ms = mu_star(min(c.sigma2, 1.0))
-    return c, WeightTriple(1.0, ms, ms), m.shape[0] == 2 and c.is_doubly_stochastic()
-
-
-def _comparison_row(c, w: WeightTriple, numeric, base: LogBase,
-                    on_violation: str) -> ComparisonRow:
-    """The row of ``compare_state_independent`` from the norm at mu*.
-
-    ``numeric`` is the solver's result, or None where the d = 2 theorem
-    gives the conjectured value.
-    """
-    d = c.matrix.shape[0]
-    sigma2 = min(c.sigma2, 1.0)
-    conjectured = norm_mub(d, w=w)
-    conjecture_ok = numeric is None or (
-        numeric.value <= conjectured + 1e-7 * max(1.0, conjectured))
-    if conjecture_ok:
-        ours = (1.0 - sigma2) * base.log(d)
-    elif on_violation == "raise":
-        raise ConjectureViolationError(
-            f"norm at optimal weights is {numeric.value!r}, conjectured {conjectured!r}"
-        )
-    else:
-        ours = -(1.0 + sigma2) * base.log(numeric.value)
-    ent = _entries_desc(c)
-    bccrr = _bccrr_constant(ent, base)
-    c1, c2, big_c, rpz2 = _rpz2_constant(ent, base)
-    flag = ours >= max(bccrr, rpz2) - 1e-12
-    return ComparisonRow(c1, c2, float(big_c), float(ours), float(bccrr),
-                         float(rpz2), bool(flag), bool(conjecture_ok))
+    setups = []
+    for c in cs:
+        c = _as_overlap(c)
+        m = c.matrix
+        if m.shape[0] != m.shape[1]:
+            raise ValueError("comparison requires a square overlap matrix")
+        sigma2 = min(c.sigma2, 1.0)
+        ms = mu_star(sigma2)
+        # For d = 2 the theorem gives the norm at mu*, so no solver runs.
+        proven = m.shape[0] == 2 and c.is_doubly_stochastic()
+        setups.append((c, sigma2, WeightTriple(1.0, ms, ms), proven))
+    searched = [(c, w) for c, _, w, proven in setups if not proven]
+    numerics = _numeric_many([c for c, _ in searched], [(w.r, w.s) for _, w in searched],
+                             opts, base, per_problem=True)
+    for c, sigma2, w, proven in setups:
+        numeric = None if proven else next(numerics)
+        d = c.matrix.shape[0]
+        conjectured = norm_mub(d, w=w)
+        conjecture_ok = numeric is None or (
+            numeric.value <= conjectured + 1e-7 * max(1.0, conjectured))
+        if conjecture_ok:
+            ours = (1.0 - sigma2) * base.log(d)
+        elif on_violation == "raise":
+            raise ConjectureViolationError(
+                f"norm at optimal weights is {numeric.value!r}, conjectured {conjectured!r}"
+            )
+        else:
+            ours = -(1.0 + sigma2) * base.log(numeric.value)
+        ent = _entries_desc(c)
+        bccrr = _bccrr_constant(ent, base)
+        c1, c2, big_c, rpz2 = _rpz2_constant(ent, base)
+        flag = ours >= max(bccrr, rpz2) - 1e-12
+        yield ComparisonRow(c1, c2, float(big_c), float(ours), float(bccrr),
+                            float(rpz2), bool(flag), bool(conjecture_ok))
 
 
 def entropy_upper_bound(h_x: float, h_y: float, c, grid=None,

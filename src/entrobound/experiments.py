@@ -37,6 +37,7 @@ from .norms import (
     _exponents,
     _norm_many,
     _numeric_many,
+    _stack_cap,
     feasible_weight_grid,
     mu_star,
     norm,
@@ -320,9 +321,10 @@ def run_compare_random(dims=tuple(range(2, 13)), samples: int = 1000,
     the largest-overlap and second-overlap constants.  Rows also report
     how many evaluations fell back to the numeric norm because the
     conjectured closed form failed verification.  A dimension's matrices
-    are drawn first and their mu* problems solved together
-    (``bounds._compare_many``), in stacks of at most
-    ``norms._STACK_FLOATS`` floats per array; each row has the bits of
+    are drawn and compared in blocks of one stack (``norms._stack_cap``,
+    at most ``norms._STACK_FLOATS`` floats per array), whose mu* problems
+    are solved together (``bounds._compare_many``), so memory does not
+    grow with ``samples``; each row has the bits of
     ``compare_state_independent`` on its own matrix.
     """
     dims = tuple(int(d) for d in dims)
@@ -335,12 +337,15 @@ def run_compare_random(dims=tuple(range(2, 13)), samples: int = 1000,
     pct = {}
     for d in dims:
         rng = np.random.default_rng([seed, d])
-        cs = [from_unitary(haar_random_unitary(d, rng)) for _ in range(samples)]
+        block = _stack_cap(d, opts)
         best = 0
         fallbacks = 0
-        for row in _compare_many(cs, opts, base, on_violation="use_numeric"):
-            best += int(row.ours_at_least)
-            fallbacks += int(not row.conjecture_ok)
+        for start in range(0, samples, block):
+            cs = [from_unitary(haar_random_unitary(d, rng))
+                  for _ in range(min(block, samples - start))]
+            for row in _compare_many(cs, opts, base, on_violation="use_numeric"):
+                best += int(row.ours_at_least)
+                fallbacks += int(not row.conjecture_ok)
         pct[d] = 100.0 * best / samples
         rows.append((d, samples, pct[d], fallbacks))
     config = {

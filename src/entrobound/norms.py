@@ -345,6 +345,11 @@ _POW_FAST_PATHS = (-1.0, 0.5, 2.0)
 _STACK_FLOATS = 2**14
 
 
+def _stack_cap(n: int, opts: SolverOptions) -> int:
+    """Most problems of an n x n matrix in one stacked ascent (``_STACK_FLOATS``)."""
+    return max(1, _STACK_FLOATS // _start_bank(n, opts).size)
+
+
 def _start_bank(n: int, opts: SolverOptions) -> np.ndarray:
     """Starts of every ascent, as columns: all-ones, the basis, seeded randoms."""
     starts = [np.ones((n, 1)), np.eye(n)]
@@ -606,7 +611,7 @@ def _numeric_many(c, exps, opts: SolverOptions | None = None,
     for (_, n), ids in shapes.items():
         if len(ids) < 2:
             continue
-        cap = max(1, _STACK_FLOATS // _start_bank(n, opts).size)
+        cap = _stack_cap(n, opts)
         for j in range(0, len(ids), cap):
             chunk = ids[j:j + cap]
             m = np.stack([cs[i].matrix for i in chunk]) if per_problem else cs[0].matrix

@@ -215,16 +215,16 @@ def test_compare_takes_an_array_like_its_overlap_matrix():
 
 
 def test_compare_runs_the_solver_only_where_no_theorem_applies(monkeypatch):
-    from entrobound import bounds
+    from entrobound import norms
 
     calls = []
-    solver = bounds.norm_numeric
+    solver = norms.norm_numeric
 
     def counting(c, *args, **kwargs):
         calls.append(c.shape)
         return solver(c, *args, **kwargs)
 
-    monkeypatch.setattr(bounds, "norm_numeric", counting)
+    monkeypatch.setattr(norms, "norm_numeric", counting)
     for theta in (0.0, 0.3, math.pi / 6, math.pi / 4):
         assert compare_state_independent(rotation_overlap_2d(theta), opts=FAST).conjecture_ok
     assert compare_state_independent(np.eye(2)[::-1], opts=FAST).conjecture_ok

@@ -407,21 +407,44 @@ def test_compare_random_engine():
         run_compare_random(dims=(2,), samples=0)
 
 
-def test_compare_random_rows_match_a_per_sample_loop():
-    # The engine draws a dimension's matrices first and solves them
-    # together; drawing and comparing one sample at a time gives its rows.
-    dims = tuple(range(2, 13))
+def _compare_rows_per_sample(dims, samples, seed):
+    """run_compare_random's rows, drawing and comparing one sample at a time."""
     rows = []
     for d in dims:
-        rng = np.random.default_rng([3, d])
+        rng = np.random.default_rng([seed, d])
         found = [compare_state_independent(from_unitary(haar_random_unitary(d, rng)),
                                            opts=COMPARE_RANDOM_OPTS, on_violation="use_numeric")
-                 for _ in range(5)]
+                 for _ in range(samples)]
         wins = sum(int(row.ours_at_least) for row in found)
         fallbacks = sum(int(not row.conjecture_ok) for row in found)
-        rows.append((d, 5, 100.0 * wins / 5, fallbacks))
+        rows.append((d, samples, 100.0 * wins / samples, fallbacks))
+    return tuple(rows)
+
+
+def test_compare_random_rows_match_a_per_sample_loop():
+    # The engine solves a dimension's matrices together.
+    rows = _compare_rows_per_sample(range(2, 13), 5, 3)
     assert sum(row[3] for row in rows) > 0
-    assert run_compare_random(samples=5, seed=3).rows == tuple(rows)
+    assert run_compare_random(samples=5, seed=3).rows == rows
+
+
+def test_compare_random_draws_and_solves_one_stack_at_a_time(monkeypatch):
+    # With stacks of three problems at d = 4 (four at d = 3), seven samples
+    # take several blocks; the rows are those of one sample at a time.
+    from entrobound import norms
+
+    monkeypatch.setattr(norms, "_STACK_FLOATS", 3 * 4 * (4 + 1 + COMPARE_RANDOM_OPTS.restarts))
+    blocks = []
+    many = experiments._compare_many
+
+    def spy(cs, *args, **kwargs):
+        blocks.append((cs[0].matrix.shape[0], len(cs)))
+        return many(cs, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "_compare_many", spy)
+    assert run_compare_random(dims=(3, 4), samples=7, seed=3).rows == \
+        _compare_rows_per_sample((3, 4), 7, 3)
+    assert blocks == [(3, 4), (3, 3), (4, 3), (4, 3), (4, 1)]
 
 
 def test_fuzz_lattice_pass_has_the_bytes_of_per_point_norms(monkeypatch):
