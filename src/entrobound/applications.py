@@ -16,7 +16,7 @@ import numpy as np
 
 from .bounds import _check_entropies
 from .errors import DegenerateCaseError
-from .norms import SolverOptions, WeightTriple, _norm_many, norm
+from .norms import SolverOptions, WeightTriple, _check_sigma2, _norm_many, norm
 from .overlap import OverlapMatrix
 from .qmath import (
     DensityMatrix,
@@ -136,8 +136,7 @@ def randomness_bound_analytic(deficits: EntropyDeficits, sigma2: float) -> Rando
         DegenerateCaseError: for sigma2 = 1.
         ValueError: if gamma > 1.
     """
-    if not 0.0 <= sigma2 <= 1.0:
-        raise ValueError(f"sigma2 must lie in [0, 1], got {sigma2}")
+    _check_sigma2(sigma2)
     if sigma2 == 1.0:
         raise DegenerateCaseError("sigma2 = 1 leaves no usable weights")
     dx, dy = deficits.delta_x, deficits.delta_y
@@ -163,8 +162,7 @@ def optimal_weights(gamma: float, sigma2: float) -> tuple:
     """
     if gamma < 0.0:
         raise ValueError(f"gamma must be nonnegative, got {gamma}")
-    if not 0.0 <= sigma2 <= 1.0:
-        raise ValueError(f"sigma2 must lie in [0, 1], got {sigma2}")
+    _check_sigma2(sigma2)
     if sigma2 == 1.0:
         raise DegenerateCaseError("sigma2 = 1 leaves no usable weights")
     mu, lam = _optimal_weights(gamma, sigma2)
@@ -343,8 +341,7 @@ def eavesdropper_entropy_bound(h_x: float, h_y: float, d_a: int, d_b: int,
     Raises:
         DegenerateCaseError: for sigma2 = 1.
     """
-    if not 0.0 <= sigma2 <= 1.0:
-        raise ValueError(f"sigma2 must lie in [0, 1], got {sigma2}")
+    _check_sigma2(sigma2)
     if sigma2 == 1.0:
         raise DegenerateCaseError("sigma2 = 1 leaves no usable weights")
     d = d_a * d_b

@@ -22,6 +22,7 @@ from .norms import (
     NormMethod,
     SolverOptions,
     WeightTriple,
+    _check_sigma2,
     _norm_many,
     _numeric_many,
     mu_star,
@@ -105,8 +106,7 @@ def qudit_eur_rhs(sigma2: float, d: int, s_rho: float,
     Valid whenever the extended equality regime holds at the optimal
     equal weights; exact for sigma2 = 0 and sigma2 = 1.
     """
-    if not 0.0 <= sigma2 <= 1.0:
-        raise ValueError(f"sigma2 must lie in [0, 1], got {sigma2}")
+    _check_sigma2(sigma2)
     log_d = base.log(d)
     if not -1e-9 <= s_rho <= log_d + 1e-9:
         raise ValueError(f"entropy {s_rho} outside [0, log d]")
@@ -177,10 +177,10 @@ def _compare_many(cs, opts: SolverOptions | None = None, base: LogBase = LogBase
     """Yield ``compare_state_independent(c, opts, base, on_violation)`` for each c, in order.
 
     The numeric problems at mu* are solved together by ``_numeric_many``,
-    one matrix per problem, with the bits of the per-matrix solves (a lone
-    problem goes to ``norm_numeric``).  Rows, solver errors and
-    ``ConjectureViolationError`` come out in input order; an input that
-    would be rejected before solving is rejected before any solve.
+    one matrix per problem, with the bits of the per-matrix solves.  Rows,
+    solver errors and ``ConjectureViolationError`` come out in input
+    order; an input that would be rejected before solving is rejected
+    before any solve.
     """
     if on_violation not in ("raise", "use_numeric"):
         raise ValueError(f"unknown on_violation mode {on_violation!r}")

@@ -7,18 +7,18 @@ by a multistart nonlinear power iteration.
 Weighted entropic bounds use the exponents r = alpha/mu and
 s = alpha/(alpha - lambda).
 
-Engines that need many norms (a weight lattice, a profile, one weight per
-random matrix) solve their numeric problems together: ``_stacked_ascent``
-runs the power step of ``_multistart_ascent`` on a ``(P, n, k)`` stack, one
-slice per problem, against one shared ``(n, n)`` matrix or a ``(P, n, n)``
-stack of per-problem matrices, and drops each problem (and its matrix) from
-the stack once it stops.  A stacked result has the bits of the
-single-problem one as long as every problem keeps its own start bank as
-one slice (a stacked ``matmul`` equals the per-slice product, but widening
-a bank with more columns moves the bits) and no exponent in the stack is
-one at which NumPy's ``x ** e`` takes a scalar fast path (-1, 1/2, 2);
-``_numeric_many`` sends every other problem to ``norm_numeric`` and caps
-each stack at ``_STACK_FLOATS`` floats per ``(P, n, k)`` array.
+Every numeric problem runs in the one ascent loop, ``_stacked_ascent``,
+as one slice of a ``(P, n, k)`` stack against one shared ``(n, n)`` matrix
+or a ``(P, n, n)`` stack of per-problem matrices; a problem (and its
+matrix) leaves the stack once it stops, and ``norm_numeric`` is a stack of
+one.  A problem gets the same bits in any stack as long as it keeps its
+own start bank as one slice (a stacked ``matmul`` equals the per-slice
+product, but widening a bank with more columns moves the bits) and NumPy
+takes the same scalar fast paths for ``x ** e`` (-1, 1/2, 2) as for the
+problem alone.  So ``_numeric_many`` groups problems by matrix shape and
+by the fast-path values among their powers, the stack passes every
+exponent its problems share as a scalar, and each stack holds at most
+``_STACK_FLOATS`` floats per ``(P, n, k)`` array.
 """
 
 from __future__ import annotations
@@ -74,6 +74,14 @@ class SolverOptions:
     tolerance: float = 1e-11
     seed: int = 0
 
+    def __post_init__(self):
+        if not self.restarts >= 0:
+            raise ValueError(f"restarts must be >= 0, got {self.restarts}")
+        if not self.max_iterations >= 1:
+            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):
+            raise ValueError(f"tolerance must be finite and > 0, got {self.tolerance}")
+
 
 class NormMethod(str, enum.Enum):
     CLOSED_MUB = "closed_mub"
@@ -127,10 +135,9 @@ def _scale_columns(v: np.ndarray) -> tuple:
     """
     if v.ndim == 3:
         vmax = np.maximum.reduce(v, axis=1, keepdims=True)
-        low = vmax.min()
     else:
         vmax = np.maximum.reduce(v, axis=0)
-        low = vmax if vmax.ndim == 0 else vmax[vmax.argmin()]
+    low = vmax.ravel()[vmax.argmin()]
     if low > 0.0:
         return vmax, v / vmax
     return vmax, v / np.where(vmax > 0.0, vmax, 1.0)
@@ -185,6 +192,12 @@ def norm_identity(d: int, r=None, s=None, w: WeightTriple | None = None) -> floa
     return norm_mub(d, r, s) if r >= s else 1.0
 
 
+def _check_sigma2(sigma2: float) -> None:
+    """Raise ValueError unless the second singular value lies in [0, 1]."""
+    if not 0.0 <= sigma2 <= 1.0:
+        raise ValueError(f"sigma2 must lie in [0, 1], got {sigma2}")
+
+
 def mu_star(sigma2: float) -> float:
     """Largest equal weight mu = lambda inside the region: 1 / (1 + sigma2).
 
@@ -194,8 +207,7 @@ def mu_star(sigma2: float) -> float:
     ``tests/artifacts/equality_regime_counterexamples.csv`` holds
     replayable counterexamples.
     """
-    if not 0.0 <= sigma2 <= 1.0:
-        raise ValueError(f"sigma2 must lie in [0, 1], got {sigma2}")
+    _check_sigma2(sigma2)
     return 1.0 / (1.0 + sigma2)
 
 
@@ -215,8 +227,7 @@ def conjecture_region_contains(mu: float, lam: float, sigma2: float) -> bool:
     """
     if not (0.0 <= mu <= 1.0 and 0.0 <= lam <= 1.0):
         raise ValueError(f"weights must lie in [0, 1], got mu={mu}, lambda={lam}")
-    if not 0.0 <= sigma2 <= 1.0:
-        raise ValueError(f"sigma2 must lie in [0, 1], got {sigma2}")
+    _check_sigma2(sigma2)
     return (1.0 - mu) * (1.0 - lam) >= mu * lam * sigma2**2 - 1e-12
 
 
@@ -332,11 +343,12 @@ def _result(value, witness, method, d, r, s, base) -> NormResult:
     return NormResult(float(value), _log_norm(value, base), witness, method, bounds)
 
 
-#: Both ascent loops stop after _STALL_STEPS steps in a row of relative growth <= _STALL_RTOL.
+#: The ascent stops after _STALL_STEPS steps in a row of relative growth <= _STALL_RTOL.
 _STALL_STEPS, _STALL_RTOL = 60, 1e-13
 
-#: Exponents at which NumPy's ``x ** e`` takes a scalar fast path whose
-#: bits differ from those of the same exponent in an array.
+#: Exponents at which NumPy's ``x ** e`` takes a fast path (reciprocal,
+#: sqrt, square) for a scalar or size-1 exponent but not for a larger
+#: exponent array; the fast path's bits differ from the general power's.
 _POW_FAST_PATHS = (-1.0, 0.5, 2.0)
 
 #: Most floats in one ``(P, n, k)`` array of a stacked ascent: bounds its
@@ -358,80 +370,6 @@ def _start_bank(n: int, opts: SolverOptions) -> np.ndarray:
     return np.concatenate(starts, axis=1)
 
 
-def _power_step(m, mt, x, f, yn, e, tol, best_f, best_x, converged):
-    """One power step from unit-r points ``x`` with values ``f`` and scaled images ``yn``.
-
-    Returns the new points, values and scaled images, and updates the
-    best values and points seen and the convergence mask in place.
-    ``x`` is ``(n, k)`` with scalar exponents ``e`` = (s - 1, 1/(r - 1),
-    r, 1/r, s), or a ``(P, n, k)`` stack with ``(P, 1, 1)`` exponent arrays.
-    """
-    s_minus_1, inv_r_minus_1, r, inv_r, s = e
-    xn = _scale_columns(mt @ yn**s_minus_1)[1] ** inv_r_minus_1
-    nrm = _column_sums(xn**r) ** inv_r
-    dead = nrm <= 0.0
-    if np.count_nonzero(dead):
-        xn = np.where(dead, x, xn)
-        nrm = np.where(dead, 1.0, nrm)
-    xn = xn / nrm
-    fn, yn = _scaled_pnorm(m @ xn, s)
-    rel = np.abs(fn - f) / np.maximum(fn, 1e-300)
-    converged |= rel < tol
-    improved = fn > best_f
-    np.copyto(best_f, fn, where=improved)
-    np.copyto(best_x, xn, where=improved)
-    return xn, fn, yn
-
-
-def _multistart_ascent(m, r, s, opts):
-    """Vectorized power iteration over a bank of starts; returns best point.
-
-    The objective is ``_scaled_pnorm``, the body of ``_pnorm``, and the
-    loop keeps the scaled ``m @ x`` it returns: that is the normalised
-    vector the next step starts from.  A new point is ``mt @ yn**(s - 1)``
-    divided by its column maxima and raised to 1/(r - 1), so every nonzero
-    column has a maximum of exactly 1.0 (x / x = 1 and 1 ** p = 1) and its
-    r-norm is the plain sum of powers; an all-zero column sums to 0 and
-    keeps its previous point.  There is no line search: by Hoelder's
-    inequality a step cannot lower the objective in exact arithmetic
-    (Boyd 1974), so a drop is rounding, and ``best_x`` keeps the best
-    point seen.
-
-    This is the single-problem loop; ``_stacked_ascent`` runs the same
-    ``_power_step`` and stop rules on many problems at once and returns
-    the same bits when each problem keeps this start bank as its own
-    slice (never widened with other problems' columns) and no exponent
-    in the stack is a NumPy fast-path power (see ``_stackable``).
-    """
-    x = _start_bank(m.shape[1], opts)
-    x = x / _pnorm(x, r)
-    mt = m.T
-    e = (s - 1.0, 1.0 / (r - 1.0), r, 1.0 / r, s)
-    tol = opts.tolerance
-    f, yn = _scaled_pnorm(m @ x, s)
-    best_f, best_x = f.copy(), x.copy()
-    converged = np.zeros(x.shape[1], dtype=bool)
-    stall, last_best = 0, best_f[best_f.argmax()]
-    for _ in range(opts.max_iterations):
-        x, f, yn = _power_step(m, mt, x, f, yn, e, tol, best_f, best_x, converged)
-        # Indexing at argmin/argmax stands in for .all() and .max(): on
-        # arrays this short it costs a fraction of the reduction's overhead.
-        if converged[converged.argmin()]:
-            break
-        top = best_f[best_f.argmax()]
-        if top <= last_best * (1.0 + _STALL_RTOL):
-            stall += 1
-            if stall >= _STALL_STEPS:
-                break
-        else:
-            stall = 0
-        last_best = top
-    else:
-        if not converged.any():
-            raise _no_convergence(best_f, best_x)
-    return _best_start(best_f, best_x)
-
-
 def _best_start(best_f, best_x) -> np.ndarray:
     """The best point of an ascent whose starts are the columns of ``best_x``.
 
@@ -451,26 +389,50 @@ def _no_convergence(best_f, best_x) -> SolverFailureError:
     )
 
 
+def _shared(a: np.ndarray):
+    """One exponent of every problem in a stack: a float if all share it, else ``(P, 1, 1)``."""
+    first = float(a[0])
+    return first if (a == first).all() else a.reshape(-1, 1, 1)
+
+
 def _stacked_ascent(m, exps, opts) -> list:
-    """``_multistart_ascent(m, r, s, opts)`` for every (r, s) in ``exps`` at once.
+    """Multistart power iteration at every (r, s) in ``exps`` at once.
 
     ``m`` is one ``(n, n)`` matrix shared by every problem or a ``(P, n, n)``
     stack with one matrix per problem.  Each problem is one slice of a
     ``(P, n, k)`` stack with its own start bank, convergence mask,
-    ``_STALL_STEPS`` stall counter and best points; a problem (and its own
-    matrix) leaves the stack at the step at which its single-problem loop
-    would stop.  Returns, per problem in order, the witness or the
-    ``SolverFailureError`` the single-problem loop would raise.
+    ``_STALL_STEPS`` stall counter and best points, and leaves the stack
+    (with its own matrix) at the step at which it stops.  Returns, per
+    problem in order, its best point, or the ``SolverFailureError`` of an
+    ascent none of whose starts converged within ``opts.max_iterations``.
+
+    The objective is ``_scaled_pnorm``, the body of ``_pnorm``, and the
+    loop keeps the scaled ``m @ x`` it returns: that is the normalised
+    vector the next step starts from.  A new point is ``mt @ yn**(s - 1)``
+    divided by its column maxima and raised to 1/(r - 1), so every nonzero
+    column has a maximum of exactly 1.0 (x / x = 1 and 1 ** p = 1) and its
+    r-norm is the plain sum of powers; an all-zero column sums to 0 and
+    keeps its previous point.  There is no line search: by Hoelder's
+    inequality a step cannot lower the objective in exact arithmetic
+    (Boyd 1974), so a drop is rounding, and ``best_x`` keeps the best
+    point seen.
+
+    A problem gets the same bits in any stack, alone included: a stacked
+    ``matmul`` equals the per-slice product, every problem keeps the start
+    bank as its own slice (widening a bank with more columns moves the
+    bits), and an exponent that every problem shares is passed as a
+    scalar, so NumPy takes the fast paths of ``_POW_FAST_PATHS`` exactly
+    where a lone problem would.  ``_numeric_many`` groups problems so that
+    every fast-path exponent in a stack is shared.
     """
     p = len(exps)
-    r = np.array([e[0] for e in exps]).reshape(p, 1, 1)
-    s = np.array([e[1] for e in exps]).reshape(p, 1, 1)
+    r, s = np.array(exps).T
+    e = [_shared(a) for a in (s - 1.0, 1.0 / (r - 1.0), r, 1.0 / r, s)]
     x0 = _start_bank(m.shape[-1], opts)
-    x = x0 / _scaled_pnorm(np.broadcast_to(x0, (p,) + x0.shape), r)[0]
+    x = x0 / _scaled_pnorm(np.broadcast_to(x0, (p,) + x0.shape), e[2])[0]
     mt = np.swapaxes(m, -1, -2)
-    e = [s - 1.0, 1.0 / (r - 1.0), r, 1.0 / r, s]
     tol = opts.tolerance
-    f, yn = _scaled_pnorm(m @ x, s)
+    f, yn = _scaled_pnorm(m @ x, e[4])
     best_f, best_x = f.copy(), x.copy()
     converged = np.zeros(f.shape, dtype=bool)
     stall = np.zeros(p, dtype=int)
@@ -478,12 +440,27 @@ def _stacked_ascent(m, exps, opts) -> list:
     live = np.arange(p)  # input position of each slice
     out = [None] * p
     for _ in range(opts.max_iterations):
-        x, f, yn = _power_step(m, mt, x, f, yn, e, tol, best_f, best_x, converged)
-        top = best_f.max(axis=(1, 2))
-        stall = np.where(top <= last_best * (1.0 + _STALL_RTOL), stall + 1, 0)
+        s_minus_1, inv_r_minus_1, r, inv_r, s = e
+        xn = _scale_columns(mt @ yn**s_minus_1)[1] ** inv_r_minus_1
+        nrm = _column_sums(xn**r) ** inv_r
+        dead = nrm <= 0.0
+        if np.count_nonzero(dead):
+            xn = np.where(dead, x, xn)
+            nrm = np.where(dead, 1.0, nrm)
+        xn /= nrm  # in place: the unnormalised points do not outlive the step
+        fn, yn = _scaled_pnorm(m @ xn, s)
+        converged |= np.abs(fn - f) / np.maximum(fn, 1e-300) < tol
+        x, f = xn, fn
+        improved = f > best_f
+        np.copyto(best_f, f, where=improved)
+        np.copyto(best_x, x, where=improved)
+        # Bookkeeping in ufunc reductions and count_nonzero: their method
+        # forms cost several times more on arrays this short.
+        top = np.maximum.reduce(best_f, axis=(1, 2))
+        stall = (stall + 1) * (top <= last_best * (1.0 + _STALL_RTOL))
         last_best = top
-        done = converged.all(axis=(1, 2)) | (stall >= _STALL_STEPS)
-        if done.any():
+        done = np.logical_and.reduce(converged, axis=(1, 2)) | (stall >= _STALL_STEPS)
+        if np.count_nonzero(done):
             for i in np.flatnonzero(done):
                 out[live[i]] = _best_start(best_f[i, 0], best_x[i])
             keep = ~done
@@ -491,27 +468,53 @@ def _stacked_ascent(m, exps, opts) -> list:
                 return out
             live, x, yn, f, best_f, best_x, converged, stall, last_best = (
                 a[keep] for a in (live, x, yn, f, best_f, best_x, converged, stall, last_best))
-            e = [a[keep] for a in e]
+            e = [a[keep] if isinstance(a, np.ndarray) else a for a in e]
             if m.ndim == 3:
                 m = m[keep]
-                mt = np.swapaxes(m, -1, -2)  # the layout of the single-problem m.T
+                mt = np.swapaxes(m, -1, -2)  # the layout of a lone matrix's m.T
     for i, j in enumerate(live):  # stopped by the iteration cap
         finish = _best_start if converged[i].any() else _no_convergence
         out[j] = finish(best_f[i, 0], best_x[i])
     return out
 
 
-def _stackable(r: float, s: float) -> bool:
-    """Whether the problem (r, s) keeps its single-problem bits in a stack.
-
-    Boundary exponents take their exact reductions in ``norm_numeric``.
-    Every power the ascent takes must avoid ``_POW_FAST_PATHS``, which
-    NumPy applies to a scalar exponent but not to an exponent array.
-    """
-    if not (1.0 < r < math.inf and 1.0 < s < math.inf):
-        return False
+def _fast_path_key(r: float, s: float) -> tuple:
+    """The powers the ascent at (r, s) takes, with None for each not in ``_POW_FAST_PATHS``."""
     powers = (s - 1.0, 1.0 / (r - 1.0), r, s, 1.0 / r, 1.0 / s)
-    return not any(e in _POW_FAST_PATHS for e in powers)
+    return tuple(e if e in _POW_FAST_PATHS else None for e in powers)
+
+
+def _stackable(r: float, s: float) -> bool:
+    """Whether (r, s) is interior, solved by the ascent; boundary exponents reduce exactly."""
+    return 1.0 < r < math.inf and 1.0 < s < math.inf
+
+
+def _boundary_norm(m: np.ndarray, r: float, s: float) -> tuple:
+    """(witness, value) at boundary exponents, by their exact reductions.
+
+    r = 1 picks the best column, s = inf the best row (via its Hoelder
+    dual vector), r = inf the all-ones vector, and s = 1 the dual of the
+    column sums.
+    """
+    n = m.shape[1]
+    if r == 1.0:
+        col = _pnorm(m, s)
+        j = int(np.argmax(col))
+        witness = np.zeros(n)
+        witness[j] = 1.0
+        return witness, float(col[j])
+    if math.isinf(r):
+        witness = np.ones(n)
+        return witness, float(_pnorm(m @ witness, s))
+    rstar = r / (r - 1.0)
+    if math.isinf(s):
+        rows = _pnorm(m.T, rstar)
+        i = int(np.argmax(rows))
+        witness = _unit_r(m[i] ** (rstar - 1.0), r) if rows[i] > 0.0 else np.eye(n)[0]
+    else:  # s == 1
+        sums = m.sum(axis=0)
+        witness = _unit_r(sums ** (rstar - 1.0), r) if sums.max() > 0.0 else np.eye(n)[0]
+    return witness, _ratio(m, witness, r, s)
 
 
 def norm_numeric(c, r=None, s=None, w: WeightTriple | None = None,
@@ -524,7 +527,8 @@ def norm_numeric(c, r=None, s=None, w: WeightTriple | None = None,
     seeded random positive vectors).  Boundary exponents
     reduce exactly: r = 1 picks the best column, s = inf the best row
     (via its Hoelder dual vector), r = inf the all-ones vector, and
-    s = 1 the dual of the column sums.
+    s = 1 the dual of the column sums.  This is the one-problem case of
+    ``_numeric_many``.
 
     The result is checked against the closed form when one applies and,
     for doubly stochastic input, against the certified sandwich between
@@ -535,34 +539,7 @@ def norm_numeric(c, r=None, s=None, w: WeightTriple | None = None,
         NormConsistencyError: if a certified check fails.
     """
     r, s = _exponents(r, s, w)
-    c = _as_overlap(c)
-    m = c.matrix
-    opts = opts or SolverOptions()
-    n = m.shape[1]
-    if r == 1.0:
-        col = _pnorm(m, s)
-        j = int(np.argmax(col))
-        witness = np.zeros(n)
-        witness[j] = 1.0
-        value = float(col[j])
-    elif math.isinf(r):
-        witness = np.ones(n)
-        value = float(_pnorm(m @ witness, s))
-    elif math.isinf(s):
-        rstar = r / (r - 1.0)
-        rows = _pnorm(m.T, rstar)
-        i = int(np.argmax(rows))
-        witness = _unit_r(m[i] ** (rstar - 1.0), r) if rows[i] > 0.0 else np.eye(n)[0]
-        value = _ratio(m, witness, r, s)
-    elif s == 1.0:
-        rstar = r / (r - 1.0)
-        sums = m.sum(axis=0)
-        witness = _unit_r(sums ** (rstar - 1.0), r) if sums.max() > 0.0 else np.eye(n)[0]
-        value = _ratio(m, witness, r, s)
-    else:
-        witness = _multistart_ascent(m, r, s, opts)
-        value = _ratio(m, witness, r, s)
-    return _numeric_result(c, r, s, witness, value, base)
+    return next(_numeric_many(c, [(r, s)], opts, base))
 
 
 def _numeric_result(c, r, s, witness, value, base) -> NormResult:
@@ -592,38 +569,39 @@ def _numeric_many(c, exps, opts: SolverOptions | None = None,
     """Yield ``norm_numeric(c, r, s, opts=opts, base=base)`` for each (r, s), in order.
 
     ``c`` is one matrix for every problem or, with ``per_problem``, a
-    sequence holding each problem's own matrix.  The ``_stackable``
-    problems of one matrix shape, when there are two or more, are solved
-    in ``_stacked_ascent`` stacks of at most ``_STACK_FLOATS`` floats per
-    ``(P, n, k)`` array before the first result is yielded; every other
-    problem goes to ``norm_numeric`` when its turn comes.  Results and
-    errors come out in input order, with the bits, messages and values of
-    the per-problem calls.
+    sequence holding each problem's own matrix.  Boundary exponents take
+    ``_boundary_norm`` when their turn comes.  ``_stackable`` problems are
+    grouped by matrix shape and ``_fast_path_key``, so that every stack
+    shares its fast-path exponents, and each group is solved in
+    ``_stacked_ascent`` stacks of at most ``_STACK_FLOATS`` floats per
+    ``(P, n, k)`` array before the first result is yielded.  Results and
+    errors come out in input order, with the bits, messages and values a
+    problem gets when solved alone.
     """
     opts = opts or SolverOptions()
     exps = [_exponents(r, s) for r, s in exps]
     cs = [_as_overlap(a) for a in c] if per_problem else [_as_overlap(c)] * len(exps)
-    shapes = {}
+    groups = {}
     for i, (r, s) in enumerate(exps):
         if _stackable(r, s):
-            shapes.setdefault(cs[i].matrix.shape, []).append(i)
+            groups.setdefault((cs[i].matrix.shape, _fast_path_key(r, s)), []).append(i)
     solved = {}
-    for (_, n), ids in shapes.items():
-        if len(ids) < 2:
-            continue
+    for ((_, n), _), ids in groups.items():
         cap = _stack_cap(n, opts)
         for j in range(0, len(ids), cap):
             chunk = ids[j:j + cap]
             m = np.stack([cs[i].matrix for i in chunk]) if per_problem else cs[0].matrix
             solved.update(zip(chunk, _stacked_ascent(m, [exps[i] for i in chunk], opts)))
     for i, (r, s) in enumerate(exps):
-        if i not in solved:
-            yield norm_numeric(cs[i], r, s, opts=opts, base=base)
-            continue
-        witness = solved[i]
-        if isinstance(witness, SolverFailureError):
-            raise witness
-        yield _numeric_result(cs[i], r, s, witness, _ratio(cs[i].matrix, witness, r, s), base)
+        m = cs[i].matrix
+        if i in solved:
+            witness = solved[i]
+            if isinstance(witness, SolverFailureError):
+                raise witness
+            value = _ratio(m, witness, r, s)
+        else:
+            witness, value = _boundary_norm(m, r, s)
+        yield _numeric_result(cs[i], r, s, witness, value, base)
 
 
 def norm(c, w: WeightTriple | None = None, opts: SolverOptions | None = None,

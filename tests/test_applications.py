@@ -212,22 +212,23 @@ def test_sweep_numeric_column_is_randomness_bound_numeric(base):
         assert numeric.hex() == want.hex(), (h_x, h_y)
 
 
-def test_randomness_numeric_runs_one_ascent_per_fast_path_point(monkeypatch):
-    # The lattice's 182 numeric points are solved in one pass: 164 share one
-    # stack and only the 18 whose exponents hit a NumPy fast-path power
-    # take the single-problem ascent.
-    calls = []
-    ascent = norms._multistart_ascent
+def test_randomness_numeric_stacks_fast_path_points_by_exponent(monkeypatch):
+    # The lattice's 182 numeric points are solved in one pass: the 164
+    # without a NumPy fast-path power fill two stacks of at most 122, and
+    # the 18 with one share their exponent in two stacks of 9, mu = 1/2
+    # (r = 2) and lambda = 1/2 (s = 2).
+    stacks = []
+    ascent = norms._stacked_ascent
 
-    def counting(m, r, s, opts):
-        calls.append((r, s))
-        return ascent(m, r, s, opts)
+    def counting(m, exps, opts):
+        stacks.append(list(exps))
+        return ascent(m, exps, opts)
 
-    monkeypatch.setattr(norms, "_multistart_ascent", counting)
+    monkeypatch.setattr(norms, "_stacked_ascent", counting)
     value = randomness_bound_numeric(0.55, 0.55, rotation_overlap_2d(math.pi / 6), LATTICE21)
     assert value.hex() == "0x1.42a4e205a8308p-3"
-    assert len(calls) == 18
-    assert not any(norms._stackable(r, s) for r, s in calls)
+    assert [len(exps) for exps in stacks] == [122, 42, 9, 9]
+    assert all(r == 2.0 for r, _ in stacks[2]) and all(s == 2.0 for _, s in stacks[3])
 
 
 # ---------------------------------------------------------------------------

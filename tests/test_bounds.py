@@ -218,13 +218,13 @@ def test_compare_runs_the_solver_only_where_no_theorem_applies(monkeypatch):
     from entrobound import norms
 
     calls = []
-    solver = norms.norm_numeric
+    ascent = norms._stacked_ascent
 
-    def counting(c, *args, **kwargs):
-        calls.append(c.shape)
-        return solver(c, *args, **kwargs)
+    def counting(m, exps, opts):
+        calls.extend([m.shape[-2:]] * len(exps))
+        return ascent(m, exps, opts)
 
-    monkeypatch.setattr(norms, "norm_numeric", counting)
+    monkeypatch.setattr(norms, "_stacked_ascent", counting)
     for theta in (0.0, 0.3, math.pi / 6, math.pi / 4):
         assert compare_state_independent(rotation_overlap_2d(theta), opts=FAST).conjecture_ok
     assert compare_state_independent(np.eye(2)[::-1], opts=FAST).conjecture_ok
@@ -371,22 +371,23 @@ def test_entropy_upper_bound_keeps_its_recorded_bits(name, base):
         assert value.hex() == bits, (h_x, h_y)
 
 
-def test_entropy_upper_bound_runs_one_ascent_per_fast_path_point(monkeypatch):
-    # The corner and the lattice are solved in one pass: only the 18 points
-    # whose exponents hit a NumPy fast-path power take the single-problem
-    # ascent; the other 164 numeric points share one stack.
-    calls = []
-    ascent = norms._multistart_ascent
+def test_entropy_upper_bound_stacks_fast_path_points_by_exponent(monkeypatch):
+    # The corner and the lattice are solved in one pass.  Of its 182
+    # numeric points, the 164 without a NumPy fast-path power fill two
+    # stacks of at most 122; the 18 with one share their exponent in two
+    # stacks of 9, lambda = 1/2 (s = 2) and mu = 1/2 (r = 2).
+    stacks = []
+    ascent = norms._stacked_ascent
 
-    def counting(m, r, s, opts):
-        calls.append((r, s))
-        return ascent(m, r, s, opts)
+    def counting(m, exps, opts):
+        stacks.append(list(exps))
+        return ascent(m, exps, opts)
 
-    monkeypatch.setattr(norms, "_multistart_ascent", counting)
+    monkeypatch.setattr(norms, "_stacked_ascent", counting)
     value = entropy_upper_bound(0.55, 0.55, rotation_overlap_2d(math.pi / 6), grid=LATTICE21)
     assert value.hex() == "0x1.91e0c2305f1b0p-2"
-    assert len(calls) == 18
-    assert not any(norms._stackable(r, s) for r, s in calls)
+    assert [len(exps) for exps in stacks] == [122, 42, 9, 9]
+    assert all(s == 2.0 for _, s in stacks[2]) and all(r == 2.0 for r, _ in stacks[3])
 
 
 def test_envelope_endpoints():

@@ -247,6 +247,20 @@ def test_solver_failure_exits_two(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option, value, message", [
+    ("--restarts", "-3", "restarts must be >= 0"),
+    ("--max-iterations", "0", "max_iterations must be >= 1"),
+    ("--max-iterations", "-5", "max_iterations must be >= 1"),
+    ("--tolerance", "nan", "tolerance must be finite and > 0"),
+    ("--tolerance", "-1", "tolerance must be finite and > 0"),
+    ("--tolerance", "inf", "tolerance must be finite and > 0"),
+])
+def test_bad_solver_options_exit_one(capsys, option, value, message):
+    code = cli.main(["norm", "--haar", "3", "--r", "1.3", "--s", "2.9", option, value])
+    assert code == 1
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("entry", ["inf", "nan"])
 def test_non_finite_matrix_entry_exits_one(tmp_path, capsys, entry):
     mat = tmp_path / "m.txt"
@@ -301,13 +315,13 @@ def test_fuzz_reproduces_tracked_counterexamples_bit_for_bit():
 
 def test_fuzz_runs_the_ascent_only_where_no_closed_form_applies(monkeypatch):
     calls = []
-    ascent = norms._multistart_ascent
+    ascent = norms._stacked_ascent
 
-    def counting(m, r, s, opts):
-        calls.append((r, s))
-        return ascent(m, r, s, opts)
+    def counting(m, exps, opts):
+        calls.extend(exps)
+        return ascent(m, exps, opts)
 
-    monkeypatch.setattr(norms, "_multistart_ascent", counting)
+    monkeypatch.setattr(norms, "_stacked_ascent", counting)
     run_conjecture_fuzz(dims=(2, 3), samples=2, grid=11, seed=0)
     assert calls
     assert all(s > r for r, s in calls)

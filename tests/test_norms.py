@@ -300,6 +300,17 @@ def test_solver_failure_reports_best_attempt():
     assert err.best_point is not None and len(err.best_point) == 2
 
 
+@pytest.mark.parametrize("bad", [
+    dict(restarts=-1), dict(max_iterations=0), dict(max_iterations=-5),
+    dict(tolerance=0.0), dict(tolerance=-1.0), dict(tolerance=math.nan),
+    dict(tolerance=math.inf),
+])
+def test_solver_options_reject_values_the_solver_cannot_run(bad):
+    with pytest.raises(ValueError, match=next(iter(bad))):
+        SolverOptions(**bad)
+    SolverOptions(restarts=0, max_iterations=1, tolerance=1e-18)
+
+
 #: Sparse, badly scaled inputs on which a step of the ascent drops the
 #: objective by rounding, with the value an ascent that ran a golden-section
 #: line search after each such drop found (restarts=4), as float.hex.
@@ -377,17 +388,17 @@ def _same_bits(a, b):
             and a.method == b.method and a.certified_bounds == b.certified_bounds)
 
 
-def _counting_ascent(monkeypatch):
-    """Record the (r, s) of every single-problem ascent."""
-    calls = []
-    ascent = norms._multistart_ascent
+def _counting_stacks(monkeypatch):
+    """Record the matrix shape and the (r, s) list of every ascent stack."""
+    stacks = []
+    ascent = norms._stacked_ascent
 
-    def counting(m, r, s, opts):
-        calls.append((r, s))
-        return ascent(m, r, s, opts)
+    def counting(m, exps, opts):
+        stacks.append((m.shape, list(exps)))
+        return ascent(m, exps, opts)
 
-    monkeypatch.setattr(norms, "_multistart_ascent", counting)
-    return calls
+    monkeypatch.setattr(norms, "_stacked_ascent", counting)
+    return stacks
 
 
 def _fast_path(r, s):
@@ -399,40 +410,46 @@ def _fast_path(r, s):
 
 
 def test_stacked_profile_solves_match_norm_numeric_bit_for_bit(monkeypatch):
-    # fig-norm-profile's list: 198 of 200 points share one stack; mu = 1/2
-    # (r = s = 2) and mu = 1 (r = 1, s = inf) take the public path.
+    # fig-norm-profile's list: mu = 1/2 (r = s = 2, fast-path powers) is a
+    # stack of its own, mu = 1 (r = 1, s = inf) reduces exactly, and the
+    # other 198 points fill two stacks of at most 2**14 // 134 = 122.
     c = rotation_overlap_2d(math.pi / 6)
     triples = [WeightTriple(1.0, float(mu), float(mu)) for mu in np.linspace(0.5, 1.0, 200)]
     points = [(w.r, w.s) for w in triples]
     want = [norm_numeric(c, r, s) for r, s in points]
-    calls = _counting_ascent(monkeypatch)
+    stacks = _counting_stacks(monkeypatch)
     got = list(norms._numeric_many(c, points))
     assert len(got) == len(want) and all(_same_bits(a, b) for a, b in zip(got, want))
-    assert calls == [(2.0, 2.0)]
-    assert sum(norms._stackable(r, s) for r, s in points) == 198
+    assert [exps for _, exps in stacks] == [[(2.0, 2.0)], points[1:123], points[123:199]]
 
 
 @pytest.mark.parametrize("engine", ["randomness", "envelope"])
 def test_stacked_weight_lattices_match_norm_bit_for_bit(monkeypatch, engine):
     # The randomness sweep's 21 x 21 lattice and fig-region's default
     # envelope grid, at theta = pi/6: closed forms where they apply, the
-    # numeric misses in one stack, fast-path exponents one at a time.
+    # numeric misses in stacks of at most 122, the fast-path exponents
+    # in stacks of their own: mu = 1/2 (r = 2) and lambda = 1/2 (s = 2).
     c = rotation_overlap_2d(math.pi / 6)
     axis = np.linspace(0.0, 1.0, 21)
     triples = ([WeightTriple(1.0, float(lam), float(mu)) for mu in axis for lam in axis]
                if engine == "randomness" else default_envelope_grid())
     want = [norm(c, w) for w in triples]
     misses = [(w.r, w.s) for w in triples if norm_closed_form(c, w=w) is None]
-    calls = _counting_ascent(monkeypatch)
+    stacks = _counting_stacks(monkeypatch)
     got = list(norms._norm_many(c, triples))
     assert len(got) == len(want) and all(_same_bits(a, b) for a, b in zip(got, want))
-    stacked = [p for p in misses if norms._stackable(*p)]
-    assert len(stacked) == {"randomness": 164, "envelope": 40}[engine]
-    assert calls == [p for p in misses if _fast_path(*p)]
+    plain = [p for p in misses if norms._stackable(*p) and not _fast_path(*p)]
+    fast = [p for p in misses if _fast_path(*p)]
+    want_stacks = [plain[:122], plain[122:]] if len(plain) > 122 else [plain]
+    if fast:
+        want_stacks += [[p for p in fast if p[0] == 2.0], [p for p in fast if p[1] == 2.0]]
+    assert [exps for _, exps in stacks] == want_stacks
+    assert [len(exps) for exps in want_stacks] == {
+        "randomness": [122, 42, 9, 9], "envelope": [40]}[engine]
 
 
 @pytest.mark.parametrize("restarts", [2, 8])
-def test_stacked_d3_lattice_matches_norm_numeric_bit_for_bit(restarts):
+def test_stacked_d3_lattice_matches_norm_numeric_bit_for_bit(monkeypatch, restarts):
     c = from_unitary(qmath.haar_random_unitary(3, np.random.default_rng([0, 3])))
     sigma2 = min(second_singular_value(c), 1.0)
     points = [(1.0 / mu, 1.0 / (1.0 - lam))
@@ -440,24 +457,81 @@ def test_stacked_d3_lattice_matches_norm_numeric_bit_for_bit(restarts):
               if 0.0 < mu < 1.0 and 0.0 < lam < 1.0 and mu + lam > 1.0]
     opts = SolverOptions(restarts=restarts)
     want = [norm_numeric(c, r, s, opts=opts) for r, s in points]
+    stacks = _counting_stacks(monkeypatch)
     got = list(norms._numeric_many(c, points, opts=opts))
     assert len(got) == len(want) and all(_same_bits(a, b) for a, b in zip(got, want))
-    assert sum(norms._stackable(r, s) for r, s in points) == 23
+    plain = [p for p in points if not _fast_path(*p)]
+    assert len(plain) == 23
+    assert [exps for _, exps in stacks] == [plain] + [
+        [p for p in points if p[0] == 2.0], [p for p in points if p[1] == 2.0]]
 
 
-def test_half_weights_take_the_single_problem_path(monkeypatch):
+def test_half_weights_stack_by_their_shared_exponent(monkeypatch):
     # mu = 1/2 gives r = 2 and lambda = 1/2 gives s = 2: NumPy squares a
-    # scalar exponent 2 by a fast path whose bits an exponent array lacks.
+    # scalar exponent 2 by a fast path whose bits an exponent array lacks,
+    # so each stack shares its fast-path exponents as scalars.
     c = rotation_overlap_2d(math.pi / 6)
     points = [(2.0, 1.0 / (1.0 - lam)) for lam in (0.55, 0.6, 0.7, 0.8)]
     points += [(1.0 / mu, 2.0) for mu in (0.55, 0.6, 0.7)]
-    points += [(1.0 / 0.6, 1.0 / 0.3), (1.0 / 0.7, 1.0 / 0.25)]  # stackable
+    points += [(1.0 / 0.6, 1.0 / 0.3), (1.0 / 0.7, 1.0 / 0.25)]  # no fast path
     want = [norm_numeric(c, r, s) for r, s in points]
-    calls = _counting_ascent(monkeypatch)
+    stacks = _counting_stacks(monkeypatch)
     got = list(norms._numeric_many(c, points))
     assert all(_same_bits(a, b) for a, b in zip(got, want))
-    assert calls == points[:7]
-    assert [norms._stackable(r, s) for r, s in points] == [False] * 7 + [True] * 2
+    assert [exps for _, exps in stacks] == [points[:4], points[4:7], points[7:]]
+    assert [_fast_path(r, s) for r, s in points] == [True] * 7 + [False] * 2
+
+
+#: Lone norm_numeric results as the former single-problem ascent loop gave
+#: them, with 8 restarts on the Haar qutrit of seed [0, 3]: an interior
+#: point, r = 2 and s = 2 (fast-path powers) -> (value, log2 value, witness).
+LONE_SOLVE_BITS = {
+    (1.0 / 0.6, 1.0 / (1.0 - 0.7)): (
+        "0x1.a812eca2f1d08p-1", "-0x1.165a16c8d593ep-2",
+        ["0x1.d861c4691c0e1p-6", "0x1.ef49b7d382956p-5", "0x1.fc4c123a6f0b4p-1"]),
+    (2.0, 1.0 / (1.0 - 0.7)): (
+        "0x1.ade25e61ee35fp-1", "-0x1.023f8cac693e4p-2",
+        ["0x1.09130c669c2c2p-3", "0x1.7b143c94cc304p-3", "0x1.f2c507d54bed3p-1"]),
+    (1.0 / 0.7, 2.0): (
+        "0x1.af45598c14e8dp-1", "-0x1.fafb34067baf3p-3",
+        ["0x1.122fd1595711fp-5", "0x1.a73cea48638b8p-5", "0x1.f7f98f1701fd6p-1"]),
+}
+
+
+@pytest.mark.parametrize("point", list(LONE_SOLVE_BITS), ids=["interior", "r=2", "s=2"])
+def test_lone_solves_keep_their_recorded_bits(point):
+    c = from_unitary(qmath.haar_random_unitary(3, np.random.default_rng([0, 3])))
+    res = norm_numeric(c, *point, opts=SolverOptions(restarts=8))
+    value, log_value, witness = LONE_SOLVE_BITS[point]
+    assert res.value.hex() == value
+    assert res.log_value.hex() == log_value
+    assert [float(v).hex() for v in res.witness] == witness
+
+
+def test_lone_solver_failure_keeps_its_recorded_bits():
+    m = np.array([[1.0, 2.0, 0.5], [3.0, 4.0, 1.0], [0.2, 1.0, 2.0]])
+    with pytest.raises(SolverFailureError, match="no start of the power iteration converged") as exc:
+        norm_numeric(m, 1.3, 1.7, opts=SolverOptions(restarts=2, max_iterations=3))
+    assert exc.value.best_value.hex() == "0x1.445abdc4f5308p+2"
+    assert [float(v).hex() for v in exc.value.best_point] == [
+        "0x1.c56e739b67568p-3", "0x1.c3395207f129ap-1", "0x1.f17c978783b9ap-6"]
+
+
+def test_numpy_power_fast_paths_take_scalar_exponents_only():
+    # The ascent passes an exponent shared by a whole stack as a scalar so
+    # that NumPy takes the fast path a lone problem takes; exponents that
+    # differ across a stack form a (P, 1, 1) array, which must not.
+    x = np.random.default_rng(0).uniform(0.01, 3.0, (4, 3, 7))
+    fast = {-1.0: np.reciprocal, 0.5: np.sqrt, 2.0: np.square}
+    assert sorted(fast) == sorted(norms._POW_FAST_PATHS)
+    for e, op in fast.items():
+        want = op(x).tobytes()
+        assert (x**e).tobytes() == want
+        assert (x ** np.array([e])).tobytes() == want
+        assert (x ** np.full((1, 1, 1), e)).tobytes() == want
+        assert (x ** np.full((4, 1, 1), e)).tobytes() != want
+    for e in (1.0 / 3.0, 1.5, 1.7, 3.0):  # no fast path: scalar and array agree
+        assert (x**e).tobytes() == (x ** np.full((4, 1, 1), e)).tobytes()
 
 
 def test_stacked_dead_column_stays_finite_and_matches():
@@ -511,26 +585,19 @@ def test_per_problem_matrices_match_norm_numeric_bit_for_bit(monkeypatch, d, sam
     # compare's mu* problems, one matrix each.  At d = 12 a (P, 12, 21)
     # array holds at most 2**14 // 252 = 65 problems, so 70 take two
     # stacks.  The last problem sits at r = 2, a fast-path power, and
-    # takes the single-problem path.
+    # takes a stack of its own.
     opts = SolverOptions(restarts=8)
     cs, points = _mu_star_problems(d, 1, samples)
     points[-1] = (2.0, 3.0)
     want = [norm_numeric(c, r, s, opts=opts) for c, (r, s) in zip(cs, points)]
-    stacks = []
-    stacked = norms._stacked_ascent
-
-    def counting(m, exps, opts):
-        stacks.append((m.shape, len(exps)))
-        return stacked(m, exps, opts)
-
-    monkeypatch.setattr(norms, "_stacked_ascent", counting)
-    calls = _counting_ascent(monkeypatch)
+    stacks = _counting_stacks(monkeypatch)
     got = list(norms._numeric_many(cs, points, opts=opts, per_problem=True))
     assert len(got) == len(want) and all(_same_bits(a, b) for a, b in zip(got, want))
-    assert calls == [(2.0, 3.0)]
     cap = norms._STACK_FLOATS // (d * (d + 1 + opts.restarts))
     sizes = [samples - 1] if samples - 1 <= cap else [cap, samples - 1 - cap]
-    assert stacks == [((n, d, d), n) for n in sizes]
+    assert [(shape, len(exps)) for shape, exps in stacks] == (
+        [((n, d, d), n) for n in sizes] + [((1, d, d), 1)])
+    assert stacks[-1][1] == [(2.0, 3.0)]
 
 
 def test_per_problem_failure_is_the_first_in_input_order():
