@@ -17,7 +17,7 @@ import numpy as np
 from .bounds import _check_entropies
 from .errors import DegenerateCaseError
 from .norms import SolverOptions, WeightTriple, _check_sigma2, _norm_many, norm
-from .overlap import OverlapMatrix
+from .overlap import OverlapMatrix, _as_overlap
 from .qmath import (
     DensityMatrix,
     LogBase,
@@ -113,7 +113,9 @@ def randomness_bound_numeric(h_x, h_y, c, grid,
     triples = [WeightTriple(1.0, float(l), float(m)) for m, l in grid]
     if not triples:
         raise ValueError("weight grid is empty")
-    log_norms = np.array([res.log_value for res in _norm_many(c, triples, opts, base)])
+    c = _as_overlap(c)
+    log_norms = np.array([res.log_value for res in
+                          _norm_many([(c, w.r, w.s) for w in triples], opts, base)])
     lam, mu = np.array([(w.lam, w.mu) for w in triples]).T
     h_x, h_y = np.broadcast_arrays(np.asarray(h_x, dtype=float), np.asarray(h_y, dtype=float))
     best = np.empty(h_x.shape)
@@ -249,9 +251,7 @@ def _witness(h_x: float, h_y, d: int, sigma2, s_max: float, base: LogBase) -> tu
     """
     h_y, sigma2 = np.broadcast_arrays(np.asarray(h_y, dtype=float),
                                       np.asarray(sigma2, dtype=float))
-    bad = ~((0.0 <= sigma2) & (sigma2 <= 1.0))
-    if np.count_nonzero(bad):
-        raise ValueError(f"sigma2 must lie in [0, 1], got {sigma2[bad].flat[0]}")
+    _check_sigma2(sigma2)
     # sigma2 = 1 never certifies, and its entropies are not checked.
     live = sigma2 < 1.0
     log_d = base.log(d)

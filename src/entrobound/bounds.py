@@ -13,6 +13,7 @@ envelope over a family of weights.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -172,32 +173,34 @@ def compare_state_independent(c, opts: SolverOptions | None = None,
     return next(_compare_many([c], opts, base, on_violation))
 
 
+def _compare_setup(c) -> tuple:
+    """(c, sigma2, mu* weights, proven) of one comparison input, checked."""
+    c = _as_overlap(c)
+    m = c.matrix
+    if m.shape[0] != m.shape[1]:
+        raise ValueError("comparison requires a square overlap matrix")
+    sigma2 = min(c.sigma2, 1.0)
+    ms = mu_star(sigma2)
+    # For d = 2 the theorem gives the norm at mu*, so no solver runs.
+    proven = m.shape[0] == 2 and c.is_doubly_stochastic()
+    return c, sigma2, WeightTriple(1.0, ms, ms), proven
+
+
 def _compare_many(cs, opts: SolverOptions | None = None, base: LogBase = LogBase.TWO,
                   on_violation: str = "raise"):
     """Yield ``compare_state_independent(c, opts, base, on_violation)`` for each c, in order.
 
-    The numeric problems at mu* are solved together by ``_numeric_many``,
-    one matrix per problem, with the bits of the per-matrix solves.  Rows,
-    solver errors and ``ConjectureViolationError`` come out in input
-    order; an input that would be rejected before solving is rejected
-    before any solve.
+    ``cs`` is read lazily: its problems at mu* stream into ``_numeric_many``,
+    which reads at most one batch ahead of the rows yielded.  Rows, solver
+    errors and ``ConjectureViolationError`` come out in input order; an
+    input that would be rejected before solving is rejected before any
+    solve of its batch.
     """
     if on_violation not in ("raise", "use_numeric"):
         raise ValueError(f"unknown on_violation mode {on_violation!r}")
-    setups = []
-    for c in cs:
-        c = _as_overlap(c)
-        m = c.matrix
-        if m.shape[0] != m.shape[1]:
-            raise ValueError("comparison requires a square overlap matrix")
-        sigma2 = min(c.sigma2, 1.0)
-        ms = mu_star(sigma2)
-        # For d = 2 the theorem gives the norm at mu*, so no solver runs.
-        proven = m.shape[0] == 2 and c.is_doubly_stochastic()
-        setups.append((c, sigma2, WeightTriple(1.0, ms, ms), proven))
-    searched = [(c, w) for c, _, w, proven in setups if not proven]
-    numerics = _numeric_many([c for c, _ in searched], [(w.r, w.s) for _, w in searched],
-                             opts, base, per_problem=True)
+    setups, searched = itertools.tee(map(_compare_setup, cs))
+    numerics = _numeric_many(((c, w.r, w.s) for c, _, w, proven in searched if not proven),
+                             opts, base)
     for c, sigma2, w, proven in setups:
         numeric = None if proven else next(numerics)
         d = c.matrix.shape[0]
@@ -239,7 +242,9 @@ def entropy_upper_bound(h_x: float, h_y: float, c, grid=None,
     _check_entropies(h_x, h_y)
     pairs = [(1.0, 1.0)] + ([] if grid is None else list(grid))
     triples = [WeightTriple(1.0, float(l), float(m)) for l, m in pairs]
-    log_norms = np.array([res.log_value for res in _norm_many(c, triples, opts, base)])
+    c = _as_overlap(c)
+    log_norms = np.array([res.log_value for res in
+                          _norm_many([(c, w.r, w.s) for w in triples], opts, base)])
     lam, mu = np.array([(w.lam, w.mu) for w in triples]).T
     # - c_lower_bound = -(-alpha * log_norm) = log_norm exactly, at alpha = 1.
     return float(np.min(lam * h_x + mu * h_y + log_norms))
@@ -286,6 +291,7 @@ def envelope_curve(c, s_grid, weight_grid=None,
         if w.lam != w.mu or w.lam == 0.0:
             raise ValueError(f"envelope grid needs lambda = mu > 0, got {w}")
     env = np.full(s_vals.shape, -np.inf)
-    for w, res in zip(triples, _norm_many(c, triples, opts=opts, base=base)):
+    c = _as_overlap(c)
+    for w, res in zip(triples, _norm_many([(c, w.r, w.s) for w in triples], opts, base)):
         env = np.maximum(env, (w.alpha * s_vals + _constant(w, res.log_value)) / w.lam)
     return s_vals, env

@@ -124,8 +124,6 @@ def _cmd_norm(args) -> int:
     if have_rs:
         if args.r is None or args.s is None:
             raise ValueError("--r and --s must be given together")
-        if not (args.r >= 1.0 and args.s >= 1.0):  # NaN fails both comparisons
-            raise ValueError("exponents must satisfy r >= 1 and s >= 1")
         point = {"r": args.r, "s": args.s}  # solved and reported as given
     elif have_w:
         if args.mu is None or args.lam is None:

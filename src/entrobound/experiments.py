@@ -37,7 +37,6 @@ from .norms import (
     _exponents,
     _norm_many,
     _numeric_many,
-    _stack_cap,
     feasible_weight_grid,
     mu_star,
     norm,
@@ -255,7 +254,7 @@ def run_norm_profile(theta: float = math.pi / 6, grid: int = 200,
     min_excess_beyond = np.inf
     mus = np.linspace(0.5, 1.0, grid)
     triples = [WeightTriple(1.0, float(mu), float(mu)) for mu in mus]
-    solved = _numeric_many(c, [(w.r, w.s) for w in triples], opts=opts, base=base)
+    solved = _numeric_many([(c, w.r, w.s) for w in triples], opts, base)
     for mu, res in zip(mus, solved):
         mub_line = (1.0 - 2.0 * mu) * ln2
         excess = res.log_value - mub_line
@@ -321,9 +320,8 @@ def run_compare_random(dims=tuple(range(2, 13)), samples: int = 1000,
     the largest-overlap and second-overlap constants.  Rows also report
     how many evaluations fell back to the numeric norm because the
     conjectured closed form failed verification.  A dimension's matrices
-    are drawn and compared in blocks of one stack (``norms._stack_cap``,
-    at most ``norms._STACK_FLOATS`` floats per array), whose mu* problems
-    are solved together (``bounds._compare_many``), so memory does not
+    are drawn lazily into one ``bounds._compare_many`` pass, whose mu*
+    problems are solved a bounded batch at a time, so memory does not
     grow with ``samples``; each row has the bits of
     ``compare_state_independent`` on its own matrix.
     """
@@ -337,15 +335,12 @@ def run_compare_random(dims=tuple(range(2, 13)), samples: int = 1000,
     pct = {}
     for d in dims:
         rng = np.random.default_rng([seed, d])
-        block = _stack_cap(d, opts)
+        draws = (from_unitary(haar_random_unitary(d, rng)) for _ in range(samples))
         best = 0
         fallbacks = 0
-        for start in range(0, samples, block):
-            cs = [from_unitary(haar_random_unitary(d, rng))
-                  for _ in range(min(block, samples - start))]
-            for row in _compare_many(cs, opts, base, on_violation="use_numeric"):
-                best += int(row.ours_at_least)
-                fallbacks += int(not row.conjecture_ok)
+        for row in _compare_many(draws, opts, base, on_violation="use_numeric"):
+            best += int(row.ours_at_least)
+            fallbacks += int(not row.conjecture_ok)
         pct[d] = 100.0 * best / samples
         rows.append((d, samples, pct[d], fallbacks))
     config = {
@@ -429,7 +424,7 @@ def run_conjecture_fuzz(dims=(2, 3, 4), samples: int = 1000, grid: int = 11,
             sigma2 = min(float(c.sigma2), 1.0)
             triples = [WeightTriple(1.0, lam, mu)
                        for mu, lam in feasible_weight_grid(sigma2, grid)]
-            for w, res in zip(triples, _norm_many(c, triples, opts, base)):
+            for w, res in zip(triples, _norm_many([(c, w.r, w.s) for w in triples], opts, base)):
                 conjectured = norm_mub(d, w.r, w.s)
                 excess = res.value - conjectured
                 evals += 1

@@ -7,18 +7,12 @@ by a multistart nonlinear power iteration.
 Weighted entropic bounds use the exponents r = alpha/mu and
 s = alpha/(alpha - lambda).
 
-Every numeric problem runs in the one ascent loop, ``_stacked_ascent``,
-as one slice of a ``(P, n, k)`` stack against one shared ``(n, n)`` matrix
-or a ``(P, n, n)`` stack of per-problem matrices; a problem (and its
-matrix) leaves the stack once it stops, and ``norm_numeric`` is a stack of
-one.  A problem gets the same bits in any stack as long as it keeps its
-own start bank as one slice (a stacked ``matmul`` equals the per-slice
-product, but widening a bank with more columns moves the bits) and NumPy
-takes the same scalar fast paths for ``x ** e`` (-1, 1/2, 2) as for the
-problem alone.  So ``_numeric_many`` groups problems by matrix shape and
-by the fast-path values among their powers, the stack passes every
-exponent its problems share as a scalar, and each stack holds at most
-``_STACK_FLOATS`` floats per ``(P, n, k)`` array.
+Every numeric problem is a ``(matrix, r, s)`` triple.  ``_numeric_many``
+reads problems lazily in input-order batches of at most ``_STACK_FLOATS``
+start-bank floats and solves each batch in ``_stacked_ascent``, the one
+ascent loop, in stacks grouped by matrix shape and by the NumPy fast-path
+powers, so that each problem gets the bits it gets alone.  ``norm_numeric``
+and ``norm`` are one-problem passes.
 """
 
 from __future__ import annotations
@@ -34,7 +28,7 @@ from numpy.random import default_rng
 
 from .errors import NormConsistencyError, SolverFailureError
 from .overlap import _as_overlap
-from .qmath import LogBase
+from .qmath import LogBase, _check_dim
 
 
 @dataclass(frozen=True)
@@ -177,8 +171,7 @@ def _ratio(c: np.ndarray, v: np.ndarray, r: float, s: float) -> float:
 def norm_mub(d: int, r=None, s=None, w: WeightTriple | None = None) -> float:
     """Closed-form norm d**(1/s - 1/r) of the constant overlap matrix."""
     r, s = _exponents(r, s, w)
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
+    _check_dim(d)
     inv_s = 0.0 if math.isinf(s) else 1.0 / s
     inv_r = 0.0 if math.isinf(r) else 1.0 / r
     return float(d) ** (inv_s - inv_r)
@@ -187,13 +180,15 @@ def norm_mub(d: int, r=None, s=None, w: WeightTriple | None = None) -> float:
 def norm_identity(d: int, r=None, s=None, w: WeightTriple | None = None) -> float:
     """Closed-form norm of the identity: d**(1/s - 1/r) if r >= s, else 1."""
     r, s = _exponents(r, s, w)
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
+    _check_dim(d)
     return norm_mub(d, r, s) if r >= s else 1.0
 
 
-def _check_sigma2(sigma2: float) -> None:
-    """Raise ValueError unless the second singular value lies in [0, 1]."""
+def _check_sigma2(sigma2) -> None:
+    """Raise ValueError unless sigma2 lies in [0, 1]; an array names its first entry outside."""
+    if isinstance(sigma2, np.ndarray):
+        outside = sigma2[~((0.0 <= sigma2) & (sigma2 <= 1.0))]
+        sigma2 = outside.flat[0] if outside.size else 0.0
     if not 0.0 <= sigma2 <= 1.0:
         raise ValueError(f"sigma2 must lie in [0, 1], got {sigma2}")
 
@@ -351,15 +346,10 @@ _STALL_STEPS, _STALL_RTOL = 60, 1e-13
 #: exponent array; the fast path's bits differ from the general power's.
 _POW_FAST_PATHS = (-1.0, 0.5, 2.0)
 
-#: Most floats in one ``(P, n, k)`` array of a stacked ascent: bounds its
-#: memory (128 KiB per array; 455 problems per stack at d = 3 with 8
-#: restarts, 65 at d = 12).
+#: Most start-bank floats, n * (1 + n + restarts) per problem, in one batch
+#: of ``_numeric_many``: 128 KiB per ``(P, n, k)`` array of a stack (455
+#: problems at d = 3 with 8 restarts, 65 at d = 12).
 _STACK_FLOATS = 2**14
-
-
-def _stack_cap(n: int, opts: SolverOptions) -> int:
-    """Most problems of an n x n matrix in one stacked ascent (``_STACK_FLOATS``)."""
-    return max(1, _STACK_FLOATS // _start_bank(n, opts).size)
 
 
 def _start_bank(n: int, opts: SolverOptions) -> np.ndarray:
@@ -398,13 +388,13 @@ def _shared(a: np.ndarray):
 def _stacked_ascent(m, exps, opts) -> list:
     """Multistart power iteration at every (r, s) in ``exps`` at once.
 
-    ``m`` is one ``(n, n)`` matrix shared by every problem or a ``(P, n, n)``
-    stack with one matrix per problem.  Each problem is one slice of a
-    ``(P, n, k)`` stack with its own start bank, convergence mask,
-    ``_STALL_STEPS`` stall counter and best points, and leaves the stack
-    (with its own matrix) at the step at which it stops.  Returns, per
-    problem in order, its best point, or the ``SolverFailureError`` of an
-    ascent none of whose starts converged within ``opts.max_iterations``.
+    ``m`` stacks one matrix per problem, ``(P, rows, n)``.  Each
+    problem is one slice of a ``(P, n, k)`` stack with its own start bank,
+    convergence mask, ``_STALL_STEPS`` stall counter and best points, and
+    leaves the stack (with its matrix) at the step at which it stops.
+    Returns, per problem in order, its best point, or the
+    ``SolverFailureError`` of an ascent none of whose starts converged
+    within ``opts.max_iterations``.
 
     The objective is ``_scaled_pnorm``, the body of ``_pnorm``, and the
     loop keeps the scaled ``m @ x`` it returns: that is the normalised
@@ -422,7 +412,7 @@ def _stacked_ascent(m, exps, opts) -> list:
     bank as its own slice (widening a bank with more columns moves the
     bits), and an exponent that every problem shares is passed as a
     scalar, so NumPy takes the fast paths of ``_POW_FAST_PATHS`` exactly
-    where a lone problem would.  ``_numeric_many`` groups problems so that
+    where a lone problem would.  ``_numeric_many`` stacks problems so that
     every fast-path exponent in a stack is shared.
     """
     p = len(exps)
@@ -469,9 +459,8 @@ def _stacked_ascent(m, exps, opts) -> list:
             live, x, yn, f, best_f, best_x, converged, stall, last_best = (
                 a[keep] for a in (live, x, yn, f, best_f, best_x, converged, stall, last_best))
             e = [a[keep] if isinstance(a, np.ndarray) else a for a in e]
-            if m.ndim == 3:
-                m = m[keep]
-                mt = np.swapaxes(m, -1, -2)  # the layout of a lone matrix's m.T
+            m = m[keep]
+            mt = np.swapaxes(m, -1, -2)
     for i, j in enumerate(live):  # stopped by the iteration cap
         finish = _best_start if converged[i].any() else _no_convergence
         out[j] = finish(best_f[i, 0], best_x[i])
@@ -538,8 +527,7 @@ def norm_numeric(c, r=None, s=None, w: WeightTriple | None = None,
         SolverFailureError: if no start converges within max_iterations.
         NormConsistencyError: if a certified check fails.
     """
-    r, s = _exponents(r, s, w)
-    return next(_numeric_many(c, [(r, s)], opts, base))
+    return next(_numeric_many([(c, *_exponents(r, s, w))], opts, base))
 
 
 def _numeric_result(c, r, s, witness, value, base) -> NormResult:
@@ -564,64 +552,73 @@ def _numeric_result(c, r, s, witness, value, base) -> NormResult:
                       NormMethod.NUMERIC_MULTISTART, bounds)
 
 
-def _numeric_many(c, exps, opts: SolverOptions | None = None,
-                  base: LogBase = LogBase.TWO, *, per_problem: bool = False):
-    """Yield ``norm_numeric(c, r, s, opts=opts, base=base)`` for each (r, s), in order.
+def _batches(problems, opts: SolverOptions):
+    """Input-order lists of ``problems`` whose start banks total at most ``_STACK_FLOATS`` floats.
 
-    ``c`` is one matrix for every problem or, with ``per_problem``, a
-    sequence holding each problem's own matrix.  Boundary exponents take
-    ``_boundary_norm`` when their turn comes.  ``_stackable`` problems are
-    grouped by matrix shape and ``_fast_path_key``, so that every stack
-    shares its fast-path exponents, and each group is solved in
-    ``_stacked_ascent`` stacks of at most ``_STACK_FLOATS`` floats per
-    ``(P, n, k)`` array before the first result is yielded.  Results and
-    errors come out in input order, with the bits, messages and values a
-    problem gets when solved alone.
+    A batch closes once a problem of its last one's size would not fit, so
+    a stream of one matrix size is read no further ahead than one batch.
+    """
+    batch, room = [], _STACK_FLOATS
+    for problem in problems:
+        n = problem[0].matrix.shape[1]
+        size = n * (1 + n + opts.restarts)
+        if batch and size > room:
+            yield batch
+            batch, room = [], _STACK_FLOATS
+        batch.append(problem)
+        room -= size
+        if room < size:
+            yield batch
+            batch, room = [], _STACK_FLOATS
+    if batch:
+        yield batch
+
+
+def _numeric_many(problems, opts: SolverOptions | None = None,
+                  base: LogBase = LogBase.TWO):
+    """Yield ``norm_numeric(c, r, s, opts=opts, base=base)`` for each (c, r, s) problem, in order.
+
+    Problems are read lazily, one ``_batches`` batch at a time, and come
+    out with the bits, messages and values they get when solved alone.
     """
     opts = opts or SolverOptions()
-    exps = [_exponents(r, s) for r, s in exps]
-    cs = [_as_overlap(a) for a in c] if per_problem else [_as_overlap(c)] * len(exps)
-    groups = {}
-    for i, (r, s) in enumerate(exps):
-        if _stackable(r, s):
-            groups.setdefault((cs[i].matrix.shape, _fast_path_key(r, s)), []).append(i)
-    solved = {}
-    for ((_, n), _), ids in groups.items():
-        cap = _stack_cap(n, opts)
-        for j in range(0, len(ids), cap):
-            chunk = ids[j:j + cap]
-            m = np.stack([cs[i].matrix for i in chunk]) if per_problem else cs[0].matrix
-            solved.update(zip(chunk, _stacked_ascent(m, [exps[i] for i in chunk], opts)))
-    for i, (r, s) in enumerate(exps):
-        m = cs[i].matrix
-        if i in solved:
-            witness = solved[i]
-            if isinstance(witness, SolverFailureError):
-                raise witness
-            value = _ratio(m, witness, r, s)
-        else:
-            witness, value = _boundary_norm(m, r, s)
-        yield _numeric_result(cs[i], r, s, witness, value, base)
+    checked = ((_as_overlap(c), *_exponents(r, s)) for c, r, s in problems)
+    for batch in _batches(checked, opts):
+        stacks = {}
+        for i, (c, r, s) in enumerate(batch):
+            if _stackable(r, s):
+                stacks.setdefault((c.matrix.shape, _fast_path_key(r, s)), []).append(i)
+        solved = {}
+        for ids in stacks.values():
+            m = np.stack([batch[i][0].matrix for i in ids])
+            solved.update(zip(ids, _stacked_ascent(m, [batch[i][1:] for i in ids], opts)))
+        for i, (c, r, s) in enumerate(batch):
+            if i in solved:
+                witness = solved.pop(i)
+                if isinstance(witness, SolverFailureError):
+                    raise witness
+                value = _ratio(c.matrix, witness, r, s)
+            else:
+                witness, value = _boundary_norm(c.matrix, r, s)
+            yield _numeric_result(c, r, s, witness, value, base)
 
 
 def norm(c, w: WeightTriple | None = None, opts: SolverOptions | None = None,
          base: LogBase = LogBase.TWO, *, r=None, s=None) -> NormResult:
     """Norm at exponents (r, s) or a weight triple's: closed form if available, else numeric."""
-    r, s = _exponents(r, s, w)
-    c = _as_overlap(c)  # validated once for both paths
-    closed = norm_closed_form(c, r, s, base=base)
-    if closed is not None:
-        return closed
-    return norm_numeric(c, r, s, opts=opts, base=base)
+    return next(_norm_many([(c, *_exponents(r, s, w))], opts, base))
 
 
-def _norm_many(c, weights, opts: SolverOptions | None = None,
+def _norm_many(problems, opts: SolverOptions | None = None,
                base: LogBase = LogBase.TWO):
-    """Yield ``norm(c, w, opts, base)`` for each triple, numeric misses via ``_numeric_many``."""
-    c = _as_overlap(c)
-    closed = [norm_closed_form(c, w=w, base=base) for w in weights]
-    numeric = _numeric_many(c, [(w.r, w.s) for w, cl in zip(weights, closed) if cl is None],
-                            opts, base)
+    """Yield ``norm(c, opts=opts, base=base, r=r, s=s)`` for each (c, r, s) problem, in order.
+
+    Each matrix is validated once for both paths; the closed-form misses
+    are solved by one ``_numeric_many`` pass.
+    """
+    problems = [(_as_overlap(c), r, s) for c, r, s in problems]
+    closed = [norm_closed_form(*problem, base=base) for problem in problems]
+    numeric = _numeric_many((p for p, cl in zip(problems, closed) if cl is None), opts, base)
     for cl in closed:
         yield cl if cl is not None else next(numeric)
 

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidStateError
-from .qmath import ProjectiveMeasurement, _check_unitary
+from .qmath import ProjectiveMeasurement, _check_dim, _check_unitary
 
 # The package's one doubly-stochastic tolerance, on the largest |row or column sum - 1|.
 _DS_TOL = 1e-10
@@ -147,15 +147,13 @@ def rotation_overlap_2d(theta: float) -> OverlapMatrix:
 
 def mub_overlap(d: int) -> OverlapMatrix:
     """Overlap of a mutually unbiased pair: the constant matrix 1/d."""
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
+    _check_dim(d)
     return OverlapMatrix(np.full((d, d), 1.0 / d), source=f"mub({d})")
 
 
 def identity_overlap(d: int) -> OverlapMatrix:
     """Overlap of a measurement with itself: the identity matrix."""
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
+    _check_dim(d)
     return OverlapMatrix(np.eye(d), source=f"identity({d})")
 
 

@@ -166,8 +166,15 @@ class ProjectiveMeasurement:
         return np.rint(np.einsum("kii->k", self.projectors).real).astype(int)
 
 
+def _check_dim(d: int) -> None:
+    """Raise ValueError unless the dimension ``d`` is at least 1."""
+    if d < 1:
+        raise ValueError(f"dimension must be >= 1, got {d}")
+
+
 def basis_measurement(d: int) -> ProjectiveMeasurement:
     """Computational (standard) basis measurement in dimension ``d``."""
+    _check_dim(d)
     eye = np.eye(d, dtype=complex)
     return ProjectiveMeasurement(np.einsum("ki,kj->kij", eye, eye.conj()))
 
@@ -203,6 +210,7 @@ def rotated_measurement_2d(theta: float) -> ProjectiveMeasurement:
 
 def fourier_measurement(d: int) -> ProjectiveMeasurement:
     """Discrete-Fourier basis measurement, mutually unbiased with the standard one."""
+    _check_dim(d)
     k = np.arange(d)
     u = np.exp(2j * np.pi * np.outer(k, k) / d) / math.sqrt(d)
     return measurement_from_unitary(u)
@@ -365,8 +373,7 @@ def haar_random_unitary(d: int, seed) -> np.ndarray:
         d: dimension, >= 1.
         seed: integer seed or a numpy Generator.
     """
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
+    _check_dim(d)
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     q, r = np.linalg.qr(g)
@@ -376,8 +383,7 @@ def haar_random_unitary(d: int, seed) -> np.ndarray:
 
 def random_density_matrix(d: int, seed) -> DensityMatrix:
     """Hilbert-Schmidt distributed random state, G G^dag normalized."""
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
+    _check_dim(d)
     return DensityMatrix(_random_states(np.random.default_rng(seed), 1, d)[0])
 
 

@@ -213,10 +213,10 @@ def test_sweep_numeric_column_is_randomness_bound_numeric(base):
 
 
 def test_randomness_numeric_stacks_fast_path_points_by_exponent(monkeypatch):
-    # The lattice's 182 numeric points are solved in one pass: the 164
-    # without a NumPy fast-path power fill two stacks of at most 122, and
-    # the 18 with one share their exponent in two stacks of 9, mu = 1/2
-    # (r = 2) and lambda = 1/2 (s = 2).
+    # The lattice is solved in one pass.  Its 220 closed-form misses (182
+    # interior) come in batches of at most 122: each batch stacks the points
+    # without a NumPy fast-path power, then those with mu = 1/2 (r = 2) and
+    # those with lambda = 1/2 (s = 2), each sharing its exponent.
     stacks = []
     ascent = norms._stacked_ascent
 
@@ -227,8 +227,9 @@ def test_randomness_numeric_stacks_fast_path_points_by_exponent(monkeypatch):
     monkeypatch.setattr(norms, "_stacked_ascent", counting)
     value = randomness_bound_numeric(0.55, 0.55, rotation_overlap_2d(math.pi / 6), LATTICE21)
     assert value.hex() == "0x1.42a4e205a8308p-3"
-    assert [len(exps) for exps in stacks] == [122, 42, 9, 9]
-    assert all(r == 2.0 for r, _ in stacks[2]) and all(s == 2.0 for _, s in stacks[3])
+    assert [len(exps) for exps in stacks] == [94, 9, 5, 70, 4]
+    assert all(r == 2.0 for r, _ in stacks[1]) and all(s == 2.0 for _, s in stacks[2])
+    assert all(s == 2.0 for _, s in stacks[4])
 
 
 # ---------------------------------------------------------------------------

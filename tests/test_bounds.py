@@ -372,10 +372,10 @@ def test_entropy_upper_bound_keeps_its_recorded_bits(name, base):
 
 
 def test_entropy_upper_bound_stacks_fast_path_points_by_exponent(monkeypatch):
-    # The corner and the lattice are solved in one pass.  Of its 182
-    # numeric points, the 164 without a NumPy fast-path power fill two
-    # stacks of at most 122; the 18 with one share their exponent in two
-    # stacks of 9, lambda = 1/2 (s = 2) and mu = 1/2 (r = 2).
+    # The corner and the lattice are solved in one pass.  Its 220 closed-form
+    # misses (182 interior) come in batches of at most 122: each batch stacks
+    # the points without a NumPy fast-path power, then those with lambda = 1/2
+    # (s = 2) and those with mu = 1/2 (r = 2), each sharing its exponent.
     stacks = []
     ascent = norms._stacked_ascent
 
@@ -386,8 +386,9 @@ def test_entropy_upper_bound_stacks_fast_path_points_by_exponent(monkeypatch):
     monkeypatch.setattr(norms, "_stacked_ascent", counting)
     value = entropy_upper_bound(0.55, 0.55, rotation_overlap_2d(math.pi / 6), grid=LATTICE21)
     assert value.hex() == "0x1.91e0c2305f1b0p-2"
-    assert [len(exps) for exps in stacks] == [122, 42, 9, 9]
-    assert all(s == 2.0 for _, s in stacks[2]) and all(r == 2.0 for r, _ in stacks[3])
+    assert [len(exps) for exps in stacks] == [94, 9, 5, 70, 4]
+    assert all(s == 2.0 for _, s in stacks[1]) and all(r == 2.0 for r, _ in stacks[2])
+    assert all(r == 2.0 for r, _ in stacks[4])
 
 
 def test_envelope_endpoints():

@@ -181,7 +181,13 @@ def test_norm_json_is_strict_for_a_zero_norm(tmp_path, capsys):
 @pytest.mark.parametrize("r, s", [("nan", "2"), ("2", "nan")])
 def test_norm_nan_exponent_exits_one_naming_the_exponents(capsys, r, s):
     assert cli.main(["norm", "--mub", "3", "--r", r, "--s", s]) == 1
-    assert "exponents must satisfy r >= 1 and s >= 1" in capsys.readouterr().err
+    assert "exponents must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("d", ["0", "-1"])
+def test_fig_region_dimension_below_one_exits_one_naming_it(capsys, d):
+    assert cli.main(["fig-region", f"--d={d}", "--samples", "3"]) == 1
+    assert f"entrobound: error: dimension must be >= 1, got {d}\n" == capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -443,22 +449,37 @@ def test_compare_random_rows_match_a_per_sample_loop():
 
 
 def test_compare_random_draws_and_solves_one_stack_at_a_time(monkeypatch):
-    # With stacks of three problems at d = 4 (four at d = 3), seven samples
-    # take several blocks; the rows are those of one sample at a time.
+    # With batches of three problems at d = 4 (four at d = 3), seven samples
+    # take several batches.  Each stack starts with at most one batch of
+    # drawn but unanswered matrices, and the rows are those of one sample
+    # at a time.
     from entrobound import norms
 
     monkeypatch.setattr(norms, "_STACK_FLOATS", 3 * 4 * (4 + 1 + COMPARE_RANDOM_OPTS.restarts))
-    blocks = []
-    many = experiments._compare_many
+    draws, answered, ahead = [0], [0], []
+    draw, many = experiments.haar_random_unitary, experiments._compare_many
+    ascent = norms._stacked_ascent
 
-    def spy(cs, *args, **kwargs):
-        blocks.append((cs[0].matrix.shape[0], len(cs)))
-        return many(cs, *args, **kwargs)
+    def drawing(d, rng):
+        draws[0] += 1
+        return draw(d, rng)
 
-    monkeypatch.setattr(experiments, "_compare_many", spy)
-    assert run_compare_random(dims=(3, 4), samples=7, seed=3).rows == \
-        _compare_rows_per_sample((3, 4), 7, 3)
-    assert blocks == [(3, 4), (3, 3), (4, 3), (4, 3), (4, 1)]
+    def answering(*args, **kwargs):
+        for row in many(*args, **kwargs):
+            answered[0] += 1
+            yield row
+
+    def solving(m, exps, opts):
+        ahead.append((m.shape[-1], draws[0] - answered[0]))
+        return ascent(m, exps, opts)
+
+    monkeypatch.setattr(experiments, "haar_random_unitary", drawing)
+    monkeypatch.setattr(experiments, "_compare_many", answering)
+    monkeypatch.setattr(norms, "_stacked_ascent", solving)
+    rows = run_compare_random(dims=(3, 4), samples=7, seed=3).rows
+    assert ahead == [(3, 4), (3, 3), (4, 3), (4, 3), (4, 1)]
+    assert draws[0] == answered[0] == 14
+    assert rows == _compare_rows_per_sample((3, 4), 7, 3)
 
 
 def test_fuzz_lattice_pass_has_the_bytes_of_per_point_norms(monkeypatch):
@@ -470,8 +491,8 @@ def test_fuzz_lattice_pass_has_the_bytes_of_per_point_norms(monkeypatch):
 
     got = csv()
     assert "\nviolation,3,2," in got
-    monkeypatch.setattr(experiments, "_norm_many",
-                        lambda c, triples, opts, base: [norm(c, w, opts, base) for w in triples])
+    monkeypatch.setattr(experiments, "_norm_many", lambda problems, opts, base: [
+        norm(c, opts=opts, base=base, r=r, s=s) for c, r, s in problems])
     assert csv() == got
 
 

@@ -377,7 +377,7 @@ def test_zero_column_and_zero_image_keep_the_ascent_finite(r, s):
 
 
 # ---------------------------------------------------------------------------
-# stacked solves: one ascent for many problems of one matrix
+# stacked solves: one ascent for many (matrix, r, s) problems
 
 
 def _same_bits(a, b):
@@ -410,25 +410,27 @@ def _fast_path(r, s):
 
 
 def test_stacked_profile_solves_match_norm_numeric_bit_for_bit(monkeypatch):
-    # fig-norm-profile's list: mu = 1/2 (r = s = 2, fast-path powers) is a
-    # stack of its own, mu = 1 (r = 1, s = inf) reduces exactly, and the
-    # other 198 points fill two stacks of at most 2**14 // 134 = 122.
+    # fig-norm-profile's list: batches of at most 2**14 // 134 = 122
+    # problems.  mu = 1/2 (r = s = 2, fast-path powers) is a stack of its
+    # own in the first, and mu = 1 (r = 1, s = inf) reduces exactly.
     c = rotation_overlap_2d(math.pi / 6)
     triples = [WeightTriple(1.0, float(mu), float(mu)) for mu in np.linspace(0.5, 1.0, 200)]
     points = [(w.r, w.s) for w in triples]
     want = [norm_numeric(c, r, s) for r, s in points]
     stacks = _counting_stacks(monkeypatch)
-    got = list(norms._numeric_many(c, points))
+    got = list(norms._numeric_many([(c, r, s) for r, s in points]))
     assert len(got) == len(want) and all(_same_bits(a, b) for a, b in zip(got, want))
-    assert [exps for _, exps in stacks] == [[(2.0, 2.0)], points[1:123], points[123:199]]
+    assert [exps for _, exps in stacks] == [[(2.0, 2.0)], points[1:122], points[122:199]]
+    assert [shape for shape, _ in stacks] == [(1, 2, 2), (121, 2, 2), (77, 2, 2)]
 
 
 @pytest.mark.parametrize("engine", ["randomness", "envelope"])
 def test_stacked_weight_lattices_match_norm_bit_for_bit(monkeypatch, engine):
     # The randomness sweep's 21 x 21 lattice and fig-region's default
     # envelope grid, at theta = pi/6: closed forms where they apply, the
-    # numeric misses in stacks of at most 122, the fast-path exponents
-    # in stacks of their own: mu = 1/2 (r = 2) and lambda = 1/2 (s = 2).
+    # numeric misses in batches of at most 122 (boundary exponents
+    # included), each batch's fast-path exponents in stacks of their own:
+    # mu = 1/2 (r = 2) and lambda = 1/2 (s = 2).
     c = rotation_overlap_2d(math.pi / 6)
     axis = np.linspace(0.0, 1.0, 21)
     triples = ([WeightTriple(1.0, float(lam), float(mu)) for mu in axis for lam in axis]
@@ -436,16 +438,18 @@ def test_stacked_weight_lattices_match_norm_bit_for_bit(monkeypatch, engine):
     want = [norm(c, w) for w in triples]
     misses = [(w.r, w.s) for w in triples if norm_closed_form(c, w=w) is None]
     stacks = _counting_stacks(monkeypatch)
-    got = list(norms._norm_many(c, triples))
+    got = list(norms._norm_many([(c, w.r, w.s) for w in triples]))
     assert len(got) == len(want) and all(_same_bits(a, b) for a, b in zip(got, want))
-    plain = [p for p in misses if norms._stackable(*p) and not _fast_path(*p)]
-    fast = [p for p in misses if _fast_path(*p)]
-    want_stacks = [plain[:122], plain[122:]] if len(plain) > 122 else [plain]
-    if fast:
-        want_stacks += [[p for p in fast if p[0] == 2.0], [p for p in fast if p[1] == 2.0]]
+    want_stacks = []
+    for j in range(0, len(misses), 122):
+        groups = {}
+        for r, s in misses[j:j + 122]:
+            if norms._stackable(r, s):
+                groups.setdefault((_fast_path(r, s), r == 2.0, s == 2.0), []).append((r, s))
+        want_stacks += groups.values()
     assert [exps for _, exps in stacks] == want_stacks
     assert [len(exps) for exps in want_stacks] == {
-        "randomness": [122, 42, 9, 9], "envelope": [40]}[engine]
+        "randomness": [94, 9, 5, 70, 4], "envelope": [40]}[engine]
 
 
 @pytest.mark.parametrize("restarts", [2, 8])
@@ -458,7 +462,7 @@ def test_stacked_d3_lattice_matches_norm_numeric_bit_for_bit(monkeypatch, restar
     opts = SolverOptions(restarts=restarts)
     want = [norm_numeric(c, r, s, opts=opts) for r, s in points]
     stacks = _counting_stacks(monkeypatch)
-    got = list(norms._numeric_many(c, points, opts=opts))
+    got = list(norms._numeric_many([(c, r, s) for r, s in points], opts=opts))
     assert len(got) == len(want) and all(_same_bits(a, b) for a, b in zip(got, want))
     plain = [p for p in points if not _fast_path(*p)]
     assert len(plain) == 23
@@ -476,7 +480,7 @@ def test_half_weights_stack_by_their_shared_exponent(monkeypatch):
     points += [(1.0 / 0.6, 1.0 / 0.3), (1.0 / 0.7, 1.0 / 0.25)]  # no fast path
     want = [norm_numeric(c, r, s) for r, s in points]
     stacks = _counting_stacks(monkeypatch)
-    got = list(norms._numeric_many(c, points))
+    got = list(norms._numeric_many([(c, r, s) for r, s in points]))
     assert all(_same_bits(a, b) for a, b in zip(got, want))
     assert [exps for _, exps in stacks] == [points[:4], points[4:7], points[7:]]
     assert [_fast_path(r, s) for r, s in points] == [True] * 7 + [False] * 2
@@ -541,7 +545,7 @@ def test_stacked_dead_column_stays_finite_and_matches():
     points = [(1.5, 3.0), (1.7, 2.5), (3.0, 4.0), (1.25, 1.75)]
     with np.errstate(divide="raise", invalid="raise"):
         want = [norm_numeric(m, r, s) for r, s in points]
-        got = list(norms._numeric_many(m, points))
+        got = list(norms._numeric_many([(m, r, s) for r, s in points]))
     assert all(_same_bits(a, b) for a, b in zip(got, want))
     assert all(res.witness.tolist() == [1.0, 0.0] for res in got)
 
@@ -561,7 +565,7 @@ def test_stacked_failure_is_the_first_in_input_order(points):
             want.append(norm_numeric(m, r, s, opts=opts))
     got = []
     with pytest.raises(SolverFailureError) as stacked:
-        for res in norms._numeric_many(m, points, opts=opts):
+        for res in norms._numeric_many([(m, r, s) for r, s in points], opts=opts):
             got.append(res)
     assert len(got) == len(want) >= 1
     assert all(_same_bits(a, b) for a, b in zip(got, want))
@@ -572,29 +576,29 @@ def test_stacked_failure_is_the_first_in_input_order(points):
 
 
 def _mu_star_problems(d, seed, samples):
-    """Haar-unistochastic matrices and the (r, s) of their mu* weights."""
+    """(c, r, s) problems of Haar-unistochastic matrices at their mu* weights."""
     rng = np.random.default_rng([seed, d])
     cs = [from_unitary(qmath.haar_random_unitary(d, rng)) for _ in range(samples)]
     ws = [WeightTriple(1.0, mu_star(min(c.sigma2, 1.0)), mu_star(min(c.sigma2, 1.0)))
           for c in cs]
-    return cs, [(w.r, w.s) for w in ws]
+    return [(c, w.r, w.s) for c, w in zip(cs, ws)]
 
 
 @pytest.mark.parametrize("d, samples", [(3, 12), (4, 12), (8, 8), (12, 70)])
 def test_per_problem_matrices_match_norm_numeric_bit_for_bit(monkeypatch, d, samples):
-    # compare's mu* problems, one matrix each.  At d = 12 a (P, 12, 21)
-    # array holds at most 2**14 // 252 = 65 problems, so 70 take two
-    # stacks.  The last problem sits at r = 2, a fast-path power, and
-    # takes a stack of its own.
+    # compare's mu* problems, one matrix each.  At d = 12 a batch holds at
+    # most 2**14 // 252 = 65 problems, so 70 take two batches.  The last
+    # problem sits at r = 2, a fast-path power, and takes a stack of its
+    # own in the last batch.
     opts = SolverOptions(restarts=8)
-    cs, points = _mu_star_problems(d, 1, samples)
-    points[-1] = (2.0, 3.0)
-    want = [norm_numeric(c, r, s, opts=opts) for c, (r, s) in zip(cs, points)]
+    problems = _mu_star_problems(d, 1, samples)
+    problems[-1] = (problems[-1][0], 2.0, 3.0)
+    want = [norm_numeric(c, r, s, opts=opts) for c, r, s in problems]
     stacks = _counting_stacks(monkeypatch)
-    got = list(norms._numeric_many(cs, points, opts=opts, per_problem=True))
+    got = list(norms._numeric_many(problems, opts=opts))
     assert len(got) == len(want) and all(_same_bits(a, b) for a, b in zip(got, want))
     cap = norms._STACK_FLOATS // (d * (d + 1 + opts.restarts))
-    sizes = [samples - 1] if samples - 1 <= cap else [cap, samples - 1 - cap]
+    sizes = [samples - 1] if samples <= cap else [cap, samples - 1 - cap]
     assert [(shape, len(exps)) for shape, exps in stacks] == (
         [((n, d, d), n) for n in sizes] + [((1, d, d), 1)])
     assert stacks[-1][1] == [(2.0, 3.0)]
@@ -621,7 +625,7 @@ def test_per_problem_failure_is_the_first_in_input_order():
     assert any(isinstance(o, NormResult) for o in outcomes[first + 1:])
     got = []
     with pytest.raises(SolverFailureError) as stacked:
-        for res in norms._numeric_many(cs, points, opts=opts, per_problem=True):
+        for res in norms._numeric_many([(c, r, s) for c, (r, s) in zip(cs, points)], opts=opts):
             got.append(res)
     assert len(got) == first
     assert all(_same_bits(a, b) for a, b in zip(got, outcomes))
@@ -633,10 +637,10 @@ def test_per_problem_failure_is_the_first_in_input_order():
 
 def test_stacked_witness_owns_its_data():
     # A view would keep the stack's whole best-point array alive.
-    cs, points = _mu_star_problems(3, 1, 5)
-    for res in norms._numeric_many(cs, points, per_problem=True):
+    problems = _mu_star_problems(3, 1, 5)
+    for res in norms._numeric_many(problems):
         assert res.witness.base is None and res.witness.flags.owndata
-    assert norm_numeric(cs[0], *points[0]).witness.base is None
+    assert norm_numeric(*problems[0]).witness.base is None
 
 
 def test_norm_takes_exponents_or_a_weight_triple():
@@ -747,6 +751,14 @@ def test_mu_star_values():
         mu_star(-0.1)
     with pytest.raises(ValueError):
         mu_star(1.1)
+
+
+def test_sigma2_check_names_the_first_entry_outside_the_unit_interval():
+    norms._check_sigma2(np.array([[0.0, 0.5], [1.0, 0.25]]))
+    for bad, first in [(np.array([0.5, 1.5, -1.0]), "1.5"), (np.array([[0.2], [np.nan]]), "nan"),
+                       (np.array(-0.25), "-0.25"), (-0.5, "-0.5"), (math.nan, "nan")]:
+        with pytest.raises(ValueError, match=f"sigma2 must lie in \\[0, 1\\], got {first}$"):
+            norms._check_sigma2(bad)
 
 
 def test_conjecture_region_examples():

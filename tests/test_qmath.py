@@ -23,6 +23,7 @@ from entrobound import (
     tensor_measurement,
     von_neumann_entropy,
 )
+from entrobound import identity_overlap, mub_overlap, norm_identity, norm_mub
 from entrobound.errors import InvalidDistributionError, InvalidStateError
 from entrobound.qmath import (
     _check_projectors,
@@ -296,3 +297,20 @@ def test_shannon_entropy_keeps_its_bits_from_nine_entries(n):
             assert shannon_entropy(p, base).hex() == reference[-1].hex()
         batched = _entropies(np.array(rows), base)
         assert [float(h).hex() for h in batched] == [h.hex() for h in reference]
+
+
+@pytest.mark.parametrize("d", [0, -1])
+@pytest.mark.parametrize("make", [
+    basis_measurement,
+    fourier_measurement,
+    lambda d: haar_random_unitary(d, 0),
+    lambda d: random_density_matrix(d, 0),
+    mub_overlap,
+    identity_overlap,
+    lambda d: norm_mub(d, 2.0, 3.0),
+    lambda d: norm_identity(d, 2.0, 3.0),
+], ids=["basis", "fourier", "haar", "density", "mub_overlap", "identity_overlap",
+        "norm_mub", "norm_identity"])
+def test_constructors_reject_dimensions_below_one(make, d):
+    with pytest.raises(ValueError, match=f"^dimension must be >= 1, got {d}$"):
+        make(d)
