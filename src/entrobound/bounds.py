@@ -23,6 +23,7 @@ from .norms import (
     NormMethod,
     SolverOptions,
     WeightTriple,
+    _agrees_with_closed_form,
     _check_sigma2,
     _norm_many,
     _numeric_many,
@@ -202,7 +203,7 @@ def _compare_many(cs, opts: SolverOptions | None = None, base: LogBase = LogBase
     numerics = _numeric_many(((c, w.r, w.s) for c, _, w, proven in searched if not proven),
                              opts, base)
     for c, sigma2, w, proven in setups:
-        numeric = None if proven else next(numerics)
+        numeric = None if proven else _agrees_with_closed_form(c, w.r, w.s, next(numerics), base)
         d = c.matrix.shape[0]
         conjectured = norm_mub(d, w=w)
         conjecture_ok = numeric is None or (

@@ -379,6 +379,15 @@ def run_werner_masks(phis=(-1.0, -0.5, -0.1), grid: int = 50,
     return Table(("theta_a", "theta_b", "phi", "detected"), tuple(rows), config, stats)
 
 
+def _fuzz_lattice(d: int, samples: int, grid: int, rng):
+    """(sample k, matrix, sigma2, weights) at each census lattice point, drawn lazily in order."""
+    for k in range(samples):
+        c = from_unitary(haar_random_unitary(d, rng))
+        sigma2 = min(float(c.sigma2), 1.0)
+        for mu, lam in feasible_weight_grid(sigma2, grid):
+            yield k, c, sigma2, WeightTriple(1.0, lam, mu)
+
+
 def run_conjecture_fuzz(dims=(2, 3, 4), samples: int = 1000, grid: int = 11,
                         seed: int = 0, opts: SolverOptions | None = None,
                         base: LogBase = LogBase.TWO,
@@ -394,12 +403,14 @@ def run_conjecture_fuzz(dims=(2, 3, 4), samples: int = 1000, grid: int = 11,
     ``tests/artifacts/equality_regime_counterexamples.csv``.  Lattice
     points with mu + lambda <= 1 (s <= r) take the proven closed form,
     so their excess is exactly 0; every other point runs the multistart
-    ascent; a matrix's whole lattice is one ``norms._norm_many`` pass,
-    whose numeric points share stacked ascents with the bits of
-    per-point ``norm`` calls.  Each numeric value is attained by its
-    witness vector, so it is a lower bound on the norm; any excess
-    beyond ``excess_tol`` is a genuine counterexample and is emitted with
-    the full-precision matrix and witness vector.
+    ascent.  A dimension's matrices are drawn lazily, and the lattices of
+    all its samples stream through one ``norms._norm_many`` pass, whose
+    numeric points share stacked ascents with the bits of per-point
+    ``norm`` calls; memory does not grow with ``samples``.  Each numeric
+    value is attained by its witness vector, so it is a lower bound on
+    the norm; any excess beyond ``excess_tol`` is a genuine
+    counterexample and is emitted with the full-precision matrix and
+    witness vector.
 
     Returns:
         Table with per-dimension summary rows followed by one row per
@@ -415,27 +426,24 @@ def run_conjecture_fuzz(dims=(2, 3, 4), samples: int = 1000, grid: int = 11,
     violation_rows = []
     max_excess_all = 0.0
     for d in dims:
-        rng = np.random.default_rng([seed, d])
+        points, searched = itertools.tee(
+            _fuzz_lattice(d, samples, grid, np.random.default_rng([seed, d])))
+        solved = _norm_many(((c, w.r, w.s) for _, c, _, w in searched), opts, base)
         evals = 0
         violations = 0
         max_excess = 0.0
-        for k in range(samples):
-            c = from_unitary(haar_random_unitary(d, rng))
-            sigma2 = min(float(c.sigma2), 1.0)
-            triples = [WeightTriple(1.0, lam, mu)
-                       for mu, lam in feasible_weight_grid(sigma2, grid)]
-            for w, res in zip(triples, _norm_many([(c, w.r, w.s) for w in triples], opts, base)):
-                conjectured = norm_mub(d, w.r, w.s)
-                excess = res.value - conjectured
-                evals += 1
-                if excess > excess_tol:
-                    violations += 1
-                    max_excess = max(max_excess, excess)
-                    violation_rows.append((
-                        "violation", d, k, "", "", "", w.mu, w.lam, sigma2,
-                        res.value, conjectured, excess, _flat17(c.matrix),
-                        _flat17(res.witness),
-                    ))
+        for (k, c, sigma2, w), res in zip(points, solved):
+            conjectured = norm_mub(d, w.r, w.s)
+            excess = res.value - conjectured
+            evals += 1
+            if excess > excess_tol:
+                violations += 1
+                max_excess = max(max_excess, excess)
+                violation_rows.append((
+                    "violation", d, k, "", "", "", w.mu, w.lam, sigma2,
+                    res.value, conjectured, excess, _flat17(c.matrix),
+                    _flat17(res.witness),
+                ))
         summary_rows.append((
             "summary", d, "", samples, evals, violations, "", "", "", "", "",
             max_excess, "", "",

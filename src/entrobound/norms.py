@@ -18,6 +18,7 @@ and ``norm`` are one-problem passes.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -527,11 +528,26 @@ def norm_numeric(c, r=None, s=None, w: WeightTriple | None = None,
         SolverFailureError: if no start converges within max_iterations.
         NormConsistencyError: if a certified check fails.
     """
-    return next(_numeric_many([(c, *_exponents(r, s, w))], opts, base))
+    r, s = _exponents(r, s, w)
+    c = _as_overlap(c)
+    return _agrees_with_closed_form(c, r, s, next(_numeric_many([(c, r, s)], opts, base)), base)
+
+
+def _agrees_with_closed_form(c, r, s, res: NormResult, base) -> NormResult:
+    """``res``, a numeric norm of ``c`` at (r, s), once it matches the closed form if one applies.
+
+    ``_norm_many`` solves only closed-form misses, so it skips this check.
+    """
+    closed = norm_closed_form(c, r, s, base=base)
+    if closed is not None and abs(res.value - closed.value) > 1e-7 * max(1.0, closed.value):
+        raise NormConsistencyError(
+            f"numeric norm {res.value!r} disagrees with closed form {closed.value!r}"
+        )
+    return res
 
 
 def _numeric_result(c, r, s, witness, value, base) -> NormResult:
-    """Check a numeric value against what is certified and package it."""
+    """Check a numeric value against the certified sandwich and package it."""
     m = c.matrix
     if c.is_doubly_stochastic():
         d = m.shape[0]
@@ -539,11 +555,6 @@ def _numeric_result(c, r, s, witness, value, base) -> NormResult:
         if not (lo - 1e-9 <= value <= hi + 1e-9):
             raise NormConsistencyError(
                 f"numeric norm {value!r} escapes certified bounds [{lo!r}, {hi!r}]"
-            )
-        closed = norm_closed_form(c, r, s, base=base)
-        if closed is not None and abs(value - closed.value) > 1e-7 * max(1.0, closed.value):
-            raise NormConsistencyError(
-                f"numeric norm {value!r} disagrees with closed form {closed.value!r}"
             )
         bounds = (lo, hi)
     else:
@@ -576,10 +587,13 @@ def _batches(problems, opts: SolverOptions):
 
 def _numeric_many(problems, opts: SolverOptions | None = None,
                   base: LogBase = LogBase.TWO):
-    """Yield ``norm_numeric(c, r, s, opts=opts, base=base)`` for each (c, r, s) problem, in order.
+    """Yield the numeric norm of each (c, r, s) problem, in order, as ``norm_numeric`` solves it.
 
     Problems are read lazily, one ``_batches`` batch at a time, and come
     out with the bits, messages and values they get when solved alone.
+    The results are checked against the certified sandwich but not
+    against the closed form: callers that may pass closed-form problems
+    run ``_agrees_with_closed_form`` on them.
     """
     opts = opts or SolverOptions()
     checked = ((_as_overlap(c), *_exponents(r, s)) for c, r, s in problems)
@@ -613,14 +627,16 @@ def _norm_many(problems, opts: SolverOptions | None = None,
                base: LogBase = LogBase.TWO):
     """Yield ``norm(c, opts=opts, base=base, r=r, s=s)`` for each (c, r, s) problem, in order.
 
-    Each matrix is validated once for both paths; the closed-form misses
-    are solved by one ``_numeric_many`` pass.
+    Problems are read lazily, and each matrix is validated once for both
+    paths.  The closed-form misses stream into one ``_numeric_many`` pass,
+    so the input is read at most one batch of misses, and the hits between
+    them, ahead of the results yielded.
     """
-    problems = [(_as_overlap(c), r, s) for c, r, s in problems]
-    closed = [norm_closed_form(*problem, base=base) for problem in problems]
-    numeric = _numeric_many((p for p, cl in zip(problems, closed) if cl is None), opts, base)
-    for cl in closed:
-        yield cl if cl is not None else next(numeric)
+    checked = ((_as_overlap(c), r, s) for c, r, s in problems)
+    dispatched, searched = itertools.tee((p, norm_closed_form(*p, base=base)) for p in checked)
+    numeric = _numeric_many((p for p, closed in searched if closed is None), opts, base)
+    for _, closed in dispatched:
+        yield closed if closed is not None else next(numeric)
 
 
 def feasible_weight_grid(sigma2: float, n: int = 21) -> list:

@@ -29,14 +29,15 @@ class OverlapMatrix:
             "mub(3)", "rotation_2d(0.5236)", "from_unitary".
 
     Raises:
-        DimensionMismatchError: if the input is not two-dimensional.
+        DimensionMismatchError: if the input is not two-dimensional or
+            has a zero-length axis.
         InvalidStateError: if an entry is not finite or is below -1e-12.
     """
 
     def __init__(self, matrix, source: str = "from_projectors"):
         m = np.asarray(matrix, dtype=float)
-        if m.ndim != 2:
-            raise DimensionMismatchError(f"expected a matrix, got shape {m.shape}")
+        if m.ndim != 2 or not m.size:
+            raise DimensionMismatchError(f"expected a nonempty matrix, got shape {m.shape}")
         if not np.isfinite(m).all():
             raise InvalidStateError("overlap entries must be finite")
         if m.min() < -1e-12:

@@ -9,6 +9,7 @@ from entrobound import (
     ConjectureViolationError,
     DensityMatrix,
     LogBase,
+    NormConsistencyError,
     SolverOptions,
     WeightTriple,
     basis_measurement,
@@ -234,6 +235,15 @@ def test_compare_runs_the_solver_only_where_no_theorem_applies(monkeypatch):
     assert calls == [(3, 3)]
     compare_state_independent([[0.6, 0.3], [0.4, 0.7]], opts=FAST, on_violation="use_numeric")
     assert calls == [(3, 3), (2, 2)]
+
+
+def test_compare_checks_its_solve_against_the_closed_form(monkeypatch):
+    # For the constant 3 x 3 matrix mu* = 1 puts the solve at r = 1,
+    # s = inf, whose closed form is the largest entry 1/3.  A stand-in
+    # reduction returns 1/2, inside the certified sandwich [1/3, 1].
+    monkeypatch.setattr(norms, "_boundary_norm", lambda m, r, s: (np.eye(3)[0], 0.5))
+    with pytest.raises(NormConsistencyError, match="disagrees with closed form"):
+        compare_state_independent(mub_overlap(3), opts=FAST)
 
 
 def test_compare_fallback_on_conjecture_violation():

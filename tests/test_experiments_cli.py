@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -331,6 +332,41 @@ def test_fuzz_runs_the_ascent_only_where_no_closed_form_applies(monkeypatch):
     run_conjecture_fuzz(dims=(2, 3), samples=2, grid=11, seed=0)
     assert calls
     assert all(s > r for r, s in calls)
+
+
+def test_fuzz_solves_a_dimension_in_one_stack_per_fast_path_key(monkeypatch):
+    # Sixteen lattices at d = 3 have fewer misses than one batch holds
+    # (2**14 // 18 = 910), so all sixteen matrices share one stack for the
+    # plain exponents and one each for mu = 1/2 (r = 2) and lambda = 1/2
+    # (s = 2), not one to three stacks per matrix.
+    stacks = []
+    ascent = norms._stacked_ascent
+
+    def counting(m, exps, opts):
+        stacks.append((m, list(exps)))
+        return ascent(m, exps, opts)
+
+    monkeypatch.setattr(norms, "_stacked_ascent", counting)
+    run_conjecture_fuzz(dims=(3,), samples=16, seed=1)
+    keys = [{norms._fast_path_key(r, s) for r, s in exps} for _, exps in stacks]
+    assert len(stacks) == 3 and all(len(k) == 1 for k in keys)
+    assert len(set.union(*keys)) == 3
+    assert len({m.tobytes() for m in stacks[0][0]}) == 16
+
+
+def test_fuzz_memory_is_flat_in_the_sample_count():
+    # A dimension's draws and lattice points stream through the solver,
+    # which reads one batch ahead; holding every sample's points would
+    # grow by megabytes from 100 to 400 samples.
+    peaks = []
+    for samples in (100, 400):
+        tracemalloc.start()
+        try:
+            run_conjecture_fuzz(dims=(3,), samples=samples)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 1e6
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 from entrobound import (
     DimensionMismatchError,
     InvalidStateError,
+    NormConsistencyError,
     NormMethod,
     NormResult,
     OverlapMatrix,
@@ -641,6 +642,81 @@ def test_stacked_witness_owns_its_data():
     for res in norms._numeric_many(problems):
         assert res.witness.base is None and res.witness.flags.owndata
     assert norm_numeric(*problems[0]).witness.base is None
+
+
+def _lattice_problems(d, samples, grid=11):
+    """The census's (c, r, s) problems: every lattice point of ``samples`` Haar draws."""
+    rng = np.random.default_rng([1, d])
+    problems = []
+    for _ in range(samples):
+        c = from_unitary(qmath.haar_random_unitary(d, rng))
+        problems += [(c, w.r, w.s) for w in (WeightTriple(1.0, lam, mu) for mu, lam in
+                                             feasible_weight_grid(min(c.sigma2, 1.0), grid))]
+    return problems
+
+
+def test_norm_stream_reads_one_batch_of_misses_ahead(monkeypatch):
+    # With batches of four problems, three matrices' lattices take many
+    # batches.  After each result, the input read but not yet answered
+    # holds the rest of one batch of closed-form misses at most, and it
+    # ends at a miss or at the end of the input: the hits after a full
+    # batch are read as they are answered.
+    opts = SolverOptions(restarts=2)
+    problems = _lattice_problems(3, 3)
+    want = [norm(c, opts=opts, r=r, s=s) for c, r, s in problems]
+    misses = [norm_closed_form(c, r, s) is None for c, r, s in problems]
+    monkeypatch.setattr(norms, "_STACK_FLOATS", 4 * 3 * (3 + 1 + opts.restarts))
+    stacks = _counting_stacks(monkeypatch)
+    read = [0]
+
+    def feed():
+        for problem in problems:
+            read[0] += 1
+            yield problem
+
+    got, ahead = [], []
+    for res in norms._norm_many(feed(), opts):
+        got.append(res)
+        ahead.append(sum(misses[len(got):read[0]]))
+        assert read[0] in (len(got), len(problems)) or misses[read[0] - 1]
+    assert len(got) == len(want) and all(_same_bits(a, b) for a, b in zip(got, want))
+    assert max(ahead) == 3
+    assert len(stacks) >= sum(misses) // 4 > 10
+
+
+def test_norm_stream_dispatches_each_problem_once(monkeypatch):
+    # A closed-form miss goes to the solver without a second closed-form check.
+    calls = []
+    closed_form = norms.norm_closed_form
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return closed_form(*args, **kwargs)
+
+    problems = _lattice_problems(3, 2)
+    opts = SolverOptions(restarts=2)
+    want = [norm(c, opts=opts, r=r, s=s) for c, r, s in problems]
+    monkeypatch.setattr(norms, "norm_closed_form", counting)
+    got = list(norms._norm_many(problems, opts))
+    assert len(calls) == len(problems)
+    assert all(_same_bits(a, b) for a, b in zip(got, want))
+
+
+def test_numeric_norm_checks_a_poor_witness(monkeypatch):
+    # A stand-in ascent returns a poor witness.  On a 3-cycle at r = 1.5,
+    # s = 3 the all-ones vector attains the constant-matrix value, inside
+    # the certified sandwich but below the closed form 1; on the constant
+    # matrix e_1 attains 3**(-2/3), below the sandwich.
+    def returning(witness):
+        monkeypatch.setattr(norms, "_stacked_ascent",
+                            lambda m, exps, opts: [witness.copy() for _ in exps])
+
+    returning(np.ones(3))
+    with pytest.raises(NormConsistencyError, match="disagrees with closed form"):
+        norm_numeric(OverlapMatrix(np.eye(3)[[1, 2, 0]]), 1.5, 3.0)
+    returning(np.eye(3)[0])
+    with pytest.raises(NormConsistencyError, match="escapes certified bounds"):
+        norm_numeric(mub_overlap(3), 1.5, 3.0)
 
 
 def test_norm_takes_exponents_or_a_weight_triple():

@@ -1,6 +1,7 @@
 """Overlap-matrix construction, properties, and serialization."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from entrobound import (
     tensor_overlap,
     to_text,
 )
+from entrobound.errors import DimensionMismatchError
 
 
 def test_build_overlap_is_doubly_stochastic_for_rank_one_pairs():
@@ -85,6 +87,12 @@ def test_second_singular_value_known_matrix():
 def test_overlap_rejects_negative_entries():
     with pytest.raises(ValueError):
         OverlapMatrix(np.array([[1.1, -0.1], [-0.1, 1.1]]))
+
+
+@pytest.mark.parametrize("shape", [(2, 0), (0, 3), (0, 0)])
+def test_overlap_rejects_a_zero_length_axis_naming_the_shape(shape):
+    with pytest.raises(DimensionMismatchError, match=re.escape(f"got shape {shape}")):
+        OverlapMatrix(np.zeros(shape))
 
 
 def test_is_doubly_stochastic_flags_non_ds():
