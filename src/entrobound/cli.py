@@ -180,14 +180,19 @@ def _cmd_conjecture_fuzz(args) -> int:
         dims=args.dims, samples=args.samples, grid=args.grid, seed=_seed(args),
         opts=_solver_opts(args, experiments.FUZZ_OPTS), base=_BASES[args.base])
     _write_output(args, lambda f: experiments.write_table(table, f))
-    if table.stats["violations"]:
+    stats = table.stats
+    points = "; ".join(f"d={d}: {n} proven, {stats['solved'][d]} solved"
+                       for d, n in stats["proven"].items())
+    if stats["violations"]:
         print(
-            f"conjecture-fuzz: {table.stats['violations']} counterexample(s) found, "
-            f"max excess {table.stats['max_excess']:.3e}; "
-            "violation rows carry the full-precision matrix and witness",
+            f"conjecture-fuzz: {stats['violations']} counterexample(s) found, "
+            f"max excess {stats['max_excess']:.3e}; "
+            "violation rows carry the full-precision matrix and witness; "
+            f"lattice points {points}",
             file=sys.stderr)
         return 2
-    print("conjecture-fuzz: no counterexamples found", file=sys.stderr)
+    print(f"conjecture-fuzz: no counterexamples found; lattice points {points}",
+          file=sys.stderr)
     return 0
 
 

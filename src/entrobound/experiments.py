@@ -34,6 +34,7 @@ from .errors import NormConsistencyError
 from .norms import (
     SolverOptions,
     WeightTriple,
+    _equality_proven,
     _exponents,
     _norm_many,
     _numeric_many,
@@ -379,13 +380,23 @@ def run_werner_masks(phis=(-1.0, -0.5, -0.1), grid: int = 50,
     return Table(("theta_a", "theta_b", "phi", "detected"), tuple(rows), config, stats)
 
 
-def _fuzz_lattice(d: int, samples: int, grid: int, rng):
-    """(sample k, matrix, sigma2, weights) at each census lattice point, drawn lazily in order."""
+def _fuzz_lattice(d: int, samples: int, grid: int, rng, counts: dict):
+    """(sample k, matrix, sigma2, weights) at each open census lattice point, drawn lazily in order.
+
+    A point where ``norms._equality_proven`` holds has excess exactly 0,
+    so it is not yielded; ``counts["evals"]`` tallies every point and
+    ``counts["proven"]`` those.
+    """
     for k in range(samples):
         c = from_unitary(haar_random_unitary(d, rng))
         sigma2 = min(float(c.sigma2), 1.0)
         for mu, lam in feasible_weight_grid(sigma2, grid):
-            yield k, c, sigma2, WeightTriple(1.0, lam, mu)
+            w = WeightTriple(1.0, lam, mu)
+            counts["evals"] += 1
+            if _equality_proven(c, w.r, w.s):
+                counts["proven"] += 1
+            else:
+                yield k, c, sigma2, w
 
 
 def run_conjecture_fuzz(dims=(2, 3, 4), samples: int = 1000, grid: int = 11,
@@ -400,13 +411,17 @@ def run_conjecture_fuzz(dims=(2, 3, 4), samples: int = 1000, grid: int = 11,
     would be a solver fault.  For d >= 3 it is refuted: the seed-0 run at
     dims (2, 3, 4), 1000 samples, grid 11 finds counterexamples at d = 3
     and d = 4 and is tracked byte for byte in
-    ``tests/artifacts/equality_regime_counterexamples.csv``.  Lattice
-    points with mu + lambda <= 1 (s <= r) take the proven closed form,
-    so their excess is exactly 0; every other point runs the multistart
-    ascent.  A dimension's matrices are drawn lazily, and the lattices of
-    all its samples stream through one ``norms._norm_many`` pass, whose
-    numeric points share stacked ascents with the bits of per-point
-    ``norm`` calls; memory does not grow with ``samples``.  Each numeric
+    ``tests/artifacts/equality_regime_counterexamples.csv``.  Equality is
+    proven at every d on the sub-region
+    kappa^2 lambda mu < (1 - lambda)(1 - mu), kappa the Birkhoff
+    contraction coefficient (``OverlapMatrix.birkhoff_contraction``), and
+    at mu + lambda <= 1 (s <= r); ``norms._equality_proven`` decides.
+    Such a point has excess exactly 0: it is counted in ``evals`` but not
+    solved.  At d = 2 kappa = sigma2, so no point is solved there.  A
+    dimension's matrices are drawn lazily, and the open points of all its
+    samples stream through one ``norms._norm_many`` pass, whose numeric
+    points share stacked ascents with the bits of per-point ``norm``
+    calls; memory does not grow with ``samples``.  Each numeric
     value is attained by its witness vector, so it is a lower bound on
     the norm; any excess beyond ``excess_tol`` is a genuine
     counterexample and is emitted with the full-precision matrix and
@@ -414,28 +429,39 @@ def run_conjecture_fuzz(dims=(2, 3, 4), samples: int = 1000, grid: int = 11,
 
     Returns:
         Table with per-dimension summary rows followed by one row per
-        counterexample; ``stats["violations"]`` counts them.
+        counterexample; ``stats["violations"]`` counts them, and
+        ``stats["proven"]`` and ``stats["solved"]`` map each d to its
+        points settled by a theorem and by ``norm``, which add up to
+        the summary row's ``evals``.
+
+    Raises:
+        ValueError: for an empty ``dims``, a d below 2, no samples, or an
+            ``excess_tol`` that is not finite and >= 0.
     """
     dims = tuple(int(d) for d in dims)
     if not dims or min(dims) < 2:
         raise ValueError(f"dimensions must all be >= 2, got {dims}")
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
+    if not (math.isfinite(excess_tol) and excess_tol >= 0.0):
+        raise ValueError(f"excess_tol must be finite and >= 0, got {excess_tol}")
     opts = opts or FUZZ_OPTS
     summary_rows = []
     violation_rows = []
     max_excess_all = 0.0
+    proven, solved = {}, {}
     for d in dims:
+        counts = {"evals": 0, "proven": 0}
         points, searched = itertools.tee(
-            _fuzz_lattice(d, samples, grid, np.random.default_rng([seed, d])))
-        solved = _norm_many(((c, w.r, w.s) for _, c, _, w in searched), opts, base)
-        evals = 0
+            _fuzz_lattice(d, samples, grid, np.random.default_rng([seed, d]), counts))
+        results = _norm_many(((c, w.r, w.s) for _, c, _, w in searched), opts, base)
+        solved[d] = 0
         violations = 0
         max_excess = 0.0
-        for (k, c, sigma2, w), res in zip(points, solved):
+        for (k, c, sigma2, w), res in zip(points, results):
             conjectured = norm_mub(d, w.r, w.s)
             excess = res.value - conjectured
-            evals += 1
+            solved[d] += 1
             if excess > excess_tol:
                 violations += 1
                 max_excess = max(max_excess, excess)
@@ -444,8 +470,9 @@ def run_conjecture_fuzz(dims=(2, 3, 4), samples: int = 1000, grid: int = 11,
                     res.value, conjectured, excess, _flat17(c.matrix),
                     _flat17(res.witness),
                 ))
+        proven[d] = counts["proven"]
         summary_rows.append((
-            "summary", d, "", samples, evals, violations, "", "", "", "", "",
+            "summary", d, "", samples, counts["evals"], violations, "", "", "", "", "",
             max_excess, "", "",
         ))
         max_excess_all = max(max_excess_all, max_excess)
@@ -457,7 +484,8 @@ def run_conjecture_fuzz(dims=(2, 3, 4), samples: int = 1000, grid: int = 11,
     header = ("kind", "d", "sample", "samples", "evals", "violations",
               "mu", "lam", "sigma2", "numeric", "conjectured", "excess",
               "matrix", "witness")
-    stats = {"violations": len(violation_rows), "max_excess": max_excess_all}
+    stats = {"violations": len(violation_rows), "max_excess": max_excess_all,
+             "proven": proven, "solved": solved}
     return Table(header, tuple(summary_rows + violation_rows), config, stats)
 
 

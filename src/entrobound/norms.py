@@ -70,12 +70,19 @@ class SolverOptions:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("restarts", "max_iterations", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))  # a NumPy integer is not JSON
         if not self.restarts >= 0:
             raise ValueError(f"restarts must be >= 0, got {self.restarts}")
         if not self.max_iterations >= 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):
             raise ValueError(f"tolerance must be finite and > 0, got {self.tolerance}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 class NormMethod(str, enum.Enum):
@@ -218,8 +225,11 @@ def conjecture_region_contains(mu: float, lam: float, sigma2: float) -> bool:
     artifact ``tests/artifacts/equality_regime_counterexamples.csv``
     lists points inside the region whose witnesses exceed the closed
     form.  Membership here therefore proves equality only when d = 2 or
-    mu + lambda <= 1.  The cross-multiplied form stays finite at mu = 1
-    or lambda = 1, and mu = 0 or lambda = 0 is always inside.
+    mu + lambda <= 1, or, at every d, on the sub-region
+    kappa^2 lambda mu < (1 - lambda)(1 - mu) with kappa >= sigma2 the
+    Birkhoff contraction coefficient (``OverlapMatrix.birkhoff_contraction``;
+    see ``_equality_proven``).  The cross-multiplied form stays finite at
+    mu = 1 or lambda = 1, and mu = 0 or lambda = 0 is always inside.
     """
     if not (0.0 <= mu <= 1.0 and 0.0 <= lam <= 1.0):
         raise ValueError(f"weights must lie in [0, 1], got mu={mu}, lambda={lam}")
@@ -318,6 +328,27 @@ def norm_closed_form(c, r=None, s=None, w: WeightTriple | None = None,
         witness = _uniform_unit_r(d, r) if r >= s else np.eye(d)[0]
         return _result(value, witness, NormMethod.CLOSED_IDENTITY, d, r, s, base)
     return None
+
+
+def _equality_proven(c, r: float, s: float) -> bool:
+    """Whether a theorem proves ||C||_{r->s} = d**(1/s - 1/r) for the OverlapMatrix ``c``.
+
+    True for a doubly stochastic ``c`` when s <= r (the test of
+    ``norm_closed_form``'s CLOSED_S_LE_R), or when 1 < r, s < inf and
+    kappa**2 (s - 1) < r - 1, kappa = ``c.birkhoff_contraction``: then the
+    power map x -> (C^T (C x)**(s - 1))**(1/(r - 1)) is a strict
+    contraction in Hilbert's projective metric, so its fixed point, the
+    uniform vector, is the unique positive maximiser (Bushell 1973;
+    Gautier, Tudisco & Hein 2021).  In weights that is
+    kappa**2 lambda mu < (1 - lambda)(1 - mu).  At d = 2 kappa = sigma2,
+    so it covers the whole strict region.  Only the census asks: neither
+    ``norm`` nor ``norm_closed_form`` returns the value on this ground.
+    """
+    if not c.is_doubly_stochastic():
+        return False
+    if s <= r:
+        return True
+    return _stackable(r, s) and c.birkhoff_contraction**2 * (s - 1.0) < r - 1.0
 
 
 def _unit_r(v: np.ndarray, r: float) -> np.ndarray:

@@ -25,6 +25,8 @@ class OverlapMatrix:
     Attributes:
         matrix: nonnegative float array of shape (n_x, n_y), read-only.
         singular_values: descending singular values, computed on first use.
+        birkhoff_contraction: Birkhoff contraction coefficient, computed on
+            first use.
         source: short description of how the matrix was built, e.g.
             "mub(3)", "rotation_2d(0.5236)", "from_unitary".
 
@@ -74,6 +76,21 @@ class OverlapMatrix:
     @property
     def max_entry(self) -> float:
         return float(self.matrix.max())
+
+    @functools.cached_property
+    def birkhoff_contraction(self) -> float:
+        """Birkhoff contraction coefficient kappa = tanh(Delta / 4) in Hilbert's projective metric.
+
+        Delta is the projective diameter: the largest log(C_ik C_jl / (C_il C_jk))
+        over row pairs (i, j) and column pairs (k, l), taken in one pass
+        over the d**3 ratios C_ik / C_il.  kappa is 1.0 when an entry is 0,
+        and the transpose has the same kappa (Bushell 1973).
+        """
+        m = self.matrix
+        if m.min() <= 0.0:
+            return 1.0
+        high = (m[:, :, None] / m[:, None, :]).max(axis=0)  # max_i C_ik / C_il
+        return math.tanh(math.log((high * high.T).max()) / 4.0)
 
     @functools.cached_property
     def _sum_error(self) -> float:

@@ -334,11 +334,20 @@ def test_fuzz_runs_the_ascent_only_where_no_closed_form_applies(monkeypatch):
     assert all(s > r for r, s in calls)
 
 
+def _census_lattice(d, samples, seed, grid=11):
+    """(matrix, weights) at every point of the census lattice, proven or not."""
+    rng = np.random.default_rng([seed, d])
+    for _ in range(samples):
+        c = from_unitary(haar_random_unitary(d, rng))
+        for mu, lam in norms.feasible_weight_grid(min(c.sigma2, 1.0), grid):
+            yield c, WeightTriple(1.0, lam, mu)
+
+
 def test_fuzz_solves_a_dimension_in_one_stack_per_fast_path_key(monkeypatch):
-    # Sixteen lattices at d = 3 have fewer misses than one batch holds
-    # (2**14 // 18 = 910), so all sixteen matrices share one stack for the
-    # plain exponents and one each for mu = 1/2 (r = 2) and lambda = 1/2
-    # (s = 2), not one to three stacks per matrix.
+    # Sixteen lattices at d = 3 have fewer open points than one batch holds
+    # (2**14 // 18 = 910), so every matrix with an open point of plain
+    # exponents shares one stack, and mu = 1/2 (r = 2) and lambda = 1/2
+    # (s = 2) take one each, not one to three stacks per matrix.
     stacks = []
     ascent = norms._stacked_ascent
 
@@ -351,7 +360,66 @@ def test_fuzz_solves_a_dimension_in_one_stack_per_fast_path_key(monkeypatch):
     keys = [{norms._fast_path_key(r, s) for r, s in exps} for _, exps in stacks]
     assert len(stacks) == 3 and all(len(k) == 1 for k in keys)
     assert len(set.union(*keys)) == 3
-    assert len({m.tobytes() for m in stacks[0][0]}) == 16
+    plain = (None,) * 6
+    want = {c.matrix.tobytes() for c, w in _census_lattice(3, 16, seed=1)
+            if norms._stackable(w.r, w.s) and norms._fast_path_key(w.r, w.s) == plain
+            and not norms._equality_proven(c, w.r, w.s)}
+    assert 1 < len(want) < 16  # the certificate settles every plain point of some matrices
+    (m,) = (m for (m, _), k in zip(stacks, keys) if k == {plain})
+    assert {row.tobytes() for row in m} == want
+
+
+def test_certified_census_points_have_no_excess_over_the_closed_form():
+    # Every certified point with s > r, solved by the 64-restart ascent as
+    # norm_numeric solves it (d = 2 included, where the census solves nothing).
+    certified = [(c, w.r, w.s) for d in (2, 3, 4) for c, w in _census_lattice(d, 4, seed=0)
+                 if w.s > w.r and norms._equality_proven(c, w.r, w.s)]
+    assert {c.dim for c, _, _ in certified} == {2, 3, 4}
+    for (c, r, s), res in zip(certified, norms._numeric_many(certified, SolverOptions())):
+        assert abs(res.value - norms.norm_mub(c.dim, r, s)) <= 1e-9
+
+
+def _fuzz_csv(**kwargs):
+    buf = io.StringIO()
+    write_table(run_conjecture_fuzz(**kwargs), buf)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_fuzz_bytes_do_not_depend_on_the_certificate(monkeypatch, seed):
+    # A certified point has excess exactly 0 in the census, so it never
+    # produced a row; with the s <= r test alone it is solved instead.
+    got = _fuzz_csv(dims=(2, 3, 4), samples=8, seed=seed)
+    monkeypatch.setattr(experiments, "_equality_proven",
+                        lambda c, r, s: c.is_doubly_stochastic() and s <= r)
+    assert _fuzz_csv(dims=(2, 3, 4), samples=8, seed=seed) == got
+
+
+def test_fuzz_counts_every_point_as_proven_or_solved():
+    t = run_conjecture_fuzz(dims=(2, 3, 4), samples=6, seed=2)
+    evals = {row[1]: row[4] for row in t.rows if row[0] == "summary"}
+    assert evals == {d: sum(1 for _ in _census_lattice(d, 6, seed=2)) for d in (2, 3, 4)}
+    for d, n in evals.items():
+        assert t.stats["proven"][d] + t.stats["solved"][d] == n
+    assert t.stats["solved"][2] == 0  # kappa = sigma2 at d = 2: the whole region is proven
+    assert 0 < t.stats["proven"][4] < evals[4] and 0 < t.stats["solved"][4]
+
+
+def test_fuzz_stderr_names_the_proven_and_solved_counts(capsys):
+    args = ["conjecture-fuzz", "--dims", "2,3", "--samples", "2", "--grid", "5", "--seed", "0"]
+    stats = run_conjecture_fuzz(dims=(2, 3), samples=2, grid=5, seed=0).stats
+    assert cli.main(args + ["--out", os.devnull]) == 0
+    err = capsys.readouterr().err
+    for d in (2, 3):
+        assert f"d={d}: {stats['proven'][d]} proven, {stats['solved'][d]} solved" in err
+
+
+@pytest.mark.parametrize("tol", [-1e-9, -math.inf, math.inf, math.nan])
+def test_fuzz_rejects_an_excess_tolerance_that_is_negative_or_not_finite(tol):
+    # A negative tolerance made every point a violation, and NaN none.
+    with pytest.raises(ValueError, match="excess_tol must be finite and >= 0"):
+        run_conjecture_fuzz(dims=(2,), samples=1, excess_tol=tol)
+    run_conjecture_fuzz(dims=(2,), samples=1, excess_tol=0.0)
 
 
 def test_fuzz_memory_is_flat_in_the_sample_count():

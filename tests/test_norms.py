@@ -304,12 +304,23 @@ def test_solver_failure_reports_best_attempt():
 @pytest.mark.parametrize("bad", [
     dict(restarts=-1), dict(max_iterations=0), dict(max_iterations=-5),
     dict(tolerance=0.0), dict(tolerance=-1.0), dict(tolerance=math.nan),
-    dict(tolerance=math.inf),
+    dict(tolerance=math.inf), dict(seed=-1),
 ])
 def test_solver_options_reject_values_the_solver_cannot_run(bad):
     with pytest.raises(ValueError, match=next(iter(bad))):
         SolverOptions(**bad)
     SolverOptions(restarts=0, max_iterations=1, tolerance=1e-18)
+
+
+@pytest.mark.parametrize("field", ["restarts", "max_iterations", "seed"])
+def test_solver_options_take_only_integer_counts_and_seeds(field):
+    # A float or a bool would fail only inside the first solve's NumPy call.
+    for bad in (2.5, 3.0, True, np.float64(1.5), "4", None):
+        with pytest.raises(ValueError, match=f"{field} must be an integer, got"):
+            SolverOptions(**{field: bad})
+    opts = SolverOptions(**{field: np.int64(40)})
+    assert getattr(opts, field) == 40 and type(getattr(opts, field)) is int
+    assert norm_numeric(rotation_overlap_2d(0.4), 1.5, 2.5, opts=opts).value > 0.0
 
 
 #: Sparse, badly scaled inputs on which a step of the ascent drops the
@@ -862,6 +873,49 @@ def test_feasible_weight_grid_contents():
     assert len(feasible_weight_grid(0.0, n=3)) == 9
     with pytest.raises(ValueError):
         feasible_weight_grid(0.5, n=1)
+
+
+# ---------------------------------------------------------------------------
+# Birkhoff-Hopf certificate of the equality
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.1, math.pi / 8, math.pi / 6, 0.7, math.pi / 4])
+def test_birkhoff_contraction_is_sigma2_for_the_qubit_rotation(theta):
+    c = rotation_overlap_2d(theta)
+    assert abs(c.birkhoff_contraction - c.sigma2) <= 1e-12
+
+
+def test_birkhoff_contraction_bounds_sigma2_and_certifies_no_mu_star():
+    # sigma2^2 = lambda_2(C^T C) <= kappa(C^T C) <= kappa^2, and at mu* the
+    # certificate needs kappa^2 / sigma2^2 < 1; the draws are compare's at seed 1.
+    for d in (3, 4, 8, 12):
+        rng = np.random.default_rng([1, d])
+        for _ in range(200):
+            c = from_unitary(qmath.haar_random_unitary(d, rng))
+            assert c.birkhoff_contraction >= c.sigma2 - 1e-12
+            assert c.birkhoff_contraction == pytest.approx(
+                OverlapMatrix(c.matrix.T).birkhoff_contraction, abs=1e-12)
+            ms = mu_star(min(c.sigma2, 1.0))
+            w = WeightTriple(1.0, ms, ms)
+            assert not norms._equality_proven(c, w.r, w.s)
+
+
+def test_certificate_needs_every_entry_positive():
+    cycle = OverlapMatrix(np.roll(np.eye(3), 1, axis=1))
+    one_zero = OverlapMatrix([[0.0, 0.5, 0.5], [0.5, 0.25, 0.25], [0.5, 0.25, 0.25]])
+    for c in (cycle, one_zero):
+        assert c.is_doubly_stochastic() and c.birkhoff_contraction == 1.0
+        for mu in np.linspace(0.05, 0.95, 19):
+            for lam in np.linspace(0.05, 0.95, 19):
+                w = WeightTriple(1.0, float(lam), float(mu))
+                assert norms._equality_proven(c, w.r, w.s) == (w.s <= w.r)
+
+
+def test_certificate_needs_a_doubly_stochastic_matrix():
+    c = OverlapMatrix([[0.6, 0.3], [0.3, 0.6]])
+    assert c.birkhoff_contraction < 1.0
+    assert not norms._equality_proven(c, 2.0, 1.5)
+    assert not norms._equality_proven(c, 1.5, 1.6)
 
 
 def test_scan_2d_objective_profile():
