@@ -36,9 +36,10 @@ from .norms import (
     WeightTriple,
     _equality_proven,
     _exponents,
+    _in_region,
     _norm_many,
     _numeric_many,
-    feasible_weight_grid,
+    _weight_lattice,
     mu_star,
     norm,
     norm_mub,
@@ -383,20 +384,26 @@ def run_werner_masks(phis=(-1.0, -0.5, -0.1), grid: int = 50,
 def _fuzz_lattice(d: int, samples: int, grid: int, rng, counts: dict):
     """(sample k, matrix, sigma2, weights) at each open census lattice point, drawn lazily in order.
 
-    A point where ``norms._equality_proven`` holds has excess exactly 0,
-    so it is not yielded; ``counts["evals"]`` tallies every point and
-    ``counts["proven"]`` those.
+    The points are those of ``feasible_weight_grid``, in its order.  A
+    point where ``norms._equality_proven`` holds has excess exactly 0, so
+    it is not yielded; ``counts["evals"]`` tallies every point and
+    ``counts["proven"]`` those.  Each matrix's region and certificate
+    masks are one NumPy pass with the float expressions of the per-point
+    tests, so only open points become ``WeightTriple``s.
     """
+    mu, lam = _weight_lattice(grid)
+    with np.errstate(divide="ignore"):  # mu = 0 and lambda = 1 give the triples' inf
+        r, s = 1.0 / mu, 1.0 / (1.0 - lam)
     for k in range(samples):
         c = from_unitary(haar_random_unitary(d, rng))
         sigma2 = min(float(c.sigma2), 1.0)
-        for mu, lam in feasible_weight_grid(sigma2, grid):
-            w = WeightTriple(1.0, lam, mu)
-            counts["evals"] += 1
-            if _equality_proven(c, w.r, w.s):
-                counts["proven"] += 1
-            else:
-                yield k, c, sigma2, w
+        inside = _in_region(mu, lam, sigma2)
+        open_ = inside & ~_equality_proven(c, r, s)
+        evals, n_open = int(np.count_nonzero(inside)), int(np.count_nonzero(open_))
+        counts["evals"] += evals
+        counts["proven"] += evals - n_open
+        for m, l in zip(mu[open_].tolist(), lam[open_].tolist()):
+            yield k, c, sigma2, WeightTriple(1.0, l, m)
 
 
 def run_conjecture_fuzz(dims=(2, 3, 4), samples: int = 1000, grid: int = 11,

@@ -10,9 +10,8 @@ s = alpha/(alpha - lambda).
 Every numeric problem is a ``(matrix, r, s)`` triple.  ``_numeric_many``
 reads problems lazily in input-order batches of at most ``_STACK_FLOATS``
 start-bank floats and solves each batch in ``_stacked_ascent``, the one
-ascent loop, in stacks grouped by matrix shape and by the NumPy fast-path
-powers, so that each problem gets the bits it gets alone.  ``norm_numeric``
-and ``norm`` are one-problem passes.
+ascent loop, in one stack per matrix shape; each problem gets the bits it
+gets alone.  ``norm_numeric`` and ``norm`` are one-problem passes.
 """
 
 from __future__ import annotations
@@ -20,6 +19,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -70,11 +70,15 @@ class SolverOptions:
     seed: int = 0
 
     def __post_init__(self):
+        # Plain Python numbers: a NumPy scalar is not JSON, and configs are hashed as JSON.
         for name in ("restarts", "max_iterations", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))  # a NumPy integer is not JSON
+            object.__setattr__(self, name, int(value))
+        if isinstance(self.tolerance, bool) or not isinstance(self.tolerance, numbers.Real):
+            raise ValueError(f"tolerance must be a real number, got {self.tolerance!r}")
+        object.__setattr__(self, "tolerance", float(self.tolerance))
         if not self.restarts >= 0:
             raise ValueError(f"restarts must be >= 0, got {self.restarts}")
         if not self.max_iterations >= 1:
@@ -152,23 +156,39 @@ def _column_sums(v: np.ndarray) -> np.ndarray:
     return np.add.reduce(v, axis=0)
 
 
-def _scaled_pnorm(v: np.ndarray, p) -> tuple:
+def _power(x: np.ndarray, e) -> np.ndarray:
+    """``x ** e`` for a number or a ``_slot`` of per-problem exponents.
+
+    A slot's fast-path problems are overwritten with the power of their
+    scalar exponent, so each problem gets the bits its exponent gives alone.
+    """
+    if not isinstance(e, tuple):
+        return x**e
+    values, masks = e
+    y = x**values
+    for v, mask in masks:
+        np.copyto(y, x**v, where=mask)
+    return y
+
+
+def _scaled_pnorm(v: np.ndarray, p, inv_p) -> tuple:
     """(p-norms of the columns of nonnegative ``v``, ``v`` over its column maxima).
 
     Scaling by the maximum keeps large finite p from overflowing.  The
     ascent kernel carries the scaled matrix into its next step, so this is
-    the one definition of the objective's norm: its bits are pinned.  For
-    a stack, ``p`` may be a ``(P, 1, 1)`` array of per-problem exponents.
+    the one definition of the objective's norm: its bits are pinned.
+    ``inv_p`` is 1/p; for a stack, both may be ``_slot``s of per-problem
+    exponents.
     """
     vmax, scaled = _scale_columns(v)
-    return vmax * _column_sums(scaled**p) ** (1.0 / p), scaled
+    return vmax * _power(_column_sums(_power(scaled, p)), inv_p), scaled
 
 
 def _pnorm(x: np.ndarray, p: float) -> np.ndarray:
     """p-norms of the columns of nonnegative ``x``, stable for large p."""
     if math.isinf(p):
         return x.max(axis=0)
-    return _scaled_pnorm(x, p)[0]
+    return _scaled_pnorm(x, p, 1.0 / p)[0]
 
 
 def _ratio(c: np.ndarray, v: np.ndarray, r: float, s: float) -> float:
@@ -234,6 +254,11 @@ def conjecture_region_contains(mu: float, lam: float, sigma2: float) -> bool:
     if not (0.0 <= mu <= 1.0 and 0.0 <= lam <= 1.0):
         raise ValueError(f"weights must lie in [0, 1], got mu={mu}, lambda={lam}")
     _check_sigma2(sigma2)
+    return bool(_in_region(mu, lam, sigma2))
+
+
+def _in_region(mu, lam, sigma2):
+    """The inequality of ``conjecture_region_contains``, unchecked; elementwise for arrays."""
     return (1.0 - mu) * (1.0 - lam) >= mu * lam * sigma2**2 - 1e-12
 
 
@@ -330,7 +355,7 @@ def norm_closed_form(c, r=None, s=None, w: WeightTriple | None = None,
     return None
 
 
-def _equality_proven(c, r: float, s: float) -> bool:
+def _equality_proven(c, r, s):
     """Whether a theorem proves ||C||_{r->s} = d**(1/s - 1/r) for the OverlapMatrix ``c``.
 
     True for a doubly stochastic ``c`` when s <= r (the test of
@@ -343,12 +368,12 @@ def _equality_proven(c, r: float, s: float) -> bool:
     kappa**2 lambda mu < (1 - lambda)(1 - mu).  At d = 2 kappa = sigma2,
     so it covers the whole strict region.  Only the census asks: neither
     ``norm`` nor ``norm_closed_form`` returns the value on this ground.
+    Elementwise for arrays ``r`` and ``s``; the product is taken only
+    where s is finite, so kappa = 0 with s = inf makes no NaN.
     """
-    if not c.is_doubly_stochastic():
-        return False
-    if s <= r:
-        return True
-    return _stackable(r, s) and c.birkhoff_contraction**2 * (s - 1.0) < r - 1.0
+    interior = _stackable(r, s)
+    contracts = c.birkhoff_contraction**2 * (np.where(interior, s, 1.0) - 1.0) < r - 1.0
+    return c.is_doubly_stochastic() & ((s <= r) | (interior & contracts))
 
 
 def _unit_r(v: np.ndarray, r: float) -> np.ndarray:
@@ -376,6 +401,7 @@ _STALL_STEPS, _STALL_RTOL = 60, 1e-13
 #: Exponents at which NumPy's ``x ** e`` takes a fast path (reciprocal,
 #: sqrt, square) for a scalar or size-1 exponent but not for a larger
 #: exponent array; the fast path's bits differ from the general power's.
+#: A stack that mixes them with other exponents masks them (``_slot``).
 _POW_FAST_PATHS = (-1.0, 0.5, 2.0)
 
 #: Most start-bank floats, n * (1 + n + restarts) per problem, in one batch
@@ -411,10 +437,27 @@ def _no_convergence(best_f, best_x) -> SolverFailureError:
     )
 
 
-def _shared(a: np.ndarray):
-    """One exponent of every problem in a stack: a float if all share it, else ``(P, 1, 1)``."""
+def _slot(a: np.ndarray):
+    """One exponent of every problem in a stack, for ``_power``.
+
+    A float if every problem shares it, else ``(values, masks)``: the
+    ``(P, 1, 1)`` exponents and, for each ``_POW_FAST_PATHS`` value that
+    some problems hold, ``(value, (P, 1, 1) mask of those problems)``.
+    """
     first = float(a[0])
-    return first if (a == first).all() else a.reshape(-1, 1, 1)
+    if (a == first).all():
+        return first
+    masks = [(v, m.reshape(-1, 1, 1)) for v in _POW_FAST_PATHS if (m := a == v).any()]
+    return a.reshape(-1, 1, 1), masks
+
+
+def _slot_keep(e, keep: np.ndarray):
+    """The slot ``e`` of the problems ``keep`` selects; a mask that selects none is dropped."""
+    if not isinstance(e, tuple):
+        return e
+    values, masks = e
+    masks = [(v, m) for v, m in ((v, m[keep]) for v, m in masks) if np.count_nonzero(m)]
+    return values[keep], masks
 
 
 def _stacked_ascent(m, exps, opts) -> list:
@@ -442,19 +485,21 @@ def _stacked_ascent(m, exps, opts) -> list:
     A problem gets the same bits in any stack, alone included: a stacked
     ``matmul`` equals the per-slice product, every problem keeps the start
     bank as its own slice (widening a bank with more columns moves the
-    bits), and an exponent that every problem shares is passed as a
-    scalar, so NumPy takes the fast paths of ``_POW_FAST_PATHS`` exactly
-    where a lone problem would.  ``_numeric_many`` stacks problems so that
-    every fast-path exponent in a stack is shared.
+    bits), and each of the six exponents s - 1, 1/(r - 1), r, 1/r, s and
+    1/s is a ``_slot``: a scalar where every problem shares it, so NumPy
+    takes the fast paths of ``_POW_FAST_PATHS`` exactly where a lone
+    problem would, and otherwise an array whose fast-path problems
+    ``_power`` overwrites with their scalar power.  So ``_numeric_many``
+    stacks problems by matrix shape alone.
     """
     p = len(exps)
     r, s = np.array(exps).T
-    e = [_shared(a) for a in (s - 1.0, 1.0 / (r - 1.0), r, 1.0 / r, s)]
+    e = [_slot(a) for a in (s - 1.0, 1.0 / (r - 1.0), r, 1.0 / r, s, 1.0 / s)]
     x0 = _start_bank(m.shape[-1], opts)
-    x = x0 / _scaled_pnorm(np.broadcast_to(x0, (p,) + x0.shape), e[2])[0]
+    x = x0 / _scaled_pnorm(np.broadcast_to(x0, (p,) + x0.shape), e[2], e[3])[0]
     mt = np.swapaxes(m, -1, -2)
     tol = opts.tolerance
-    f, yn = _scaled_pnorm(m @ x, e[4])
+    f, yn = _scaled_pnorm(m @ x, e[4], e[5])
     best_f, best_x = f.copy(), x.copy()
     converged = np.zeros(f.shape, dtype=bool)
     stall = np.zeros(p, dtype=int)
@@ -462,15 +507,15 @@ def _stacked_ascent(m, exps, opts) -> list:
     live = np.arange(p)  # input position of each slice
     out = [None] * p
     for _ in range(opts.max_iterations):
-        s_minus_1, inv_r_minus_1, r, inv_r, s = e
-        xn = _scale_columns(mt @ yn**s_minus_1)[1] ** inv_r_minus_1
-        nrm = _column_sums(xn**r) ** inv_r
+        s_minus_1, inv_r_minus_1, r, inv_r, s, inv_s = e
+        xn = _power(_scale_columns(mt @ _power(yn, s_minus_1))[1], inv_r_minus_1)
+        nrm = _power(_column_sums(_power(xn, r)), inv_r)
         dead = nrm <= 0.0
         if np.count_nonzero(dead):
             xn = np.where(dead, x, xn)
             nrm = np.where(dead, 1.0, nrm)
         xn /= nrm  # in place: the unnormalised points do not outlive the step
-        fn, yn = _scaled_pnorm(m @ xn, s)
+        fn, yn = _scaled_pnorm(m @ xn, s, inv_s)
         converged |= np.abs(fn - f) / np.maximum(fn, 1e-300) < tol
         x, f = xn, fn
         improved = f > best_f
@@ -490,7 +535,7 @@ def _stacked_ascent(m, exps, opts) -> list:
                 return out
             live, x, yn, f, best_f, best_x, converged, stall, last_best = (
                 a[keep] for a in (live, x, yn, f, best_f, best_x, converged, stall, last_best))
-            e = [a[keep] if isinstance(a, np.ndarray) else a for a in e]
+            e = [_slot_keep(a, keep) for a in e]
             m = m[keep]
             mt = np.swapaxes(m, -1, -2)
     for i, j in enumerate(live):  # stopped by the iteration cap
@@ -499,15 +544,12 @@ def _stacked_ascent(m, exps, opts) -> list:
     return out
 
 
-def _fast_path_key(r: float, s: float) -> tuple:
-    """The powers the ascent at (r, s) takes, with None for each not in ``_POW_FAST_PATHS``."""
-    powers = (s - 1.0, 1.0 / (r - 1.0), r, s, 1.0 / r, 1.0 / s)
-    return tuple(e if e in _POW_FAST_PATHS else None for e in powers)
+def _stackable(r, s):
+    """Whether (r, s) is interior, solved by the ascent; boundary exponents reduce exactly.
 
-
-def _stackable(r: float, s: float) -> bool:
-    """Whether (r, s) is interior, solved by the ascent; boundary exponents reduce exactly."""
-    return 1.0 < r < math.inf and 1.0 < s < math.inf
+    Elementwise for arrays.
+    """
+    return (1.0 < r) & (r < math.inf) & (1.0 < s) & (s < math.inf)
 
 
 def _boundary_norm(m: np.ndarray, r: float, s: float) -> tuple:
@@ -632,7 +674,7 @@ def _numeric_many(problems, opts: SolverOptions | None = None,
         stacks = {}
         for i, (c, r, s) in enumerate(batch):
             if _stackable(r, s):
-                stacks.setdefault((c.matrix.shape, _fast_path_key(r, s)), []).append(i)
+                stacks.setdefault(c.matrix.shape, []).append(i)
         solved = {}
         for ids in stacks.values():
             m = np.stack([batch[i][0].matrix for i in ids])
@@ -670,14 +712,17 @@ def _norm_many(problems, opts: SolverOptions | None = None,
         yield closed if closed is not None else next(numeric)
 
 
-def feasible_weight_grid(sigma2: float, n: int = 21) -> list:
-    """Lattice points (mu, lambda) in [0, 1]^2 inside the conjectured region."""
+def _weight_lattice(n: int) -> tuple:
+    """(mu, lambda) arrays of the n x n lattice on [0, 1]^2, mu the slow axis."""
     if n < 2:
         raise ValueError(f"grid must have at least 2 points per axis, got {n}")
     axis = np.linspace(0.0, 1.0, n)
-    return [
-        (float(mu), float(lam))
-        for mu in axis
-        for lam in axis
-        if conjecture_region_contains(float(mu), float(lam), sigma2)
-    ]
+    return np.repeat(axis, n), np.tile(axis, n)
+
+
+def feasible_weight_grid(sigma2: float, n: int = 21) -> list:
+    """Lattice points (mu, lambda) in [0, 1]^2 inside the conjectured region."""
+    mu, lam = _weight_lattice(n)
+    _check_sigma2(sigma2)
+    inside = _in_region(mu, lam, sigma2)
+    return list(zip(mu[inside].tolist(), lam[inside].tolist()))

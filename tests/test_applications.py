@@ -39,7 +39,7 @@ from entrobound import (
     werner_detection_scan,
     werner_state,
 )
-from entrobound import applications, norms
+from entrobound import applications
 from entrobound.qmath import _product_entropies
 
 SEED = 61
@@ -212,24 +212,17 @@ def test_sweep_numeric_column_is_randomness_bound_numeric(base):
         assert numeric.hex() == want.hex(), (h_x, h_y)
 
 
-def test_randomness_numeric_stacks_fast_path_points_by_exponent(monkeypatch):
+def test_randomness_numeric_stacks_fast_path_points_by_exponent(stacks):
     # The lattice is solved in one pass.  Its 220 closed-form misses (182
-    # interior) come in batches of at most 122: each batch stacks the points
-    # without a NumPy fast-path power, then those with mu = 1/2 (r = 2) and
-    # those with lambda = 1/2 (s = 2), each sharing its exponent.
-    stacks = []
-    ascent = norms._stacked_ascent
-
-    def counting(m, exps, opts):
-        stacks.append(list(exps))
-        return ascent(m, exps, opts)
-
-    monkeypatch.setattr(norms, "_stacked_ascent", counting)
+    # interior) come in batches of at most 122, and each batch's interior
+    # points share one stack, those with mu = 1/2 (r = 2) and lambda = 1/2
+    # (s = 2) included.
     value = randomness_bound_numeric(0.55, 0.55, rotation_overlap_2d(math.pi / 6), LATTICE21)
     assert value.hex() == "0x1.42a4e205a8308p-3"
-    assert [len(exps) for exps in stacks] == [94, 9, 5, 70, 4]
-    assert all(r == 2.0 for r, _ in stacks[1]) and all(s == 2.0 for _, s in stacks[2])
-    assert all(s == 2.0 for _, s in stacks[4])
+    assert [len(exps) for _, exps in stacks] == [108, 74]
+    halves = [(sum(r == 2.0 for r, _ in exps), sum(s == 2.0 for _, s in exps))
+              for _, exps in stacks]
+    assert halves == [(9, 5), (0, 4)]  # (r = 2, s = 2) points per stack
 
 
 # ---------------------------------------------------------------------------

@@ -215,26 +215,19 @@ def test_compare_takes_an_array_like_its_overlap_matrix():
                                          on_violation="use_numeric") == row
 
 
-def test_compare_runs_the_solver_only_where_no_theorem_applies(monkeypatch):
-    from entrobound import norms
+def test_compare_runs_the_solver_only_where_no_theorem_applies(stacks):
+    def calls():
+        return [m.shape[-2:] for m, exps in stacks for _ in exps]
 
-    calls = []
-    ascent = norms._stacked_ascent
-
-    def counting(m, exps, opts):
-        calls.extend([m.shape[-2:]] * len(exps))
-        return ascent(m, exps, opts)
-
-    monkeypatch.setattr(norms, "_stacked_ascent", counting)
     for theta in (0.0, 0.3, math.pi / 6, math.pi / 4):
         assert compare_state_independent(rotation_overlap_2d(theta), opts=FAST).conjecture_ok
     assert compare_state_independent(np.eye(2)[::-1], opts=FAST).conjecture_ok
-    assert calls == []
+    assert calls() == []
     compare_state_independent(from_unitary(haar_random_unitary(3, np.random.default_rng(SEED))),
                               opts=FAST, on_violation="use_numeric")
-    assert calls == [(3, 3)]
+    assert calls() == [(3, 3)]
     compare_state_independent([[0.6, 0.3], [0.4, 0.7]], opts=FAST, on_violation="use_numeric")
-    assert calls == [(3, 3), (2, 2)]
+    assert calls() == [(3, 3), (2, 2)]
 
 
 def test_compare_checks_its_solve_against_the_closed_form(monkeypatch):
@@ -381,24 +374,17 @@ def test_entropy_upper_bound_keeps_its_recorded_bits(name, base):
         assert value.hex() == bits, (h_x, h_y)
 
 
-def test_entropy_upper_bound_stacks_fast_path_points_by_exponent(monkeypatch):
+def test_entropy_upper_bound_stacks_fast_path_points_by_exponent(stacks):
     # The corner and the lattice are solved in one pass.  Its 220 closed-form
-    # misses (182 interior) come in batches of at most 122: each batch stacks
-    # the points without a NumPy fast-path power, then those with lambda = 1/2
-    # (s = 2) and those with mu = 1/2 (r = 2), each sharing its exponent.
-    stacks = []
-    ascent = norms._stacked_ascent
-
-    def counting(m, exps, opts):
-        stacks.append(list(exps))
-        return ascent(m, exps, opts)
-
-    monkeypatch.setattr(norms, "_stacked_ascent", counting)
+    # misses (182 interior) come in batches of at most 122, and each batch's
+    # interior points share one stack, those with lambda = 1/2 (s = 2) and
+    # mu = 1/2 (r = 2) included.
     value = entropy_upper_bound(0.55, 0.55, rotation_overlap_2d(math.pi / 6), grid=LATTICE21)
     assert value.hex() == "0x1.91e0c2305f1b0p-2"
-    assert [len(exps) for exps in stacks] == [94, 9, 5, 70, 4]
-    assert all(s == 2.0 for _, s in stacks[1]) and all(r == 2.0 for r, _ in stacks[2])
-    assert all(r == 2.0 for r, _ in stacks[4])
+    assert [len(exps) for _, exps in stacks] == [108, 74]
+    halves = [(sum(r == 2.0 for r, _ in exps), sum(s == 2.0 for _, s in exps))
+              for _, exps in stacks]
+    assert halves == [(5, 9), (4, 0)]  # (r = 2, s = 2) points per stack
 
 
 def test_envelope_endpoints():

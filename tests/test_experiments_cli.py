@@ -25,6 +25,7 @@ from entrobound import (
     cli,
     compare_state_independent,
     config_hash,
+    conjecture_region_contains,
     experiments,
     fourier_measurement,
     from_unitary,
@@ -320,16 +321,9 @@ def test_fuzz_reproduces_tracked_counterexamples_bit_for_bit():
     assert _violation_lines(buf.getvalue(), 16) == want
 
 
-def test_fuzz_runs_the_ascent_only_where_no_closed_form_applies(monkeypatch):
-    calls = []
-    ascent = norms._stacked_ascent
-
-    def counting(m, exps, opts):
-        calls.extend(exps)
-        return ascent(m, exps, opts)
-
-    monkeypatch.setattr(norms, "_stacked_ascent", counting)
+def test_fuzz_runs_the_ascent_only_where_no_closed_form_applies(stacks):
     run_conjecture_fuzz(dims=(2, 3), samples=2, grid=11, seed=0)
+    calls = [p for _, exps in stacks for p in exps]
     assert calls
     assert all(s > r for r, s in calls)
 
@@ -343,30 +337,19 @@ def _census_lattice(d, samples, seed, grid=11):
             yield c, WeightTriple(1.0, lam, mu)
 
 
-def test_fuzz_solves_a_dimension_in_one_stack_per_fast_path_key(monkeypatch):
+def test_fuzz_solves_a_dimension_in_one_stack(stacks):
     # Sixteen lattices at d = 3 have fewer open points than one batch holds
-    # (2**14 // 18 = 910), so every matrix with an open point of plain
-    # exponents shares one stack, and mu = 1/2 (r = 2) and lambda = 1/2
-    # (s = 2) take one each, not one to three stacks per matrix.
-    stacks = []
-    ascent = norms._stacked_ascent
-
-    def counting(m, exps, opts):
-        stacks.append((m, list(exps)))
-        return ascent(m, exps, opts)
-
-    monkeypatch.setattr(norms, "_stacked_ascent", counting)
+    # (2**14 // 18 = 910), so every open point shares one stack, mu = 1/2
+    # (r = 2) and lambda = 1/2 (s = 2) included, not one to three stacks
+    # per matrix or per fast-path power.
     run_conjecture_fuzz(dims=(3,), samples=16, seed=1)
-    keys = [{norms._fast_path_key(r, s) for r, s in exps} for _, exps in stacks]
-    assert len(stacks) == 3 and all(len(k) == 1 for k in keys)
-    assert len(set.union(*keys)) == 3
-    plain = (None,) * 6
-    want = {c.matrix.tobytes() for c, w in _census_lattice(3, 16, seed=1)
-            if norms._stackable(w.r, w.s) and norms._fast_path_key(w.r, w.s) == plain
-            and not norms._equality_proven(c, w.r, w.s)}
-    assert 1 < len(want) < 16  # the certificate settles every plain point of some matrices
-    (m,) = (m for (m, _), k in zip(stacks, keys) if k == {plain})
-    assert {row.tobytes() for row in m} == want
+    open_points = [(c, w) for c, w in _census_lattice(3, 16, seed=1)
+                   if not norms._equality_proven(c, w.r, w.s)]
+    assert all(norms._stackable(w.r, w.s) for _, w in open_points)
+    assert {0.5} <= {w.mu for _, w in open_points} & {w.lam for _, w in open_points}
+    ((m, exps),) = stacks
+    assert exps == [(w.r, w.s) for _, w in open_points]
+    assert [row.tobytes() for row in m] == [c.matrix.tobytes() for c, _ in open_points]
 
 
 def test_certified_census_points_have_no_excess_over_the_closed_form():
@@ -383,6 +366,45 @@ def _fuzz_csv(**kwargs):
     buf = io.StringIO()
     write_table(run_conjecture_fuzz(**kwargs), buf)
     return buf.getvalue()
+
+
+def _per_point_lattice(d, samples, grid, seed):
+    """Open census points (k, matrix bytes, sigma2, weights) and counts, point by point."""
+    rng = np.random.default_rng([seed, d])
+    axis = np.linspace(0.0, 1.0, grid)
+    points, counts = [], {"evals": 0, "proven": 0}
+    for k in range(samples):
+        c = from_unitary(haar_random_unitary(d, rng))
+        sigma2 = min(float(c.sigma2), 1.0)
+        for mu in axis.tolist():
+            for lam in axis.tolist():
+                if not conjecture_region_contains(mu, lam, sigma2):
+                    continue
+                w = WeightTriple(1.0, lam, mu)
+                counts["evals"] += 1
+                if norms._equality_proven(c, w.r, w.s):
+                    counts["proven"] += 1
+                else:
+                    points.append((k, c.matrix.tobytes(), sigma2, w))
+    return points, counts
+
+
+@pytest.mark.parametrize("grid", [2, 3, 11])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_fuzz_lattice_pass_yields_the_per_point_lattice(d, grid):
+    # The one-pass masks keep the per-point order, weights and counts.  On
+    # grids 2 and 3 every region point has mu + lambda <= 1, and at d = 2
+    # the certificate covers the rest, so only d > 2 at grid 11 has open points.
+    counts = {"evals": 0, "proven": 0}
+    lattice = experiments._fuzz_lattice(d, 6, grid, np.random.default_rng([1, d]), counts)
+    got = [(k, c.matrix.tobytes(), sigma2, w) for k, c, sigma2, w in lattice]
+    want, want_counts = _per_point_lattice(d, 6, grid, seed=1)
+    assert got == want and counts == want_counts
+    assert bool(got) == (d > 2 and grid == 11) and counts["proven"] > 0
+    with pytest.raises(ValueError, match="grid must have at least 2 points per axis, got 1"):
+        next(experiments._fuzz_lattice(d, 6, 1, np.random.default_rng([1, d]), counts))
+    with pytest.raises(ValueError, match="grid must have at least 2 points per axis, got 1"):
+        run_conjecture_fuzz(dims=(d,), samples=1, grid=1)
 
 
 @pytest.mark.parametrize("seed", [0, 1])

@@ -19,6 +19,7 @@ from entrobound import (
     compare_state_independent,
     conjecture_region_contains,
     default_envelope_grid,
+    experiments,
     feasible_weight_grid,
     from_unitary,
     hessian_spectrum_at_ones,
@@ -323,6 +324,18 @@ def test_solver_options_take_only_integer_counts_and_seeds(field):
     assert norm_numeric(rotation_overlap_2d(0.4), 1.5, 2.5, opts=opts).value > 0.0
 
 
+def test_solver_options_take_a_real_tolerance_and_store_a_float():
+    # A bool or a NumPy float used to be stored as given, and a config
+    # holding it could not be hashed; a string failed with a TypeError.
+    for bad in (True, False, np.bool_(True), "1e-11", None, 1e-11j):
+        with pytest.raises(ValueError, match="tolerance must be a real number, got"):
+            SolverOptions(tolerance=bad)
+    for good in (np.float32(1e-11), np.float64(1e-9), 1e-11, 1):
+        opts = SolverOptions(tolerance=good)
+        assert type(opts.tolerance) is float and opts.tolerance == float(good)
+        assert len(experiments.config_hash(experiments._opts_config(opts))) == 12
+
+
 #: Sparse, badly scaled inputs on which a step of the ascent drops the
 #: objective by rounding, with the value an ascent that ran a golden-section
 #: line search after each such drop found (restarts=4), as float.hex.
@@ -400,19 +413,6 @@ def _same_bits(a, b):
             and a.method == b.method and a.certified_bounds == b.certified_bounds)
 
 
-def _counting_stacks(monkeypatch):
-    """Record the matrix shape and the (r, s) list of every ascent stack."""
-    stacks = []
-    ascent = norms._stacked_ascent
-
-    def counting(m, exps, opts):
-        stacks.append((m.shape, list(exps)))
-        return ascent(m, exps, opts)
-
-    monkeypatch.setattr(norms, "_stacked_ascent", counting)
-    return stacks
-
-
 def _fast_path(r, s):
     """Interior (r, s) at which the ascent takes a NumPy fast-path power."""
     if not (1.0 < r < math.inf and 1.0 < s < math.inf):
@@ -421,51 +421,46 @@ def _fast_path(r, s):
     return any(p in (-1.0, 0.5, 2.0) for p in powers)
 
 
-def test_stacked_profile_solves_match_norm_numeric_bit_for_bit(monkeypatch):
+def test_stacked_profile_solves_match_norm_numeric_bit_for_bit(stacks):
     # fig-norm-profile's list: batches of at most 2**14 // 134 = 122
-    # problems.  mu = 1/2 (r = s = 2, fast-path powers) is a stack of its
-    # own in the first, and mu = 1 (r = 1, s = inf) reduces exactly.
+    # problems.  mu = 1/2 (r = s = 2, fast-path powers) shares the first
+    # stack, and mu = 1 (r = 1, s = inf) reduces exactly.
     c = rotation_overlap_2d(math.pi / 6)
     triples = [WeightTriple(1.0, float(mu), float(mu)) for mu in np.linspace(0.5, 1.0, 200)]
     points = [(w.r, w.s) for w in triples]
     want = [norm_numeric(c, r, s) for r, s in points]
-    stacks = _counting_stacks(monkeypatch)
+    stacks.clear()
     got = list(norms._numeric_many([(c, r, s) for r, s in points]))
     assert len(got) == len(want) and all(_same_bits(a, b) for a, b in zip(got, want))
-    assert [exps for _, exps in stacks] == [[(2.0, 2.0)], points[1:122], points[122:199]]
-    assert [shape for shape, _ in stacks] == [(1, 2, 2), (121, 2, 2), (77, 2, 2)]
+    assert [exps for _, exps in stacks] == [points[:122], points[122:199]]
+    assert [m.shape for m, _ in stacks] == [(122, 2, 2), (77, 2, 2)]
 
 
 @pytest.mark.parametrize("engine", ["randomness", "envelope"])
-def test_stacked_weight_lattices_match_norm_bit_for_bit(monkeypatch, engine):
+def test_stacked_weight_lattices_match_norm_bit_for_bit(stacks, engine):
     # The randomness sweep's 21 x 21 lattice and fig-region's default
     # envelope grid, at theta = pi/6: closed forms where they apply, the
     # numeric misses in batches of at most 122 (boundary exponents
-    # included), each batch's fast-path exponents in stacks of their own:
-    # mu = 1/2 (r = 2) and lambda = 1/2 (s = 2).
+    # included), each batch's interior points in one stack, fast-path
+    # exponents (mu = 1/2: r = 2; lambda = 1/2: s = 2) included.
     c = rotation_overlap_2d(math.pi / 6)
     axis = np.linspace(0.0, 1.0, 21)
     triples = ([WeightTriple(1.0, float(lam), float(mu)) for mu in axis for lam in axis]
                if engine == "randomness" else default_envelope_grid())
     want = [norm(c, w) for w in triples]
     misses = [(w.r, w.s) for w in triples if norm_closed_form(c, w=w) is None]
-    stacks = _counting_stacks(monkeypatch)
+    stacks.clear()
     got = list(norms._norm_many([(c, w.r, w.s) for w in triples]))
     assert len(got) == len(want) and all(_same_bits(a, b) for a, b in zip(got, want))
-    want_stacks = []
-    for j in range(0, len(misses), 122):
-        groups = {}
-        for r, s in misses[j:j + 122]:
-            if norms._stackable(r, s):
-                groups.setdefault((_fast_path(r, s), r == 2.0, s == 2.0), []).append((r, s))
-        want_stacks += groups.values()
+    want_stacks = [[p for p in misses[j:j + 122] if norms._stackable(*p)]
+                   for j in range(0, len(misses), 122)]
     assert [exps for _, exps in stacks] == want_stacks
     assert [len(exps) for exps in want_stacks] == {
-        "randomness": [94, 9, 5, 70, 4], "envelope": [40]}[engine]
+        "randomness": [108, 74], "envelope": [40]}[engine]
 
 
 @pytest.mark.parametrize("restarts", [2, 8])
-def test_stacked_d3_lattice_matches_norm_numeric_bit_for_bit(monkeypatch, restarts):
+def test_stacked_d3_lattice_matches_norm_numeric_bit_for_bit(stacks, restarts):
     c = from_unitary(qmath.haar_random_unitary(3, np.random.default_rng([0, 3])))
     sigma2 = min(second_singular_value(c), 1.0)
     points = [(1.0 / mu, 1.0 / (1.0 - lam))
@@ -473,28 +468,27 @@ def test_stacked_d3_lattice_matches_norm_numeric_bit_for_bit(monkeypatch, restar
               if 0.0 < mu < 1.0 and 0.0 < lam < 1.0 and mu + lam > 1.0]
     opts = SolverOptions(restarts=restarts)
     want = [norm_numeric(c, r, s, opts=opts) for r, s in points]
-    stacks = _counting_stacks(monkeypatch)
+    stacks.clear()
     got = list(norms._numeric_many([(c, r, s) for r, s in points], opts=opts))
     assert len(got) == len(want) and all(_same_bits(a, b) for a, b in zip(got, want))
     plain = [p for p in points if not _fast_path(*p)]
-    assert len(plain) == 23
-    assert [exps for _, exps in stacks] == [plain] + [
-        [p for p in points if p[0] == 2.0], [p for p in points if p[1] == 2.0]]
+    assert len(plain) == 23 < len(points)
+    assert [exps for _, exps in stacks] == [points]
 
 
-def test_half_weights_stack_by_their_shared_exponent(monkeypatch):
+def test_half_weights_share_one_stack_with_plain_points(stacks):
     # mu = 1/2 gives r = 2 and lambda = 1/2 gives s = 2: NumPy squares a
     # scalar exponent 2 by a fast path whose bits an exponent array lacks,
-    # so each stack shares its fast-path exponents as scalars.
+    # so the stack overwrites those problems' powers with the scalar's.
     c = rotation_overlap_2d(math.pi / 6)
     points = [(2.0, 1.0 / (1.0 - lam)) for lam in (0.55, 0.6, 0.7, 0.8)]
     points += [(1.0 / mu, 2.0) for mu in (0.55, 0.6, 0.7)]
     points += [(1.0 / 0.6, 1.0 / 0.3), (1.0 / 0.7, 1.0 / 0.25)]  # no fast path
     want = [norm_numeric(c, r, s) for r, s in points]
-    stacks = _counting_stacks(monkeypatch)
+    stacks.clear()
     got = list(norms._numeric_many([(c, r, s) for r, s in points]))
     assert all(_same_bits(a, b) for a, b in zip(got, want))
-    assert [exps for _, exps in stacks] == [points[:4], points[4:7], points[7:]]
+    assert [exps for _, exps in stacks] == [points]
     assert [_fast_path(r, s) for r, s in points] == [True] * 7 + [False] * 2
 
 
@@ -531,6 +525,28 @@ def test_lone_solver_failure_keeps_its_recorded_bits():
     assert exc.value.best_value.hex() == "0x1.445abdc4f5308p+2"
     assert [float(v).hex() for v in exc.value.best_point] == [
         "0x1.c56e739b67568p-3", "0x1.c3395207f129ap-1", "0x1.f17c978783b9ap-6"]
+
+
+def test_one_stack_mixes_every_fast_path_power_bit_for_bit(stacks):
+    # r and s in {1.5, 2, 3} put each fast-path value an exponent slot can
+    # hold into it: 2 and 1/2 into s - 1 and 1/(r - 1), 2 into r and s, 1/2
+    # into 1/r and 1/s; 1.7 and 2.6 take no fast path.  A Haar matrix and a
+    # matrix that is not doubly stochastic share one stack, and every
+    # problem keeps the bits of its lone solve.
+    rng = np.random.default_rng(SEED)
+    cs = [from_unitary(qmath.haar_random_unitary(3, rng)), rng.uniform(0.1, 1.0, (3, 3))]
+    exps = (1.5, 2.0, 3.0, 1.7, 2.6)
+    problems = [(c, r, s) for c in cs for r in exps for s in exps]
+    opts = SolverOptions(restarts=3)
+    want = [norm_numeric(c, r, s, opts=opts) for c, r, s in problems]
+    stacks.clear()
+    got = list(norms._numeric_many(problems, opts=opts))
+    assert len(got) == len(want) and all(_same_bits(a, b) for a, b in zip(got, want))
+    assert [exps for _, exps in stacks] == [[(r, s) for _, r, s in problems]]
+    r, s = np.array([(r, s) for _, r, s in problems]).T
+    slots = [norms._slot(a) for a in (s - 1.0, 1.0 / (r - 1.0), r, 1.0 / r, s, 1.0 / s)]
+    assert [[v for v, _ in masks] for _, masks in slots] == [
+        [0.5, 2.0], [0.5, 2.0], [2.0], [0.5], [2.0], [0.5]]
 
 
 def test_numpy_power_fast_paths_take_scalar_exponents_only():
@@ -597,23 +613,22 @@ def _mu_star_problems(d, seed, samples):
 
 
 @pytest.mark.parametrize("d, samples", [(3, 12), (4, 12), (8, 8), (12, 70)])
-def test_per_problem_matrices_match_norm_numeric_bit_for_bit(monkeypatch, d, samples):
+def test_per_problem_matrices_match_norm_numeric_bit_for_bit(stacks, d, samples):
     # compare's mu* problems, one matrix each.  At d = 12 a batch holds at
     # most 2**14 // 252 = 65 problems, so 70 take two batches.  The last
-    # problem sits at r = 2, a fast-path power, and takes a stack of its
-    # own in the last batch.
+    # problem sits at r = 2, a fast-path power, and shares the last
+    # batch's stack.
     opts = SolverOptions(restarts=8)
     problems = _mu_star_problems(d, 1, samples)
     problems[-1] = (problems[-1][0], 2.0, 3.0)
     want = [norm_numeric(c, r, s, opts=opts) for c, r, s in problems]
-    stacks = _counting_stacks(monkeypatch)
+    stacks.clear()
     got = list(norms._numeric_many(problems, opts=opts))
     assert len(got) == len(want) and all(_same_bits(a, b) for a, b in zip(got, want))
     cap = norms._STACK_FLOATS // (d * (d + 1 + opts.restarts))
-    sizes = [samples - 1] if samples <= cap else [cap, samples - 1 - cap]
-    assert [(shape, len(exps)) for shape, exps in stacks] == (
-        [((n, d, d), n) for n in sizes] + [((1, d, d), 1)])
-    assert stacks[-1][1] == [(2.0, 3.0)]
+    sizes = [samples] if samples <= cap else [cap, samples - cap]
+    assert [(m.shape, len(exps)) for m, exps in stacks] == [((n, d, d), n) for n in sizes]
+    assert stacks[-1][1][-1] == (2.0, 3.0)
 
 
 def test_per_problem_failure_is_the_first_in_input_order():
@@ -666,7 +681,7 @@ def _lattice_problems(d, samples, grid=11):
     return problems
 
 
-def test_norm_stream_reads_one_batch_of_misses_ahead(monkeypatch):
+def test_norm_stream_reads_one_batch_of_misses_ahead(monkeypatch, stacks):
     # With batches of four problems, three matrices' lattices take many
     # batches.  After each result, the input read but not yet answered
     # holds the rest of one batch of closed-form misses at most, and it
@@ -677,7 +692,7 @@ def test_norm_stream_reads_one_batch_of_misses_ahead(monkeypatch):
     want = [norm(c, opts=opts, r=r, s=s) for c, r, s in problems]
     misses = [norm_closed_form(c, r, s) is None for c, r, s in problems]
     monkeypatch.setattr(norms, "_STACK_FLOATS", 4 * 3 * (3 + 1 + opts.restarts))
-    stacks = _counting_stacks(monkeypatch)
+    stacks.clear()
     read = [0]
 
     def feed():
