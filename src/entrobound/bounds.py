@@ -192,10 +192,9 @@ def _compare_many(cs, opts: SolverOptions | None = None, base: LogBase = LogBase
     """Yield ``compare_state_independent(c, opts, base, on_violation)`` for each c, in order.
 
     ``cs`` is read lazily: its problems at mu* stream into ``_numeric_many``,
-    which reads at most one batch ahead of the rows yielded.  Rows, solver
+    which reads a bounded window ahead of the rows yielded.  Rows, solver
     errors and ``ConjectureViolationError`` come out in input order; an
-    input that would be rejected before solving is rejected before any
-    solve of its batch.
+    input that would be rejected before solving is rejected as it is read.
     """
     if on_violation not in ("raise", "use_numeric"):
         raise ValueError(f"unknown on_violation mode {on_violation!r}")

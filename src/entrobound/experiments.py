@@ -117,6 +117,16 @@ def write_table(table: Table, stream) -> None:
         stream.write(",".join(_fmt(v) for v in row) + "\n")
 
 
+def _check_dims(dims) -> tuple:
+    """``dims`` as a tuple of ints, each at least 2 and none repeated."""
+    dims = tuple(int(d) for d in dims)
+    if not dims or min(dims) < 2:
+        raise ValueError(f"dimensions must all be >= 2, got {dims}")
+    if len(set(dims)) < len(dims):
+        raise ValueError(f"dimensions must not repeat, got {dims}")
+    return dims
+
+
 def _opts_config(opts: SolverOptions) -> dict:
     return {
         "restarts": opts.restarts,
@@ -321,30 +331,30 @@ def run_compare_random(dims=tuple(range(2, 13)), samples: int = 1000,
     how often the second-singular-value constant is at least as large as
     the largest-overlap and second-overlap constants.  Rows also report
     how many evaluations fell back to the numeric norm because the
-    conjectured closed form failed verification.  A dimension's matrices
+    conjectured closed form failed verification.  Each dimension draws
+    from its own ``default_rng([seed, d])``, and every dimension's matrices
     are drawn lazily into one ``bounds._compare_many`` pass, whose mu*
-    problems are solved a bounded batch at a time, so memory does not
-    grow with ``samples``; each row has the bits of
-    ``compare_state_independent`` on its own matrix.
+    problems share one refilling ascent stack that reads a bounded window
+    ahead, so memory does not grow with ``samples``; each row has the bits
+    of ``compare_state_independent`` on its own matrix.
+
+    Raises:
+        ValueError: for an empty ``dims``, a d below 2, a repeated d, or no
+            samples.
     """
-    dims = tuple(int(d) for d in dims)
-    if not dims or min(dims) < 2:
-        raise ValueError(f"dimensions must all be >= 2, got {dims}")
+    dims = _check_dims(dims)
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
     opts = opts or COMPARE_RANDOM_OPTS
-    rows = []
-    pct = {}
-    for d in dims:
-        rng = np.random.default_rng([seed, d])
-        draws = (from_unitary(haar_random_unitary(d, rng)) for _ in range(samples))
-        best = 0
-        fallbacks = 0
-        for row in _compare_many(draws, opts, base, on_violation="use_numeric"):
-            best += int(row.ours_at_least)
-            fallbacks += int(not row.conjecture_ok)
-        pct[d] = 100.0 * best / samples
-        rows.append((d, samples, pct[d], fallbacks))
+    best, fallbacks = dict.fromkeys(dims, 0), dict.fromkeys(dims, 0)
+    draws = (from_unitary(haar_random_unitary(d, rng))
+             for d in dims for rng in [np.random.default_rng([seed, d])] for _ in range(samples))
+    labels = (d for d in dims for _ in range(samples))
+    for d, row in zip(labels, _compare_many(draws, opts, base, on_violation="use_numeric")):
+        best[d] += int(row.ours_at_least)
+        fallbacks[d] += int(not row.conjecture_ok)
+    pct = {d: 100.0 * best[d] / samples for d in dims}
+    rows = [(d, samples, pct[d], fallbacks[d]) for d in dims]
     config = {
         "cmd": "fig-compare", "mode": "random", "dims": list(dims),
         "samples": samples, "seed": seed, "base": base.name, **_opts_config(opts),
@@ -442,12 +452,10 @@ def run_conjecture_fuzz(dims=(2, 3, 4), samples: int = 1000, grid: int = 11,
         the summary row's ``evals``.
 
     Raises:
-        ValueError: for an empty ``dims``, a d below 2, no samples, or an
-            ``excess_tol`` that is not finite and >= 0.
+        ValueError: for an empty ``dims``, a d below 2, a repeated d, no
+            samples, or an ``excess_tol`` that is not finite and >= 0.
     """
-    dims = tuple(int(d) for d in dims)
-    if not dims or min(dims) < 2:
-        raise ValueError(f"dimensions must all be >= 2, got {dims}")
+    dims = _check_dims(dims)
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
     if not (math.isfinite(excess_tol) and excess_tol >= 0.0):

@@ -8,10 +8,12 @@ Weighted entropic bounds use the exponents r = alpha/mu and
 s = alpha/(alpha - lambda).
 
 Every numeric problem is a ``(matrix, r, s)`` triple.  ``_numeric_many``
-reads problems lazily in input-order batches of at most ``_STACK_FLOATS``
-start-bank floats and solves each batch in ``_stacked_ascent``, the one
-ascent loop, in one stack per matrix shape; each problem gets the bits it
-gets alone.  ``norm_numeric`` and ``norm`` are one-problem passes.
+reads problems lazily, in input order, into ``_stacked_ascent``, the one
+ascent loop: one stack of at most ``_STACK_FLOATS`` start-bank floats that
+takes problems into the slots finished ones free, across matrix shapes
+padded to the stack's, and yields results in input order; each problem
+gets the bits it gets alone.  ``norm_numeric`` and ``norm`` are
+one-problem passes.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import enum
 import itertools
 import math
 import numbers
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -130,6 +133,16 @@ def _exponents(r=None, s=None, w: WeightTriple | None = None):
     return r, s
 
 
+def _rows_first(v: np.ndarray) -> np.ndarray:
+    """A ``(P, n, k)`` stack as a C-contiguous ``(n, P, k)`` array.
+
+    NumPy reduces over the first axis of that copy several times faster
+    than over the short middle axis of the stack, and in the same order:
+    row by row, so a sum has the same bits (the stack's k is at least 2).
+    """
+    return np.ascontiguousarray(v.transpose(1, 0, 2))
+
+
 def _scale_columns(v: np.ndarray) -> tuple:
     """(column maxima, v divided by them); all-zero columns stay as they are.
 
@@ -140,7 +153,7 @@ def _scale_columns(v: np.ndarray) -> tuple:
     several times more on arrays this short.
     """
     if v.ndim == 3:
-        vmax = np.maximum.reduce(v, axis=1, keepdims=True)
+        vmax = np.maximum.reduce(_rows_first(v))[:, None]
     else:
         vmax = np.maximum.reduce(v, axis=0)
     low = vmax.ravel()[vmax.argmin()]
@@ -152,7 +165,7 @@ def _scale_columns(v: np.ndarray) -> tuple:
 def _column_sums(v: np.ndarray) -> np.ndarray:
     """Sums down the columns, laid out as in ``_scale_columns``."""
     if v.ndim == 3:
-        return np.add.reduce(v, axis=1, keepdims=True)
+        return np.add.reduce(_rows_first(v))[:, None]
     return np.add.reduce(v, axis=0)
 
 
@@ -404,18 +417,37 @@ _STALL_STEPS, _STALL_RTOL = 60, 1e-13
 #: A stack that mixes them with other exponents masks them (``_slot``).
 _POW_FAST_PATHS = (-1.0, 0.5, 2.0)
 
-#: Most start-bank floats, n * (1 + n + restarts) per problem, in one batch
-#: of ``_numeric_many``: 128 KiB per ``(P, n, k)`` array of a stack (455
-#: problems at d = 3 with 8 restarts, 65 at d = 12).
+#: Most start-bank floats in the ascent stack, n * (1 + n + restarts) per
+#: problem at the stack's padded column count n: 128 KiB per ``(P, n, k)``
+#: array (455 problems at d = 3 with 8 restarts, 65 at d = 12).  A larger
+#: matrix shape joins the stack once the live problems, padded to it, hold
+#: at most 1/_GROW_SHARE of these floats, so padding costs arithmetic only
+#: in a tail.
 _STACK_FLOATS = 2**14
+_GROW_SHARE = 10
+
+#: ``_numeric_many`` reads ahead of its results while the problems read and
+#: not yet yielded hold fewer than _WINDOW_STACKS * _STACK_FLOATS start-bank
+#: floats, each at its own n, and number fewer than _WINDOW_PROBLEMS.  The
+#: floats let a slow problem at the head of one dimension not stall the
+#: next dimensions' reads; the count bounds the Python objects each pending
+#: problem holds along an engine's pipeline (about 0.7 kB in the census).
+_WINDOW_STACKS = 4
+_WINDOW_PROBLEMS = 1024
 
 
-def _start_bank(n: int, opts: SolverOptions) -> np.ndarray:
-    """Starts of every ascent, as columns: all-ones, the basis, seeded randoms."""
-    starts = [np.ones((n, 1)), np.eye(n)]
-    if opts.restarts > 0:
-        starts.append(default_rng(opts.seed).standard_exponential((n, opts.restarts)))
-    return np.concatenate(starts, axis=1)
+def _pad(a: np.ndarray, rows: int, width: int) -> np.ndarray:
+    """``a`` (..., n, k) padded to (..., rows, width): zero rows below, copies of column 0 right.
+
+    Zero rows leave every product, maximum and sum of a point unchanged,
+    and a copy of the all-ones start column evolves exactly as that column
+    does, so it changes no result.
+    """
+    n, k = a.shape[-2:]
+    out = np.zeros(a.shape[:-2] + (rows, width), a.dtype)
+    out[..., :n, :k] = a
+    out[..., :n, k:] = a[..., :1]
+    return out
 
 
 def _best_start(best_f, best_x) -> np.ndarray:
@@ -433,7 +465,7 @@ def _no_convergence(best_f, best_x) -> SolverFailureError:
     return SolverFailureError(
         "no start of the power iteration converged",
         best_value=float(best_f[j]),
-        best_point=best_x[:, j],
+        best_point=best_x[:, j].copy(),
     )
 
 
@@ -460,16 +492,73 @@ def _slot_keep(e, keep: np.ndarray):
     return values[keep], masks
 
 
-def _stacked_ascent(m, exps, opts) -> list:
-    """Multistart power iteration at every (r, s) in ``exps`` at once.
+@lru_cache(maxsize=64)
+def _start_bank(n: int, cols: int, width: int, opts: SolverOptions) -> np.ndarray:
+    """Starts of an n-column ascent (all-ones, the basis, seeded randoms) in a stack's shape.
 
-    ``m`` stacks one matrix per problem, ``(P, rows, n)``.  Each
-    problem is one slice of a ``(P, n, k)`` stack with its own start bank,
-    convergence mask, ``_STALL_STEPS`` stall counter and best points, and
-    leaves the stack (with its matrix) at the step at which it stops.
-    Returns, per problem in order, its best point, or the
-    ``SolverFailureError`` of an ascent none of whose starts converged
-    within ``opts.max_iterations``.
+    The starts are the columns, padded to ``(cols, width)`` as in ``_pad``.
+    Read-only: every admission of the shape shares it.
+    """
+    starts = [np.ones((n, 1)), np.eye(n)]
+    if opts.restarts > 0:
+        starts.append(default_rng(opts.seed).standard_exponential((n, opts.restarts)))
+    bank = _pad(np.concatenate(starts, axis=1), cols, width)
+    bank.flags.writeable = False
+    return bank
+
+
+def _admit(st: list, batch: list, step: int, rows: int, cols: int, width: int,
+           opts: SolverOptions) -> list:
+    """The stack state ``st`` with the ``(key, matrix, r, s)`` problems of ``batch`` appended.
+
+    ``st`` holds ``_stacked_ascent``'s arrays, one leading entry per live
+    problem, at the stack's ``(rows, cols)`` matrices and ``(cols, width)``
+    points; each new matrix and start bank is padded to them.  The new
+    problems take their first objective values here and count their steps
+    from ``step``.
+    """
+    keys, mats, r, s = zip(*batch)
+    shapes = {mat.shape for mat in mats}
+    if len(shapes) == 1:
+        m = np.stack(mats)
+        if shapes != {(rows, cols)}:
+            m = np.pad(m, ((0, 0), (0, rows - m.shape[1]), (0, cols - m.shape[2])))
+        x0 = np.broadcast_to(_start_bank(mats[0].shape[1], cols, width, opts),
+                             (len(mats), cols, width))
+    else:
+        m = np.zeros((len(mats), rows, cols))
+        for slice_, mat in zip(m, mats):
+            slice_[: mat.shape[0], : mat.shape[1]] = mat
+        x0 = np.stack([_start_bank(mat.shape[1], cols, width, opts) for mat in mats])
+    r, s = np.array(r), np.array(s)
+    x = x0 / _scaled_pnorm(x0, _slot(r), _slot(1.0 / r))[0]
+    f, yn = _scaled_pnorm(m @ x, _slot(s), _slot(1.0 / s))
+    new = [np.array(keys), np.array([mat.shape for mat in mats]),
+           np.stack([s - 1.0, 1.0 / (r - 1.0), r, 1.0 / r, s, 1.0 / s], axis=1),
+           np.full(len(mats), step), np.zeros(len(mats), dtype=int), f.max(axis=(1, 2)),
+           m, x, yn, f, f.copy(), x.copy(), np.zeros(f.shape, dtype=bool)]
+    return [np.concatenate(pair) for pair in zip(st, new)] if st else new
+
+
+def _stacked_ascent(feed, opts):
+    """Multistart power iteration of every problem ``feed`` gives, in one refilling stack.
+
+    ``feed`` yields ``(key, matrix, r, s)`` per problem, or None while it
+    has none to give; it is asked again after the next step.  Problems
+    enter the stack in that order, into the slots that stopped problems
+    free, up to ``_STACK_FLOATS`` start-bank floats.  The stack has one
+    padded shape (``_pad``): a smaller matrix gets zero rows and columns,
+    its points zero rows, and its start bank copies of its all-ones start
+    column.  A larger shape enters once the live problems, padded to it,
+    hold at most 1/_GROW_SHARE of those floats, and the stack is cut back
+    to the largest live shape as problems leave.  Each problem is one
+    slice of ``(P, n, k)`` arrays with its own start bank, convergence
+    mask, ``_STALL_STEPS`` stall counter, best points and
+    ``opts.max_iterations`` steps counted from its admission.  After each
+    step, and each turn with an empty stack, yields the ``(key, result)``
+    pairs of the problems that stopped: the best point, cut to the
+    problem's own length, or the ``SolverFailureError`` of an ascent none
+    of whose starts converged within its steps.
 
     The objective is ``_scaled_pnorm``, the body of ``_pnorm``, and the
     loop keeps the scaled ``m @ x`` it returns: that is the normalised
@@ -483,32 +572,56 @@ def _stacked_ascent(m, exps, opts) -> list:
     point seen.
 
     A problem gets the same bits in any stack, alone included: a stacked
-    ``matmul`` equals the per-slice product, every problem keeps the start
-    bank as its own slice (widening a bank with more columns moves the
-    bits), and each of the six exponents s - 1, 1/(r - 1), r, 1/r, s and
-    1/s is a ``_slot``: a scalar where every problem shares it, so NumPy
-    takes the fast paths of ``_POW_FAST_PATHS`` exactly where a lone
-    problem would, and otherwise an array whose fast-path problems
-    ``_power`` overwrites with their scalar power.  So ``_numeric_many``
-    stacks problems by matrix shape alone.
+    ``matmul`` equals the per-slice product, zero padding adds only exact
+    zeros to its sums, a copy of the all-ones column never beats the
+    column it copies, and each of the six exponents s - 1, 1/(r - 1), r,
+    1/r, s and 1/s is a ``_slot``: a scalar where every problem shares it,
+    so NumPy takes the fast paths of ``_POW_FAST_PATHS`` exactly where a
+    lone problem would, and otherwise an array whose fast-path problems
+    ``_power`` overwrites with their scalar power.
     """
-    p = len(exps)
-    r, s = np.array(exps).T
-    e = [_slot(a) for a in (s - 1.0, 1.0 / (r - 1.0), r, 1.0 / r, s, 1.0 / s)]
-    x0 = _start_bank(m.shape[-1], opts)
-    x = x0 / _scaled_pnorm(np.broadcast_to(x0, (p,) + x0.shape), e[2], e[3])[0]
-    mt = np.swapaxes(m, -1, -2)
-    tol = opts.tolerance
-    f, yn = _scaled_pnorm(m @ x, e[4], e[5])
-    best_f, best_x = f.copy(), x.copy()
-    converged = np.zeros(f.shape, dtype=bool)
-    stall = np.zeros(p, dtype=int)
-    last_best = best_f.max(axis=(1, 2))
-    live = np.arange(p)  # input position of each slice
-    out = [None] * p
-    for _ in range(opts.max_iterations):
+    restarts, tol, max_steps = opts.restarts, opts.tolerance, opts.max_iterations
+    rows = cols = p = step = next_cap = 0
+    width = 1 + restarts
+    st, e, waiting, exhausted = [], [], None, False
+    while True:
+        batch = []
+        while not exhausted:
+            if waiting is None:
+                try:
+                    waiting = next(feed)
+                except StopIteration:
+                    exhausted = True
+                    break
+                if waiting is None:
+                    break
+            grown = (max(rows, waiting[1].shape[0]), max(cols, waiting[1].shape[1]))
+            if grown != (rows, cols):
+                grown_width = 1 + grown[1] + restarts
+                if batch or p * grown[1] * grown_width > _STACK_FLOATS // _GROW_SHARE:
+                    break
+                if p:
+                    st = _grow(st, *grown, grown_width)
+                (rows, cols), width = grown, grown_width
+            if p + len(batch) >= max(1, _STACK_FLOATS // (cols * width)):
+                break
+            batch.append(waiting)
+            waiting = None
+        if batch:
+            if not p:
+                next_cap = step + max_steps
+            st = _admit(st, batch, step, rows, cols, width, opts)
+            p += len(batch)
+            e = [_slot(a) for a in st[2].T]
+        if not p:
+            yield ()
+            if exhausted:
+                return
+            continue
+        keys, dims, exps, admitted, stall, last_best, m, x, yn, f, best_f, best_x, converged = st
         s_minus_1, inv_r_minus_1, r, inv_r, s, inv_s = e
-        xn = _power(_scale_columns(mt @ _power(yn, s_minus_1))[1], inv_r_minus_1)
+        xn = _power(_scale_columns(np.swapaxes(m, -1, -2) @ _power(yn, s_minus_1))[1],
+                    inv_r_minus_1)
         nrm = _power(_column_sums(_power(xn, r)), inv_r)
         dead = nrm <= 0.0
         if np.count_nonzero(dead):
@@ -526,22 +639,47 @@ def _stacked_ascent(m, exps, opts) -> list:
         top = np.maximum.reduce(best_f, axis=(1, 2))
         stall = (stall + 1) * (top <= last_best * (1.0 + _STALL_RTOL))
         last_best = top
+        step += 1
         done = np.logical_and.reduce(converged, axis=(1, 2)) | (stall >= _STALL_STEPS)
-        if np.count_nonzero(done):
-            for i in np.flatnonzero(done):
-                out[live[i]] = _best_start(best_f[i, 0], best_x[i])
-            keep = ~done
-            if not keep.any():
-                return out
-            live, x, yn, f, best_f, best_x, converged, stall, last_best = (
-                a[keep] for a in (live, x, yn, f, best_f, best_x, converged, stall, last_best))
-            e = [_slot_keep(a, keep) for a in e]
-            m = m[keep]
-            mt = np.swapaxes(m, -1, -2)
-    for i, j in enumerate(live):  # stopped by the iteration cap
-        finish = _best_start if converged[i].any() else _no_convergence
-        out[j] = finish(best_f[i, 0], best_x[i])
-    return out
+        # Stack order is admission order, so the oldest problem reaches its cap first.
+        leave = done | (admitted == step - max_steps) if step == next_cap else done
+        st = [keys, dims, exps, admitted, stall, last_best, m, x, yn, f, best_f, best_x, converged]
+        if not np.count_nonzero(leave):
+            yield ()
+            continue
+        retired = []
+        for i in np.flatnonzero(leave).tolist():
+            finish = _best_start if done[i] or converged[i].any() else _no_convergence
+            retired.append((int(keys[i]), finish(best_f[i, 0], best_x[i, : dims[i, 1]])))
+        keep = ~leave
+        st = [a[keep] for a in st]
+        e = [_slot_keep(a, keep) for a in e]
+        p -= len(retired)
+        if p:
+            next_cap = int(st[3][0]) + max_steps
+            top_rows, top_cols = st[1].max(axis=0).tolist()
+            if (top_rows, top_cols) != (rows, cols):
+                rows, cols, width = top_rows, top_cols, 1 + top_cols + restarts
+                st = _cut(st, rows, cols, width)
+        else:
+            st, rows, cols = [], 0, 0
+        yield retired
+
+
+def _grow(st, rows, cols, width) -> list:
+    """The stack state ``st`` padded to a larger shape, as in ``_pad``; matrices take zeros."""
+    m, x, yn, f, best_f, best_x, converged = st[6:]
+    m = np.pad(m, ((0, 0), (0, rows - m.shape[1]), (0, cols - m.shape[2])))
+    return st[:6] + [m, _pad(x, cols, width), _pad(yn, rows, width), _pad(f, 1, width),
+                     _pad(best_f, 1, width), _pad(best_x, cols, width), _pad(converged, 1, width)]
+
+
+def _cut(st, rows, cols, width) -> list:
+    """The stack state ``st`` cut to a smaller shape that still holds every live problem."""
+    m, x, yn, f, best_f, best_x, converged = st[6:]
+    return st[:6] + [np.ascontiguousarray(a) for a in (
+        m[:, :rows, :cols], x[:, :cols, :width], yn[:, :rows, :width], f[..., :width],
+        best_f[..., :width], best_x[:, :cols, :width], converged[..., :width])]
 
 
 def _stackable(r, s):
@@ -636,57 +774,53 @@ def _numeric_result(c, r, s, witness, value, base) -> NormResult:
                       NormMethod.NUMERIC_MULTISTART, bounds)
 
 
-def _batches(problems, opts: SolverOptions):
-    """Input-order lists of ``problems`` whose start banks total at most ``_STACK_FLOATS`` floats.
-
-    A batch closes once a problem of its last one's size would not fit, so
-    a stream of one matrix size is read no further ahead than one batch.
-    """
-    batch, room = [], _STACK_FLOATS
-    for problem in problems:
-        n = problem[0].matrix.shape[1]
-        size = n * (1 + n + opts.restarts)
-        if batch and size > room:
-            yield batch
-            batch, room = [], _STACK_FLOATS
-        batch.append(problem)
-        room -= size
-        if room < size:
-            yield batch
-            batch, room = [], _STACK_FLOATS
-    if batch:
-        yield batch
-
-
 def _numeric_many(problems, opts: SolverOptions | None = None,
                   base: LogBase = LogBase.TWO):
     """Yield the numeric norm of each (c, r, s) problem, in order, as ``norm_numeric`` solves it.
 
-    Problems are read lazily, one ``_batches`` batch at a time, and come
-    out with the bits, messages and values they get when solved alone.
-    The results are checked against the certified sandwich but not
-    against the closed form: callers that may pass closed-form problems
-    run ``_agrees_with_closed_form`` on them.
+    The in-order scheduler over the one ``_stacked_ascent`` stack.
+    Problems are read lazily, as the stack has room for them: a boundary
+    problem is solved as it is read, and an interior one goes to the
+    stack.  Results come out in input order with the bits, messages and
+    values they get when solved alone, each witness its own copy of its
+    problem's length.  Reading stops while the problems read and not yet
+    yielded fill the window of ``_WINDOW_STACKS`` and
+    ``_WINDOW_PROBLEMS``, so a slow problem holds up reading, not memory.
+    The results are checked against the certified sandwich but not against
+    the closed form: callers that may pass closed-form problems run
+    ``_agrees_with_closed_form`` on them.
     """
     opts = opts or SolverOptions()
-    checked = ((_as_overlap(c), *_exponents(r, s)) for c, r, s in problems)
-    for batch in _batches(checked, opts):
-        stacks = {}
-        for i, (c, r, s) in enumerate(batch):
+    limit = _WINDOW_STACKS * _STACK_FLOATS
+    pending = deque()  # (key, c, r, s, floats) of each problem read and not yet yielded
+    solved = {}  # key -> best point, SolverFailureError or boundary (witness, value)
+    held = 0
+
+    def feed():
+        nonlocal held
+        for key, (c, r, s) in enumerate(problems):
+            c = _as_overlap(c)
+            r, s = _exponents(r, s)
+            n = c.matrix.shape[1]
+            floats = n * (1 + n + opts.restarts)
+            pending.append((key, c, r, s, floats))
+            held += floats
             if _stackable(r, s):
-                stacks.setdefault(c.matrix.shape, []).append(i)
-        solved = {}
-        for ids in stacks.values():
-            m = np.stack([batch[i][0].matrix for i in ids])
-            solved.update(zip(ids, _stacked_ascent(m, [batch[i][1:] for i in ids], opts)))
-        for i, (c, r, s) in enumerate(batch):
-            if i in solved:
-                witness = solved.pop(i)
-                if isinstance(witness, SolverFailureError):
-                    raise witness
-                value = _ratio(c.matrix, witness, r, s)
+                yield key, c.matrix, r, s
             else:
-                witness, value = _boundary_norm(c.matrix, r, s)
+                solved[key] = _boundary_norm(c.matrix, r, s)
+            while held >= limit or len(pending) >= _WINDOW_PROBLEMS:
+                yield None
+
+    for retired in _stacked_ascent(feed(), opts):
+        solved.update(retired)
+        while pending and pending[0][0] in solved:
+            key, c, r, s, floats = pending.popleft()
+            held -= floats
+            out = solved.pop(key)
+            if isinstance(out, SolverFailureError):
+                raise out
+            witness, value = out if isinstance(out, tuple) else (out, _ratio(c.matrix, out, r, s))
             yield _numeric_result(c, r, s, witness, value, base)
 
 
@@ -702,8 +836,8 @@ def _norm_many(problems, opts: SolverOptions | None = None,
 
     Problems are read lazily, and each matrix is validated once for both
     paths.  The closed-form misses stream into one ``_numeric_many`` pass,
-    so the input is read at most one batch of misses, and the hits between
-    them, ahead of the results yielded.
+    so the input is read at most that pass's window of misses, and the
+    hits between them, ahead of the results yielded.
     """
     checked = ((_as_overlap(c), r, s) for c, r, s in problems)
     dispatched, searched = itertools.tee((p, norm_closed_form(*p, base=base)) for p in checked)

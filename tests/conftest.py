@@ -5,19 +5,33 @@ import pytest
 from entrobound import norms
 
 
+class Admissions(list):
+    """Admissions to the ascent stack, in order, and the stack's largest live count."""
+
+    peak = 0
+
+    def clear(self):
+        super().clear()
+        self.peak = 0
+
+
 @pytest.fixture
 def stacks(monkeypatch):
-    """Every ascent stack the test runs, as ``(matrix stack, [(r, s), ...])`` in order.
+    """Every admission to the ascent stack the test runs, as ``(matrices, [(r, s), ...])``.
 
-    Recording starts with the test; clear the list to drop the stacks of
+    ``matrices`` are the admitted problems' matrices, padded to the stack's
+    shape, and ``stacks.peak`` is the most problems the stack held at once.
+    Recording starts with the test; ``clear()`` drops the admissions of
     reference solves.
     """
-    seen = []
-    ascent = norms._stacked_ascent
+    seen = Admissions()
+    admit = norms._admit
 
-    def counting(m, exps, opts):
-        seen.append((m, list(exps)))
-        return ascent(m, exps, opts)
+    def counting(st, batch, *args):
+        st = admit(st, batch, *args)
+        seen.append((st[6][-len(batch):], [(r, s) for _, _, r, s in batch]))
+        seen.peak = max(seen.peak, len(st[0]))
+        return st
 
-    monkeypatch.setattr(norms, "_stacked_ascent", counting)
+    monkeypatch.setattr(norms, "_admit", counting)
     return seen

@@ -214,15 +214,17 @@ def test_sweep_numeric_column_is_randomness_bound_numeric(base):
 
 def test_randomness_numeric_stacks_fast_path_points_by_exponent(stacks):
     # The lattice is solved in one pass.  Its 220 closed-form misses (182
-    # interior) come in batches of at most 122, and each batch's interior
-    # points share one stack, those with mu = 1/2 (r = 2) and lambda = 1/2
+    # interior) share one stack of at most 122, which takes them in order
+    # as problems leave it, those with mu = 1/2 (r = 2) and lambda = 1/2
     # (s = 2) included.
     value = randomness_bound_numeric(0.55, 0.55, rotation_overlap_2d(math.pi / 6), LATTICE21)
     assert value.hex() == "0x1.42a4e205a8308p-3"
-    assert [len(exps) for _, exps in stacks] == [108, 74]
+    assert [len(exps) for _, exps in stacks] == [122, 2, 3, 4, 3, 1, 3, 13, 3, 14, 4, 10]
+    assert stacks.peak == 122
     halves = [(sum(r == 2.0 for r, _ in exps), sum(s == 2.0 for _, s in exps))
               for _, exps in stacks]
-    assert halves == [(9, 5), (0, 4)]  # (r = 2, s = 2) points per stack
+    # (r = 2, s = 2) points per admission
+    assert halves == [(9, 6)] + [(0, 0)] * 5 + [(0, 1), (0, 0), (0, 0), (0, 1), (0, 0), (0, 1)]
 
 
 # ---------------------------------------------------------------------------

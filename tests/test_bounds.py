@@ -376,15 +376,18 @@ def test_entropy_upper_bound_keeps_its_recorded_bits(name, base):
 
 def test_entropy_upper_bound_stacks_fast_path_points_by_exponent(stacks):
     # The corner and the lattice are solved in one pass.  Its 220 closed-form
-    # misses (182 interior) come in batches of at most 122, and each batch's
-    # interior points share one stack, those with lambda = 1/2 (s = 2) and
-    # mu = 1/2 (r = 2) included.
+    # misses (182 interior) share one stack of at most 122, which takes
+    # them in order as problems leave it, those with lambda = 1/2 (s = 2)
+    # and mu = 1/2 (r = 2) included.
     value = entropy_upper_bound(0.55, 0.55, rotation_overlap_2d(math.pi / 6), grid=LATTICE21)
     assert value.hex() == "0x1.91e0c2305f1b0p-2"
-    assert [len(exps) for _, exps in stacks] == [108, 74]
+    assert [len(exps) for _, exps in stacks] == [122, 1, 2, 3, 3, 2, 3, 11, 3, 15, 4, 11, 2]
+    assert stacks.peak == 122
     halves = [(sum(r == 2.0 for r, _ in exps), sum(s == 2.0 for _, s in exps))
               for _, exps in stacks]
-    assert halves == [(5, 9), (4, 0)]  # (r = 2, s = 2) points per stack
+    # (r = 2, s = 2) points per admission
+    assert halves == [(6, 9)] + [(0, 0)] * 5 + [(1, 0), (0, 0), (0, 0), (1, 0), (0, 0), (1, 0),
+                                                (0, 0)]
 
 
 def test_envelope_endpoints():

@@ -338,16 +338,17 @@ def _census_lattice(d, samples, seed, grid=11):
 
 
 def test_fuzz_solves_a_dimension_in_one_stack(stacks):
-    # Sixteen lattices at d = 3 have fewer open points than one batch holds
-    # (2**14 // 18 = 910), so every open point shares one stack, mu = 1/2
-    # (r = 2) and lambda = 1/2 (s = 2) included, not one to three stacks
-    # per matrix or per fast-path power.
+    # Sixteen lattices at d = 3 have fewer open points than the stack holds
+    # (2**14 // 18 = 910), so every open point enters it in one admission,
+    # mu = 1/2 (r = 2) and lambda = 1/2 (s = 2) included, not one to three
+    # stacks per matrix or per fast-path power.
     run_conjecture_fuzz(dims=(3,), samples=16, seed=1)
     open_points = [(c, w) for c, w in _census_lattice(3, 16, seed=1)
                    if not norms._equality_proven(c, w.r, w.s)]
     assert all(norms._stackable(w.r, w.s) for _, w in open_points)
     assert {0.5} <= {w.mu for _, w in open_points} & {w.lam for _, w in open_points}
     ((m, exps),) = stacks
+    assert stacks.peak == len(exps) == len(open_points)
     assert exps == [(w.r, w.s) for _, w in open_points]
     assert [row.tobytes() for row in m] == [c.matrix.tobytes() for c, _ in open_points]
 
@@ -553,6 +554,19 @@ def test_compare_random_engine():
         run_compare_random(dims=(2,), samples=0)
 
 
+@pytest.mark.parametrize("engine", [run_compare_random, run_conjecture_fuzz])
+def test_engines_reject_repeated_dimensions(engine):
+    # A repeated d would write its summary row twice while the stats keep one.
+    with pytest.raises(ValueError, match=r"dimensions must not repeat, got \(3, 4, 3\)"):
+        engine(dims=(3, 4, 3), samples=2)
+
+
+@pytest.mark.parametrize("command", [["conjecture-fuzz"], ["fig-compare", "--random"]])
+def test_repeated_dimensions_exit_one_naming_them(capsys, command):
+    assert cli.main([*command, "--dims", "2,2", "--samples", "2"]) == 1
+    assert capsys.readouterr().err == "entrobound: error: dimensions must not repeat, got (2, 2)\n"
+
+
 def _compare_rows_per_sample(dims, samples, seed):
     """run_compare_random's rows, drawing and comparing one sample at a time."""
     rows = []
@@ -574,17 +588,19 @@ def test_compare_random_rows_match_a_per_sample_loop():
     assert run_compare_random(samples=5, seed=3).rows == rows
 
 
-def test_compare_random_draws_and_solves_one_stack_at_a_time(monkeypatch):
-    # With batches of three problems at d = 4 (four at d = 3), seven samples
-    # take several batches.  Each stack starts with at most one batch of
-    # drawn but unanswered matrices, and the rows are those of one sample
-    # at a time.
+@pytest.mark.parametrize("samples", [7, 20])
+def test_compare_random_draws_every_dimension_into_one_stack(monkeypatch, stacks, samples):
+    # With a stack of four problems at d = 3 (three at d = 4), both
+    # dimensions' draws pass through one stack.  d = 4 enters once every
+    # d = 3 problem has left: the growth share, 156 // 10 = 15 floats, holds
+    # no padded problem.  The problems read and not yet answered hold at
+    # most four stacks' floats, 17 d = 3 draws, whatever the number of
+    # samples, and the rows are those of one sample at a time.
     from entrobound import norms
 
     monkeypatch.setattr(norms, "_STACK_FLOATS", 3 * 4 * (4 + 1 + COMPARE_RANDOM_OPTS.restarts))
     draws, answered, ahead = [0], [0], []
     draw, many = experiments.haar_random_unitary, experiments._compare_many
-    ascent = norms._stacked_ascent
 
     def drawing(d, rng):
         draws[0] += 1
@@ -593,19 +609,20 @@ def test_compare_random_draws_and_solves_one_stack_at_a_time(monkeypatch):
     def answering(*args, **kwargs):
         for row in many(*args, **kwargs):
             answered[0] += 1
+            ahead.append(draws[0] - answered[0])
             yield row
-
-    def solving(m, exps, opts):
-        ahead.append((m.shape[-1], draws[0] - answered[0]))
-        return ascent(m, exps, opts)
 
     monkeypatch.setattr(experiments, "haar_random_unitary", drawing)
     monkeypatch.setattr(experiments, "_compare_many", answering)
-    monkeypatch.setattr(norms, "_stacked_ascent", solving)
-    rows = run_compare_random(dims=(3, 4), samples=7, seed=3).rows
-    assert ahead == [(3, 4), (3, 3), (4, 3), (4, 3), (4, 1)]
-    assert draws[0] == answered[0] == 14
-    assert rows == _compare_rows_per_sample((3, 4), 7, 3)
+    rows = run_compare_random(dims=(3, 4), samples=samples, seed=3).rows
+    assert draws[0] == answered[0] == 2 * samples
+    assert 1 < max(ahead) <= norms._WINDOW_STACKS * norms._STACK_FLOATS // (3 * 12)
+    shapes = [m.shape[1:] for m, exps in stacks for _ in exps]
+    assert shapes == [(3, 3)] * samples + [(4, 4)] * samples
+    assert stacks.peak == 4
+    if samples == 7:
+        assert [len(exps) for _, exps in stacks] == [4, 1, 1, 1, 3, 1, 1, 1, 1]
+    assert rows == _compare_rows_per_sample((3, 4), samples, 3)
 
 
 def test_fuzz_lattice_pass_has_the_bytes_of_per_point_norms(monkeypatch):

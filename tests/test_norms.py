@@ -422,9 +422,10 @@ def _fast_path(r, s):
 
 
 def test_stacked_profile_solves_match_norm_numeric_bit_for_bit(stacks):
-    # fig-norm-profile's list: batches of at most 2**14 // 134 = 122
-    # problems.  mu = 1/2 (r = s = 2, fast-path powers) shares the first
-    # stack, and mu = 1 (r = 1, s = inf) reduces exactly.
+    # fig-norm-profile's list: the stack holds at most 2**14 // 134 = 122
+    # problems and takes the rest as problems leave it.  mu = 1/2 (r = s =
+    # 2, fast-path powers) enters first, and mu = 1 (r = 1, s = inf)
+    # reduces exactly.
     c = rotation_overlap_2d(math.pi / 6)
     triples = [WeightTriple(1.0, float(mu), float(mu)) for mu in np.linspace(0.5, 1.0, 200)]
     points = [(w.r, w.s) for w in triples]
@@ -432,17 +433,19 @@ def test_stacked_profile_solves_match_norm_numeric_bit_for_bit(stacks):
     stacks.clear()
     got = list(norms._numeric_many([(c, r, s) for r, s in points]))
     assert len(got) == len(want) and all(_same_bits(a, b) for a, b in zip(got, want))
-    assert [exps for _, exps in stacks] == [points[:122], points[122:199]]
-    assert [m.shape for m, _ in stacks] == [(122, 2, 2), (77, 2, 2)]
+    assert [p for _, exps in stacks for p in exps] == points[:199]
+    assert [len(exps) for _, exps in stacks] == [122, 6, 5, 6, 11, 8, 8, 6, 14, 13]
+    assert {m.shape[1:] for m, _ in stacks} == {(2, 2)} and stacks.peak == 122
 
 
 @pytest.mark.parametrize("engine", ["randomness", "envelope"])
 def test_stacked_weight_lattices_match_norm_bit_for_bit(stacks, engine):
     # The randomness sweep's 21 x 21 lattice and fig-region's default
     # envelope grid, at theta = pi/6: closed forms where they apply, the
-    # numeric misses in batches of at most 122 (boundary exponents
-    # included), each batch's interior points in one stack, fast-path
-    # exponents (mu = 1/2: r = 2; lambda = 1/2: s = 2) included.
+    # numeric misses' interior points in one stack of at most 122 that
+    # takes them in order as problems leave it (boundary exponents reduce
+    # as they are read), fast-path exponents (mu = 1/2: r = 2; lambda =
+    # 1/2: s = 2) included.
     c = rotation_overlap_2d(math.pi / 6)
     axis = np.linspace(0.0, 1.0, 21)
     triples = ([WeightTriple(1.0, float(lam), float(mu)) for mu in axis for lam in axis]
@@ -452,11 +455,10 @@ def test_stacked_weight_lattices_match_norm_bit_for_bit(stacks, engine):
     stacks.clear()
     got = list(norms._norm_many([(c, w.r, w.s) for w in triples]))
     assert len(got) == len(want) and all(_same_bits(a, b) for a, b in zip(got, want))
-    want_stacks = [[p for p in misses[j:j + 122] if norms._stackable(*p)]
-                   for j in range(0, len(misses), 122)]
-    assert [exps for _, exps in stacks] == want_stacks
-    assert [len(exps) for exps in want_stacks] == {
-        "randomness": [108, 74], "envelope": [40]}[engine]
+    assert [p for _, exps in stacks for p in exps] == [p for p in misses if norms._stackable(*p)]
+    assert [len(exps) for _, exps in stacks] == {
+        "randomness": [122, 2, 3, 4, 3, 1, 3, 13, 3, 14, 4, 10], "envelope": [40]}[engine]
+    assert stacks.peak == {"randomness": 122, "envelope": 40}[engine]
 
 
 @pytest.mark.parametrize("restarts", [2, 8])
@@ -614,10 +616,10 @@ def _mu_star_problems(d, seed, samples):
 
 @pytest.mark.parametrize("d, samples", [(3, 12), (4, 12), (8, 8), (12, 70)])
 def test_per_problem_matrices_match_norm_numeric_bit_for_bit(stacks, d, samples):
-    # compare's mu* problems, one matrix each.  At d = 12 a batch holds at
-    # most 2**14 // 252 = 65 problems, so 70 take two batches.  The last
-    # problem sits at r = 2, a fast-path power, and shares the last
-    # batch's stack.
+    # compare's mu* problems, one matrix each.  At d = 12 the stack holds
+    # at most 2**14 // 252 = 65 problems, so the last 5 of 70 enter
+    # together as problems leave it.  The last problem sits at r = 2, a
+    # fast-path power, and shares the stack.
     opts = SolverOptions(restarts=8)
     problems = _mu_star_problems(d, 1, samples)
     problems[-1] = (problems[-1][0], 2.0, 3.0)
@@ -628,7 +630,7 @@ def test_per_problem_matrices_match_norm_numeric_bit_for_bit(stacks, d, samples)
     cap = norms._STACK_FLOATS // (d * (d + 1 + opts.restarts))
     sizes = [samples] if samples <= cap else [cap, samples - cap]
     assert [(m.shape, len(exps)) for m, exps in stacks] == [((n, d, d), n) for n in sizes]
-    assert stacks[-1][1][-1] == (2.0, 3.0)
+    assert stacks[-1][1][-1] == (2.0, 3.0) and stacks.peak == min(samples, cap)
 
 
 def test_per_problem_failure_is_the_first_in_input_order():
@@ -662,6 +664,66 @@ def test_per_problem_failure_is_the_first_in_input_order():
     assert a.best_point.tobytes() == b.best_point.tobytes()
 
 
+def test_late_admission_gets_its_own_iteration_cap(monkeypatch, stacks):
+    # A stack of two: the rank-one problem converges within a few steps,
+    # and the last problem enters as it leaves, while the second is still
+    # live.  Five steps of its own leave the last one unconverged, as
+    # alone; a cap counted from the stack's first step would stop it
+    # sooner, with another best point.
+    rng = np.random.default_rng(5)
+    full = [rng.uniform(0.1, 2.0, (4, 4)) for _ in range(2)]
+    rank1 = [np.outer(rng.uniform(0.1, 1.0, 4), rng.uniform(0.1, 1.0, 4)) for _ in range(2)]
+    problems = [(rank1[0], 6.0, 7.0), (full[0], 1.3, 1.7), (full[1], 6.0, 7.0)]
+    opts = SolverOptions(restarts=2, max_iterations=5)
+    want = [norm_numeric(c, r, s, opts=opts) for c, r, s in problems[:2]]
+    with pytest.raises(SolverFailureError) as alone:
+        norm_numeric(*problems[2], opts=opts)
+    monkeypatch.setattr(norms, "_STACK_FLOATS", 2 * 4 * (4 + 1 + opts.restarts))
+    stacks.clear()
+    got = []
+    with pytest.raises(SolverFailureError) as stacked:
+        for res in norms._numeric_many(problems, opts=opts):
+            got.append(res)
+    assert len(got) == 2 and all(_same_bits(a, b) for a, b in zip(got, want))
+    assert [exps for _, exps in stacks] == [[(6.0, 7.0), (1.3, 1.7)], [(6.0, 7.0)]]
+    assert stacks.peak == 2
+    a, b = stacked.value, alone.value
+    assert str(a) == str(b)
+    assert float(a.best_value).hex() == float(b.best_value).hex()
+    assert a.best_point.tobytes() == b.best_point.tobytes()
+
+
+def _mixed_shape_problems():
+    """mu* problems at d = 3, 4, 8 and 12, rectangular matrices, r = 2, s = 2 and r = 1."""
+    rng = np.random.default_rng(SEED)
+    rect = [(rng.uniform(0.1, 1.0, shape), 1.5, 3.0) for shape in [(3, 2), (2, 3), (4, 2)]]
+    p3, p4, p8, p12 = (_mu_star_problems(d, 1, 3) for d in (3, 4, 8, 12))
+    return (p3[:2] + rect[:2] + p4[:2] + [(p4[2][0], 2.0, 3.0)] + p8[:2]
+            + [(p3[2][0], 1.0, 3.0)] + p12 + [rect[2]] + p8[2:] + [(p3[0][0], 1.7, 2.0)])
+
+
+def test_one_stack_mixes_matrix_shapes_bit_for_bit(stacks):
+    # Shapes rise from 3 x 3 (with 3 x 2 and 2 x 3) to 4 x 4 and 8 x 8 in
+    # one padded stack; 12 x 12 waits until at most 2**14 // 10 // 252 = 6
+    # problems are live, and then 4 x 2, 8 x 8 and 3 x 3 follow it in.  The
+    # r = 1 problem reduces exactly as it is read.  Every problem keeps the
+    # bits of its lone solve, and its witness is its own copy of its own
+    # length.
+    problems = _mixed_shape_problems()
+    opts = SolverOptions(restarts=8)
+    want = [norm_numeric(c, r, s, opts=opts) for c, r, s in problems]
+    stacks.clear()
+    got = list(norms._numeric_many(problems, opts=opts))
+    assert len(got) == len(want) and all(_same_bits(a, b) for a, b in zip(got, want))
+    for res, (c, _, _) in zip(got, problems):
+        assert res.witness.shape == (norms._as_overlap(c).matrix.shape[1],)
+        assert res.witness.base is None and res.witness.flags.owndata
+    stacked = [(r, s) for _, r, s in problems if norms._stackable(r, s)]
+    assert [exps for _, exps in stacks] == [stacked[:4], stacked[4:7], stacked[7:9], stacked[9:]]
+    assert [m.shape[1:] for m, _ in stacks] == [(3, 3), (4, 4), (8, 8), (12, 12)]
+    assert stacks.peak == 12
+
+
 def test_stacked_witness_owns_its_data():
     # A view would keep the stack's whole best-point array alive.
     problems = _mu_star_problems(3, 1, 5)
@@ -681,14 +743,16 @@ def _lattice_problems(d, samples, grid=11):
     return problems
 
 
-def test_norm_stream_reads_one_batch_of_misses_ahead(monkeypatch, stacks):
-    # With batches of four problems, three matrices' lattices take many
-    # batches.  After each result, the input read but not yet answered
-    # holds the rest of one batch of closed-form misses at most, and it
-    # ends at a miss or at the end of the input: the hits after a full
-    # batch are read as they are answered.
+@pytest.mark.parametrize("samples", [3, 6])
+def test_norm_stream_reads_a_constant_window_of_misses_ahead(monkeypatch, stacks, samples):
+    # With a stack of four problems, the matrices' lattices take many
+    # admissions.  After each result, the input read but not yet answered
+    # holds at most nine closed-form misses, whatever the number of
+    # samples: the four in the stack, one waiting to enter it, and those
+    # that finished behind an older one.  It ends at a miss or at the end
+    # of the input: the hits after a miss are read as they are answered.
     opts = SolverOptions(restarts=2)
-    problems = _lattice_problems(3, 3)
+    problems = _lattice_problems(3, samples)
     want = [norm(c, opts=opts, r=r, s=s) for c, r, s in problems]
     misses = [norm_closed_form(c, r, s) is None for c, r, s in problems]
     monkeypatch.setattr(norms, "_STACK_FLOATS", 4 * 3 * (3 + 1 + opts.restarts))
@@ -706,8 +770,8 @@ def test_norm_stream_reads_one_batch_of_misses_ahead(monkeypatch, stacks):
         ahead.append(sum(misses[len(got):read[0]]))
         assert read[0] in (len(got), len(problems)) or misses[read[0] - 1]
     assert len(got) == len(want) and all(_same_bits(a, b) for a, b in zip(got, want))
-    assert max(ahead) == 3
-    assert len(stacks) >= sum(misses) // 4 > 10
+    assert max(ahead) == 9
+    assert stacks.peak == 4 and len(stacks) > sum(misses) // 4 > 10
 
 
 def test_norm_stream_dispatches_each_problem_once(monkeypatch):
@@ -734,8 +798,10 @@ def test_numeric_norm_checks_a_poor_witness(monkeypatch):
     # the certified sandwich but below the closed form 1; on the constant
     # matrix e_1 attains 3**(-2/3), below the sandwich.
     def returning(witness):
-        monkeypatch.setattr(norms, "_stacked_ascent",
-                            lambda m, exps, opts: [witness.copy() for _ in exps])
+        def ascent(feed, opts):
+            yield [(key, witness.copy()) for key, *_ in feed]
+
+        monkeypatch.setattr(norms, "_stacked_ascent", ascent)
 
     returning(np.ones(3))
     with pytest.raises(NormConsistencyError, match="disagrees with closed form"):
