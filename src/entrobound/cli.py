@@ -7,6 +7,7 @@ consistency violations, or discovered conjecture counterexamples.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -54,23 +55,20 @@ def _seed(args) -> int:
 
 
 def _solver_opts(args, default: SolverOptions | None = None) -> SolverOptions | None:
-    overrides = (args.restarts, args.max_iterations, args.tolerance)
-    if all(v is None for v in overrides):
-        return default
-    d = default or SolverOptions()
-    return SolverOptions(
-        restarts=d.restarts if args.restarts is None else args.restarts,
-        max_iterations=d.max_iterations if args.max_iterations is None else args.max_iterations,
-        tolerance=d.tolerance if args.tolerance is None else args.tolerance,
-        seed=d.seed,
-    )
+    overrides = {name: value for name in ("restarts", "max_iterations", "tolerance")
+                 if (value := getattr(args, name)) is not None}
+    return dataclasses.replace(default or SolverOptions(), **overrides) if overrides else default
 
 
-def _add_common(p, seeded: bool = False) -> None:
+def _add_common(p) -> None:
     p.add_argument("--out", metavar="PATH",
                    help="write output to PATH instead of stdout")
     p.add_argument("--base", choices=sorted(_BASES), default="2",
                    help="logarithm base for entropies and log-norms (default 2)")
+
+
+def _add_solver(p, seeded: bool = False) -> None:
+    _add_common(p)
     p.add_argument("--restarts", type=int, help="multistart restarts override")
     p.add_argument("--max-iterations", type=int, dest="max_iterations",
                    help="power-iteration cap override")
@@ -208,7 +206,7 @@ def _build_parser(chosen: str | None) -> _Parser:
     """The full command tree, with arguments only on the ``chosen`` subcommand.
 
     Every subcommand is registered, so the top-level help and the error for
-    a missing or unknown command stay the same; building all 81 arguments
+    a missing or unknown command stay the same; building all 78 arguments
     would cost milliseconds per call for parsers that are never used.
     """
     parser = _Parser(
@@ -227,7 +225,7 @@ def _build_parser(chosen: str | None) -> _Parser:
         p.add_argument("--mu", type=float, help="weight mu (with --lambda)")
         p.add_argument("--lambda", type=float, dest="lam", help="weight lambda (with --mu)")
         p.add_argument("--alpha", type=float, help="entropy weight alpha (default 1)")
-        _add_common(p, seeded=True)
+        _add_solver(p, seeded=True)
         p.set_defaults(func=_cmd_norm)
 
     p = sub.add_parser("fig-region",
@@ -241,7 +239,7 @@ def _build_parser(chosen: str | None) -> _Parser:
                        help="number of random states (default 10000)")
         p.add_argument("--envelope-points", type=int, default=101, dest="envelope_points",
                        help="entropy grid points for the bound lines (default 101)")
-        _add_common(p, seeded=True)
+        _add_solver(p, seeded=True)
         p.set_defaults(func=_cmd_fig_region)
 
     p = sub.add_parser("fig-norm-profile",
@@ -251,7 +249,7 @@ def _build_parser(chosen: str | None) -> _Parser:
                        help="rotation angle in radians (default pi/6)")
         p.add_argument("--grid", type=int, default=200,
                        help="number of weights in [1/2, 1] (default 200)")
-        _add_common(p)
+        _add_solver(p)
         p.set_defaults(func=_cmd_fig_norm_profile)
 
     p = sub.add_parser("fig-compare",
@@ -265,7 +263,7 @@ def _build_parser(chosen: str | None) -> _Parser:
                        help="dimensions for --random (default 2..12)")
         p.add_argument("--samples", type=int, default=1000,
                        help="random matrices per dimension (default 1000)")
-        _add_common(p, seeded=True)
+        _add_solver(p, seeded=True)
         p.set_defaults(func=_cmd_fig_compare)
 
     p = sub.add_parser("werner",
@@ -287,7 +285,7 @@ def _build_parser(chosen: str | None) -> _Parser:
                        help="random matrices per dimension (default 1000)")
         p.add_argument("--grid", type=int, default=11,
                        help="weight lattice points per axis (default 11)")
-        _add_common(p, seeded=True)
+        _add_solver(p, seeded=True)
         p.set_defaults(func=_cmd_conjecture_fuzz)
 
     p = sub.add_parser("randomness",
@@ -298,7 +296,7 @@ def _build_parser(chosen: str | None) -> _Parser:
                        help="entropy lattice points per axis (default 11)")
         p.add_argument("--weight-grid", type=int, default=21, dest="weight_grid",
                        help="weight lattice points per axis (default 21)")
-        _add_common(p, seeded=True)
+        _add_solver(p, seeded=True)
         p.set_defaults(func=_cmd_randomness)
 
     return parser

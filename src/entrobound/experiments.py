@@ -51,6 +51,7 @@ from .qmath import (
     fourier_measurement,
     haar_random_unitary,
     rotated_measurement_2d,
+    _as_int,
     _check_states,
     _entropies,
     _outcome_entropies,
@@ -119,7 +120,7 @@ def write_table(table: Table, stream) -> None:
 
 def _check_dims(dims) -> tuple:
     """``dims`` as a tuple of ints, each at least 2 and none repeated."""
-    dims = tuple(int(d) for d in dims)
+    dims = tuple(_as_int(d, "dimension") for d in dims)
     if not dims or min(dims) < 2:
         raise ValueError(f"dimensions must all be >= 2, got {dims}")
     if len(set(dims)) < len(dims):
@@ -339,8 +340,8 @@ def run_compare_random(dims=tuple(range(2, 13)), samples: int = 1000,
     of ``compare_state_independent`` on its own matrix.
 
     Raises:
-        ValueError: for an empty ``dims``, a d below 2, a repeated d, or no
-            samples.
+        ValueError: for an empty ``dims``, a d that is not an integer or is
+            below 2, a repeated d, or no samples.
     """
     dims = _check_dims(dims)
     if samples < 1:
@@ -452,8 +453,9 @@ def run_conjecture_fuzz(dims=(2, 3, 4), samples: int = 1000, grid: int = 11,
         the summary row's ``evals``.
 
     Raises:
-        ValueError: for an empty ``dims``, a d below 2, a repeated d, no
-            samples, or an ``excess_tol`` that is not finite and >= 0.
+        ValueError: for an empty ``dims``, a d that is not an integer or is
+            below 2, a repeated d, no samples, or an ``excess_tol`` that is
+            not finite and >= 0.
     """
     dims = _check_dims(dims)
     if samples < 1:

@@ -8,12 +8,12 @@ Weighted entropic bounds use the exponents r = alpha/mu and
 s = alpha/(alpha - lambda).
 
 Every numeric problem is a ``(matrix, r, s)`` triple.  ``_numeric_many``
-reads problems lazily, in input order, into ``_stacked_ascent``, the one
-ascent loop: one stack of at most ``_STACK_FLOATS`` start-bank floats that
-takes problems into the slots finished ones free, across matrix shapes
-padded to the stack's, and yields results in input order; each problem
-gets the bits it gets alone.  ``norm_numeric`` and ``norm`` are
-one-problem passes.
+reads problems lazily, at most ``_WINDOW_PROBLEMS`` ahead of its results,
+into ``_stacked_ascent``, the one ascent loop: one stack of at most
+``_STACK_FLOATS`` start-bank floats that takes problems into the slots
+finished ones free, across matrix shapes fitted to the stack's (``_fit``),
+and yields results in input order; each problem gets the bits it gets
+alone.  ``norm_numeric`` and ``norm`` are one-problem passes.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from numpy.random import default_rng
 
 from .errors import NormConsistencyError, SolverFailureError
 from .overlap import _as_overlap
-from .qmath import LogBase, _check_dim
+from .qmath import LogBase, _as_int, _check_dim
 
 
 @dataclass(frozen=True)
@@ -75,10 +75,7 @@ class SolverOptions:
     def __post_init__(self):
         # Plain Python numbers: a NumPy scalar is not JSON, and configs are hashed as JSON.
         for name in ("restarts", "max_iterations", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, _as_int(getattr(self, name), name))
         if isinstance(self.tolerance, bool) or not isinstance(self.tolerance, numbers.Real):
             raise ValueError(f"tolerance must be a real number, got {self.tolerance!r}")
         object.__setattr__(self, "tolerance", float(self.tolerance))
@@ -426,23 +423,23 @@ _POW_FAST_PATHS = (-1.0, 0.5, 2.0)
 _STACK_FLOATS = 2**14
 _GROW_SHARE = 10
 
-#: ``_numeric_many`` reads ahead of its results while the problems read and
-#: not yet yielded hold fewer than _WINDOW_STACKS * _STACK_FLOATS start-bank
-#: floats, each at its own n, and number fewer than _WINDOW_PROBLEMS.  The
-#: floats let a slow problem at the head of one dimension not stall the
-#: next dimensions' reads; the count bounds the Python objects each pending
-#: problem holds along an engine's pipeline (about 0.7 kB in the census).
-_WINDOW_STACKS = 4
+#: ``_numeric_many`` reads ahead of its results while fewer than
+#: _WINDOW_PROBLEMS problems are read and not yet yielded, so a slow
+#: problem at the head of one dimension does not stall the next
+#: dimensions' reads.  The count bounds the matrices and Python objects
+#: each pending problem holds along an engine's pipeline (about 0.7 kB in
+#: the census).
 _WINDOW_PROBLEMS = 1024
 
 
 def _pad(a: np.ndarray, rows: int, width: int) -> np.ndarray:
-    """``a`` (..., n, k) padded to (..., rows, width): zero rows below, copies of column 0 right.
+    """``a`` (..., n, k) fitted to (..., rows, width): cut, then zero rows and copies of column 0.
 
     Zero rows leave every product, maximum and sum of a point unchanged,
     and a copy of the all-ones start column evolves exactly as that column
-    does, so it changes no result.
+    does, so it changes no result; a cut drops only such padding.
     """
+    a = a[..., :rows, :width]
     n, k = a.shape[-2:]
     out = np.zeros(a.shape[:-2] + (rows, width), a.dtype)
     out[..., :n, :k] = a
@@ -518,18 +515,10 @@ def _admit(st: list, batch: list, step: int, rows: int, cols: int, width: int,
     from ``step``.
     """
     keys, mats, r, s = zip(*batch)
-    shapes = {mat.shape for mat in mats}
-    if len(shapes) == 1:
-        m = np.stack(mats)
-        if shapes != {(rows, cols)}:
-            m = np.pad(m, ((0, 0), (0, rows - m.shape[1]), (0, cols - m.shape[2])))
-        x0 = np.broadcast_to(_start_bank(mats[0].shape[1], cols, width, opts),
-                             (len(mats), cols, width))
-    else:
-        m = np.zeros((len(mats), rows, cols))
-        for slice_, mat in zip(m, mats):
-            slice_[: mat.shape[0], : mat.shape[1]] = mat
-        x0 = np.stack([_start_bank(mat.shape[1], cols, width, opts) for mat in mats])
+    m = np.zeros((len(mats), rows, cols))
+    for slice_, mat in zip(m, mats):
+        slice_[: mat.shape[0], : mat.shape[1]] = mat
+    x0 = np.stack([_start_bank(mat.shape[1], cols, width, opts) for mat in mats])
     r, s = np.array(r), np.array(s)
     x = x0 / _scaled_pnorm(x0, _slot(r), _slot(1.0 / r))[0]
     f, yn = _scaled_pnorm(m @ x, _slot(s), _slot(1.0 / s))
@@ -601,7 +590,7 @@ def _stacked_ascent(feed, opts):
                 if batch or p * grown[1] * grown_width > _STACK_FLOATS // _GROW_SHARE:
                     break
                 if p:
-                    st = _grow(st, *grown, grown_width)
+                    st = _fit(st, *grown, grown_width)
                 (rows, cols), width = grown, grown_width
             if p + len(batch) >= max(1, _STACK_FLOATS // (cols * width)):
                 break
@@ -660,26 +649,19 @@ def _stacked_ascent(feed, opts):
             top_rows, top_cols = st[1].max(axis=0).tolist()
             if (top_rows, top_cols) != (rows, cols):
                 rows, cols, width = top_rows, top_cols, 1 + top_cols + restarts
-                st = _cut(st, rows, cols, width)
+                st = _fit(st, rows, cols, width)
         else:
             st, rows, cols = [], 0, 0
         yield retired
 
 
-def _grow(st, rows, cols, width) -> list:
-    """The stack state ``st`` padded to a larger shape, as in ``_pad``; matrices take zeros."""
+def _fit(st, rows, cols, width) -> list:
+    """The stack state ``st`` cut or padded as in ``_pad``; matrices take zero columns."""
     m, x, yn, f, best_f, best_x, converged = st[6:]
+    m = m[:, :rows, :cols]
     m = np.pad(m, ((0, 0), (0, rows - m.shape[1]), (0, cols - m.shape[2])))
     return st[:6] + [m, _pad(x, cols, width), _pad(yn, rows, width), _pad(f, 1, width),
                      _pad(best_f, 1, width), _pad(best_x, cols, width), _pad(converged, 1, width)]
-
-
-def _cut(st, rows, cols, width) -> list:
-    """The stack state ``st`` cut to a smaller shape that still holds every live problem."""
-    m, x, yn, f, best_f, best_x, converged = st[6:]
-    return st[:6] + [np.ascontiguousarray(a) for a in (
-        m[:, :rows, :cols], x[:, :cols, :width], yn[:, :rows, :width], f[..., :width],
-        best_f[..., :width], best_x[:, :cols, :width], converged[..., :width])]
 
 
 def _stackable(r, s):
@@ -759,19 +741,16 @@ def _agrees_with_closed_form(c, r, s, res: NormResult, base) -> NormResult:
 
 def _numeric_result(c, r, s, witness, value, base) -> NormResult:
     """Check a numeric value against the certified sandwich and package it."""
-    m = c.matrix
-    if c.is_doubly_stochastic():
-        d = m.shape[0]
-        lo, hi = norm_mub(d, r, s), norm_identity(d, r, s)
-        if not (lo - 1e-9 <= value <= hi + 1e-9):
-            raise NormConsistencyError(
-                f"numeric norm {value!r} escapes certified bounds [{lo!r}, {hi!r}]"
-            )
-        bounds = (lo, hi)
-    else:
-        bounds = (0.0, math.inf)
-    return NormResult(value, _log_norm(value, base), witness,
-                      NormMethod.NUMERIC_MULTISTART, bounds)
+    if not c.is_doubly_stochastic():
+        return NormResult(value, _log_norm(value, base), witness,
+                          NormMethod.NUMERIC_MULTISTART, (0.0, math.inf))
+    res = _result(value, witness, NormMethod.NUMERIC_MULTISTART, c.matrix.shape[0], r, s, base)
+    lo, hi = res.certified_bounds
+    if not (lo - 1e-9 <= value <= hi + 1e-9):
+        raise NormConsistencyError(
+            f"numeric norm {value!r} escapes certified bounds [{lo!r}, {hi!r}]"
+        )
+    return res
 
 
 def _numeric_many(problems, opts: SolverOptions | None = None,
@@ -783,40 +762,33 @@ def _numeric_many(problems, opts: SolverOptions | None = None,
     problem is solved as it is read, and an interior one goes to the
     stack.  Results come out in input order with the bits, messages and
     values they get when solved alone, each witness its own copy of its
-    problem's length.  Reading stops while the problems read and not yet
-    yielded fill the window of ``_WINDOW_STACKS`` and
-    ``_WINDOW_PROBLEMS``, so a slow problem holds up reading, not memory.
+    problem's length.  Reading stops while ``_WINDOW_PROBLEMS`` problems
+    are read and not yet yielded, so a slow problem holds up reading, not
+    memory.
     The results are checked against the certified sandwich but not against
     the closed form: callers that may pass closed-form problems run
     ``_agrees_with_closed_form`` on them.
     """
     opts = opts or SolverOptions()
-    limit = _WINDOW_STACKS * _STACK_FLOATS
-    pending = deque()  # (key, c, r, s, floats) of each problem read and not yet yielded
+    pending = deque()  # (key, c, r, s) of each problem read and not yet yielded
     solved = {}  # key -> best point, SolverFailureError or boundary (witness, value)
-    held = 0
 
     def feed():
-        nonlocal held
         for key, (c, r, s) in enumerate(problems):
             c = _as_overlap(c)
             r, s = _exponents(r, s)
-            n = c.matrix.shape[1]
-            floats = n * (1 + n + opts.restarts)
-            pending.append((key, c, r, s, floats))
-            held += floats
+            pending.append((key, c, r, s))
             if _stackable(r, s):
                 yield key, c.matrix, r, s
             else:
                 solved[key] = _boundary_norm(c.matrix, r, s)
-            while held >= limit or len(pending) >= _WINDOW_PROBLEMS:
+            while len(pending) >= _WINDOW_PROBLEMS:
                 yield None
 
     for retired in _stacked_ascent(feed(), opts):
         solved.update(retired)
         while pending and pending[0][0] in solved:
-            key, c, r, s, floats = pending.popleft()
-            held -= floats
+            key, c, r, s = pending.popleft()
             out = solved.pop(key)
             if isinstance(out, SolverFailureError):
                 raise out

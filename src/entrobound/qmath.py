@@ -166,6 +166,13 @@ class ProjectiveMeasurement:
         return np.rint(np.einsum("kii->k", self.projectors).real).astype(int)
 
 
+def _as_int(value, name: str) -> int:
+    """``value`` as a plain int; a bool or a non-integer is refused, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _check_dim(d: int) -> None:
     """Raise ValueError unless the dimension ``d`` is at least 1."""
     if d < 1:

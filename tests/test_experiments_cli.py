@@ -211,18 +211,21 @@ def test_argparse_failures_exit_one():
         assert excinfo.value.code == 1
 
 
+# werner solves no norm, so it takes no solver options.
+SOLVER_OPTIONS = ["--restarts", "--max-iterations", "--tolerance"]
 SUBCOMMAND_OPTIONS = {
     "norm": ["--mub", "--identity", "--rotation", "--haar", "--file", "--r", "--s",
-             "--mu", "--lambda", "--alpha", "--seed"],
-    "fig-region": ["--d", "--theta", "--samples", "--envelope-points", "--seed"],
-    "fig-norm-profile": ["--theta", "--grid"],
-    "fig-compare": ["--sweep", "--random", "--dims", "--samples", "--seed"],
+             "--mu", "--lambda", "--alpha", "--seed", *SOLVER_OPTIONS],
+    "fig-region": ["--d", "--theta", "--samples", "--envelope-points", "--seed",
+                   *SOLVER_OPTIONS],
+    "fig-norm-profile": ["--theta", "--grid", *SOLVER_OPTIONS],
+    "fig-compare": ["--sweep", "--random", "--dims", "--samples", "--seed", *SOLVER_OPTIONS],
     "werner": ["--phi", "--grid"],
-    "conjecture-fuzz": ["--dims", "--samples", "--grid", "--seed"],
+    "conjecture-fuzz": ["--dims", "--samples", "--grid", "--seed", *SOLVER_OPTIONS],
     "randomness": ["--mub", "--identity", "--rotation", "--haar", "--file", "--points",
-                   "--weight-grid", "--seed"],
+                   "--weight-grid", "--seed", *SOLVER_OPTIONS],
 }
-COMMON_OPTIONS = ["--help", "--out", "--base", "--restarts", "--max-iterations", "--tolerance"]
+COMMON_OPTIONS = ["--help", "--out", "--base"]
 
 
 @pytest.mark.parametrize("command", sorted(SUBCOMMAND_OPTIONS))
@@ -447,8 +450,8 @@ def test_fuzz_rejects_an_excess_tolerance_that_is_negative_or_not_finite(tol):
 
 def test_fuzz_memory_is_flat_in_the_sample_count():
     # A dimension's draws and lattice points stream through the solver,
-    # which reads one batch ahead; holding every sample's points would
-    # grow by megabytes from 100 to 400 samples.
+    # which reads at most _WINDOW_PROBLEMS problems ahead; holding every
+    # sample's points would grow by megabytes from 100 to 400 samples.
     peaks = []
     for samples in (100, 400):
         tracemalloc.start()
@@ -561,6 +564,21 @@ def test_engines_reject_repeated_dimensions(engine):
         engine(dims=(3, 4, 3), samples=2)
 
 
+@pytest.mark.parametrize("engine", [run_compare_random, run_conjecture_fuzz])
+@pytest.mark.parametrize("d", [2.9, 2.0, True, "3"])
+def test_engines_reject_a_dimension_that_is_not_an_integer(engine, d):
+    # int() truncated 2.9 to 2 and recorded "dims": [2] in the hashed config.
+    with pytest.raises(ValueError, match=rf"dimension must be an integer, got {d!r}"):
+        engine(dims=(d,), samples=2)
+
+
+@pytest.mark.parametrize("engine", [run_compare_random, run_conjecture_fuzz])
+def test_engines_take_numpy_integer_dimensions(engine):
+    t = engine(dims=(np.int64(2),), samples=2)
+    assert t.config["dims"] == [2] and type(t.config["dims"][0]) is int
+    assert t.rows == engine(dims=(2,), samples=2).rows
+
+
 @pytest.mark.parametrize("command", [["conjecture-fuzz"], ["fig-compare", "--random"]])
 def test_repeated_dimensions_exit_one_naming_them(capsys, command):
     assert cli.main([*command, "--dims", "2,2", "--samples", "2"]) == 1
@@ -593,12 +611,13 @@ def test_compare_random_draws_every_dimension_into_one_stack(monkeypatch, stacks
     # With a stack of four problems at d = 3 (three at d = 4), both
     # dimensions' draws pass through one stack.  d = 4 enters once every
     # d = 3 problem has left: the growth share, 156 // 10 = 15 floats, holds
-    # no padded problem.  The problems read and not yet answered hold at
-    # most four stacks' floats, 17 d = 3 draws, whatever the number of
-    # samples, and the rows are those of one sample at a time.
+    # no padded problem.  The problems read and not yet answered number at
+    # most the window of 17, whatever the number of samples, and the rows
+    # are those of one sample at a time.
     from entrobound import norms
 
     monkeypatch.setattr(norms, "_STACK_FLOATS", 3 * 4 * (4 + 1 + COMPARE_RANDOM_OPTS.restarts))
+    monkeypatch.setattr(norms, "_WINDOW_PROBLEMS", 17)
     draws, answered, ahead = [0], [0], []
     draw, many = experiments.haar_random_unitary, experiments._compare_many
 
@@ -616,7 +635,7 @@ def test_compare_random_draws_every_dimension_into_one_stack(monkeypatch, stacks
     monkeypatch.setattr(experiments, "_compare_many", answering)
     rows = run_compare_random(dims=(3, 4), samples=samples, seed=3).rows
     assert draws[0] == answered[0] == 2 * samples
-    assert 1 < max(ahead) <= norms._WINDOW_STACKS * norms._STACK_FLOATS // (3 * 12)
+    assert 1 < max(ahead) <= norms._WINDOW_PROBLEMS
     shapes = [m.shape[1:] for m, exps in stacks for _ in exps]
     assert shapes == [(3, 3)] * samples + [(4, 4)] * samples
     assert stacks.peak == 4

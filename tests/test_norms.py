@@ -774,6 +774,25 @@ def test_norm_stream_reads_a_constant_window_of_misses_ahead(monkeypatch, stacks
     assert stacks.peak == 4 and len(stacks) > sum(misses) // 4 > 10
 
 
+def test_read_ahead_stops_at_the_problem_window(monkeypatch):
+    # The boundary problems behind a slow mu* problem are solved as they are
+    # read, so only the window stops reading before the first result.
+    monkeypatch.setattr(norms, "_WINDOW_PROBLEMS", 5)
+    c, r, s = _mu_star_problems(3, 1, 1)[0]
+    problems = [(c, r, s)] + [(c, 1.0, s)] * 200
+    read = [0]
+
+    def feed():
+        for problem in problems:
+            read[0] += 1
+            yield problem
+
+    results = norms._numeric_many(feed())
+    next(results)
+    assert read[0] == 5
+    assert len(list(results)) == 200 and read[0] == 201
+
+
 def test_norm_stream_dispatches_each_problem_once(monkeypatch):
     # A closed-form miss goes to the solver without a second closed-form check.
     calls = []
