@@ -4,7 +4,9 @@ Each ``run_*`` function performs one desk-scale study end to end and
 returns a :class:`Table` — header, rows, the exact configuration that
 produced them, and summary statistics.  :func:`write_table` serializes a
 table as CSV with a provenance comment line; identical configurations
-yield byte-identical files.
+yield byte-identical files.  Every integer an engine records in its
+configuration is a plain int: a bool, a float or another non-integer is
+refused with a ``ValueError`` that names the parameter.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .applications import (
 )
 from .bounds import (
     _compare_many,
-    compare_state_independent,
     default_envelope_grid,
     envelope_curve,
 )
@@ -128,6 +129,14 @@ def _check_dims(dims) -> tuple:
     return dims
 
 
+def _count(value, name: str, least: int) -> int:
+    """``value`` as a plain int of at least ``least``; the error names the parameter."""
+    value = _as_int(value, name)
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return value
+
+
 def _opts_config(opts: SolverOptions) -> dict:
     return {
         "restarts": opts.restarts,
@@ -180,10 +189,8 @@ def run_fig_region(d: int = 2, theta: float | None = None, samples: int = 10_000
     Raises:
         NormConsistencyError: if any sampled state lands below the envelope.
     """
-    if samples < 1:
-        raise ValueError(f"need at least one sample, got {samples}")
-    if n_env < 2:
-        raise ValueError(f"need at least two envelope points, got {n_env}")
+    d, seed = _as_int(d, "d"), _as_int(seed, "seed")
+    samples, n_env = _count(samples, "samples", 1), _count(n_env, "n_env", 2)
     opts = opts or SolverOptions()
     x = basis_measurement(d)
     if d == 2:
@@ -253,8 +260,7 @@ def run_norm_profile(theta: float = math.pi / 6, grid: int = 200,
     Raises:
         NormConsistencyError: if the profile violates any of the checks.
     """
-    if grid < 2:
-        raise ValueError(f"need at least two grid points, got {grid}")
+    grid = _count(grid, "grid", 2)
     opts = opts or SolverOptions()
     c = rotation_overlap_2d(theta)
     sigma2 = min(float(c.sigma2), 1.0)
@@ -304,16 +310,13 @@ def run_norm_profile(theta: float = math.pi / 6, grid: int = 200,
 def run_compare_sweep(n_theta: int = 101, opts: SolverOptions | None = None,
                       base: LogBase = LogBase.TWO) -> Table:
     """State-independent constants of the three bounds over a rotation sweep."""
-    if n_theta < 2:
-        raise ValueError(f"need at least two angles, got {n_theta}")
+    n_theta = _count(n_theta, "n_theta", 2)
     opts = opts or SolverOptions()
-    rows = []
-    for theta in np.linspace(0.0, math.pi / 4, n_theta):
-        c = rotation_overlap_2d(float(theta))
-        row = compare_state_independent(c, opts=opts, base=base,
-                                        on_violation="use_numeric")
-        rows.append((float(theta), row.c1, row.c2, row.ours, row.bccrr, row.rpz2,
-                     row.ours_at_least, row.conjecture_ok))
+    thetas = np.linspace(0.0, math.pi / 4, n_theta).tolist()
+    compared = _compare_many(map(rotation_overlap_2d, thetas), opts, base,
+                             on_violation="use_numeric")
+    rows = [(theta, row.c1, row.c2, row.ours, row.bccrr, row.rpz2, row.ours_at_least,
+             row.conjecture_ok) for theta, row in zip(thetas, compared)]
     config = {
         "cmd": "fig-compare", "mode": "sweep", "n_theta": n_theta,
         "base": base.name, **_opts_config(opts),
@@ -341,11 +344,10 @@ def run_compare_random(dims=tuple(range(2, 13)), samples: int = 1000,
 
     Raises:
         ValueError: for an empty ``dims``, a d that is not an integer or is
-            below 2, a repeated d, or no samples.
+            below 2, a repeated d, a ``samples`` or ``seed`` that is not an
+            integer, or no samples.
     """
-    dims = _check_dims(dims)
-    if samples < 1:
-        raise ValueError(f"need at least one sample, got {samples}")
+    dims, samples, seed = _check_dims(dims), _count(samples, "samples", 1), _as_int(seed, "seed")
     opts = opts or COMPARE_RANDOM_OPTS
     best, fallbacks = dict.fromkeys(dims, 0), dict.fromkeys(dims, 0)
     draws = (from_unitary(haar_random_unitary(d, rng))
@@ -371,8 +373,7 @@ def run_werner_masks(phis=(-1.0, -0.5, -0.1), grid: int = 50,
     Scans measurement angles (theta_a, theta_b) over [0, pi/4]^2 for each
     Werner parameter and records where entanglement is certified.
     """
-    if grid < 2:
-        raise ValueError(f"need at least two angles per axis, got {grid}")
+    grid = _count(grid, "grid", 2)
     phis = tuple(float(p) for p in phis)
     axis = np.linspace(0.0, math.pi / 4, grid)
     pairs = [(float(a), float(b)) for a in axis for b in axis]
@@ -454,12 +455,12 @@ def run_conjecture_fuzz(dims=(2, 3, 4), samples: int = 1000, grid: int = 11,
 
     Raises:
         ValueError: for an empty ``dims``, a d that is not an integer or is
-            below 2, a repeated d, no samples, or an ``excess_tol`` that is
-            not finite and >= 0.
+            below 2, a repeated d, a ``samples``, ``grid`` or ``seed`` that
+            is not an integer, no samples, a grid below 2, or an
+            ``excess_tol`` that is not finite and >= 0.
     """
-    dims = _check_dims(dims)
-    if samples < 1:
-        raise ValueError(f"need at least one sample, got {samples}")
+    dims, samples, seed = _check_dims(dims), _count(samples, "samples", 1), _as_int(seed, "seed")
+    grid = _as_int(grid, "grid")  # _weight_lattice checks its size
     if not (math.isfinite(excess_tol) and excess_tol >= 0.0):
         raise ValueError(f"excess_tol must be finite and >= 0, got {excess_tol}")
     opts = opts or FUZZ_OPTS
@@ -517,10 +518,7 @@ def run_randomness_sweep(c, points: int = 11, weight_grid_n: int = 21,
     closed-form optimum where it applies (delta_X <= delta_Y), with the
     flag column marking values that rely on the extended equality regime.
     """
-    if points < 2:
-        raise ValueError(f"need at least two lattice points per axis, got {points}")
-    if weight_grid_n < 2:
-        raise ValueError(f"need at least two weights per axis, got {weight_grid_n}")
+    points, weight_grid_n = _count(points, "points", 2), _count(weight_grid_n, "weight_grid_n", 2)
     c = _as_overlap(c)
     d = c.matrix.shape[0]
     if c.matrix.shape[0] != c.matrix.shape[1]:

@@ -10,10 +10,11 @@ s = alpha/(alpha - lambda).
 Every numeric problem is a ``(matrix, r, s)`` triple.  ``_numeric_many``
 reads problems lazily, at most ``_WINDOW_PROBLEMS`` ahead of its results,
 into ``_stacked_ascent``, the one ascent loop: one stack of at most
-``_STACK_FLOATS`` start-bank floats that takes problems into the slots
-finished ones free, across matrix shapes fitted to the stack's (``_fit``),
-and yields results in input order; each problem gets the bits it gets
-alone.  ``norm_numeric`` and ``norm`` are one-problem passes.
+``_STACK_FLOATS`` start-bank floats, a dict of arrays whose fields
+``_admit`` names, that takes problems into the slots finished ones free,
+across matrix shapes fitted to the stack's (``_fit``), and yields results
+in input order; each problem gets the bits it gets alone.
+``norm_numeric`` and ``norm`` are one-problem passes.
 """
 
 from __future__ import annotations
@@ -490,43 +491,50 @@ def _slot_keep(e, keep: np.ndarray):
 
 
 @lru_cache(maxsize=64)
-def _start_bank(n: int, cols: int, width: int, opts: SolverOptions) -> np.ndarray:
+def _start_bank(n: int, cols: int, opts: SolverOptions) -> np.ndarray:
     """Starts of an n-column ascent (all-ones, the basis, seeded randoms) in a stack's shape.
 
-    The starts are the columns, padded to ``(cols, width)`` as in ``_pad``.
+    The starts are the columns, padded to ``(cols, 1 + cols + restarts)`` as in ``_pad``.
     Read-only: every admission of the shape shares it.
     """
     starts = [np.ones((n, 1)), np.eye(n)]
     if opts.restarts > 0:
         starts.append(default_rng(opts.seed).standard_exponential((n, opts.restarts)))
-    bank = _pad(np.concatenate(starts, axis=1), cols, width)
+    bank = _pad(np.concatenate(starts, axis=1), cols, 1 + cols + opts.restarts)
     bank.flags.writeable = False
     return bank
 
 
-def _admit(st: list, batch: list, step: int, rows: int, cols: int, width: int,
-           opts: SolverOptions) -> list:
+def _admit(st: dict, batch: list, step: int, rows: int, cols: int, opts: SolverOptions) -> dict:
     """The stack state ``st`` with the ``(key, matrix, r, s)`` problems of ``batch`` appended.
 
-    ``st`` holds ``_stacked_ascent``'s arrays, one leading entry per live
-    problem, at the stack's ``(rows, cols)`` matrices and ``(cols, width)``
-    points; each new matrix and start bank is padded to them.  The new
-    problems take their first objective values here and count their steps
-    from ``step``.
+    The state is ``_stacked_ascent``'s dict of arrays, ``{}`` when empty,
+    with one leading entry per live problem in admission order: ``keys``
+    (the feed's), ``dims`` (the matrix's own shape), ``exps`` (s - 1,
+    1/(r - 1), r, 1/r, s and 1/s), ``admitted`` (the step its steps count
+    from), ``stall`` and ``last_best`` (steps in a row without growth of
+    the best objective, and that objective); the ``(rows, cols)`` matrix
+    ``m``; the current and best points ``x`` and ``best_x``, one column per
+    start at ``(cols, width)`` with width 1 + cols + restarts; the scaled
+    ``m @ x``, ``yn``, at ``(rows, width)``; and ``f``, ``best_f`` and
+    ``converged`` at ``(1, width)``.  Each new matrix and start bank is
+    padded to that shape; the new problems take their first objective
+    values here.
     """
     keys, mats, r, s = zip(*batch)
     m = np.zeros((len(mats), rows, cols))
     for slice_, mat in zip(m, mats):
         slice_[: mat.shape[0], : mat.shape[1]] = mat
-    x0 = np.stack([_start_bank(mat.shape[1], cols, width, opts) for mat in mats])
+    x0 = np.stack([_start_bank(mat.shape[1], cols, opts) for mat in mats])
     r, s = np.array(r), np.array(s)
     x = x0 / _scaled_pnorm(x0, _slot(r), _slot(1.0 / r))[0]
     f, yn = _scaled_pnorm(m @ x, _slot(s), _slot(1.0 / s))
-    new = [np.array(keys), np.array([mat.shape for mat in mats]),
-           np.stack([s - 1.0, 1.0 / (r - 1.0), r, 1.0 / r, s, 1.0 / s], axis=1),
-           np.full(len(mats), step), np.zeros(len(mats), dtype=int), f.max(axis=(1, 2)),
-           m, x, yn, f, f.copy(), x.copy(), np.zeros(f.shape, dtype=bool)]
-    return [np.concatenate(pair) for pair in zip(st, new)] if st else new
+    new = dict(keys=np.array(keys), dims=np.array([mat.shape for mat in mats]),
+               exps=np.stack([s - 1.0, 1.0 / (r - 1.0), r, 1.0 / r, s, 1.0 / s], axis=1),
+               admitted=np.full(len(mats), step), stall=np.zeros(len(mats), dtype=int),
+               last_best=f.max(axis=(1, 2)), m=m, x=x, yn=yn, f=f, best_f=f.copy(),
+               best_x=x.copy(), converged=np.zeros(f.shape, dtype=bool))
+    return {k: np.concatenate((st[k], a)) for k, a in new.items()} if st else new
 
 
 def _stacked_ascent(feed, opts):
@@ -540,14 +548,15 @@ def _stacked_ascent(feed, opts):
     its points zero rows, and its start bank copies of its all-ones start
     column.  A larger shape enters once the live problems, padded to it,
     hold at most 1/_GROW_SHARE of those floats, and the stack is cut back
-    to the largest live shape as problems leave.  Each problem is one
-    slice of ``(P, n, k)`` arrays with its own start bank, convergence
-    mask, ``_STALL_STEPS`` stall counter, best points and
-    ``opts.max_iterations`` steps counted from its admission.  After each
-    step, and each turn with an empty stack, yields the ``(key, result)``
-    pairs of the problems that stopped: the best point, cut to the
-    problem's own length, or the ``SolverFailureError`` of an ascent none
-    of whose starts converged within its steps.
+    to the largest live shape as problems leave.  The state is the dict of
+    arrays ``_admit`` names, one slice per problem with its own start bank,
+    convergence mask, ``_STALL_STEPS`` stall counter, best points and
+    ``opts.max_iterations`` steps counted from its admission; each turn
+    reads the problem count and shape from it.  After each step, and each
+    turn with an empty stack, yields the ``(key, result)`` pairs of the
+    problems that stopped: the best point, cut to the problem's own
+    length, or the ``SolverFailureError`` of an ascent none of whose starts
+    converged within its steps.
 
     The objective is ``_scaled_pnorm``, the body of ``_pnorm``, and the
     loop keeps the scaled ``m @ x`` it returns: that is the normalised
@@ -570,10 +579,10 @@ def _stacked_ascent(feed, opts):
     ``_power`` overwrites with their scalar power.
     """
     restarts, tol, max_steps = opts.restarts, opts.tolerance, opts.max_iterations
-    rows = cols = p = step = next_cap = 0
-    width = 1 + restarts
-    st, e, waiting, exhausted = [], [], None, False
+    step, st, e, waiting, exhausted = 0, {}, [], None, False
     while True:
+        p = len(st["keys"]) if st else 0
+        rows, cols = st["m"].shape[1:] if st else (0, 0)
         batch = []
         while not exhausted:
             if waiting is None:
@@ -586,82 +595,70 @@ def _stacked_ascent(feed, opts):
                     break
             grown = (max(rows, waiting[1].shape[0]), max(cols, waiting[1].shape[1]))
             if grown != (rows, cols):
-                grown_width = 1 + grown[1] + restarts
-                if batch or p * grown[1] * grown_width > _STACK_FLOATS // _GROW_SHARE:
+                if batch or p * grown[1] * (1 + grown[1] + restarts) > _STACK_FLOATS // _GROW_SHARE:
                     break
                 if p:
-                    st = _fit(st, *grown, grown_width)
-                (rows, cols), width = grown, grown_width
-            if p + len(batch) >= max(1, _STACK_FLOATS // (cols * width)):
+                    st = _fit(st, *grown, opts)
+                rows, cols = grown
+            if p + len(batch) >= max(1, _STACK_FLOATS // (cols * (1 + cols + restarts))):
                 break
             batch.append(waiting)
             waiting = None
         if batch:
-            if not p:
-                next_cap = step + max_steps
-            st = _admit(st, batch, step, rows, cols, width, opts)
-            p += len(batch)
-            e = [_slot(a) for a in st[2].T]
-        if not p:
+            st = _admit(st, batch, step, rows, cols, opts)
+            e = [_slot(a) for a in st["exps"].T]
+        elif not p:
             yield ()
             if exhausted:
                 return
             continue
-        keys, dims, exps, admitted, stall, last_best, m, x, yn, f, best_f, best_x, converged = st
         s_minus_1, inv_r_minus_1, r, inv_r, s, inv_s = e
-        xn = _power(_scale_columns(np.swapaxes(m, -1, -2) @ _power(yn, s_minus_1))[1],
+        xn = _power(_scale_columns(np.swapaxes(st["m"], -1, -2) @ _power(st["yn"], s_minus_1))[1],
                     inv_r_minus_1)
         nrm = _power(_column_sums(_power(xn, r)), inv_r)
         dead = nrm <= 0.0
         if np.count_nonzero(dead):
-            xn = np.where(dead, x, xn)
+            xn = np.where(dead, st["x"], xn)
             nrm = np.where(dead, 1.0, nrm)
         xn /= nrm  # in place: the unnormalised points do not outlive the step
-        fn, yn = _scaled_pnorm(m @ xn, s, inv_s)
-        converged |= np.abs(fn - f) / np.maximum(fn, 1e-300) < tol
-        x, f = xn, fn
-        improved = f > best_f
-        np.copyto(best_f, f, where=improved)
-        np.copyto(best_x, x, where=improved)
+        fn, yn = _scaled_pnorm(st["m"] @ xn, s, inv_s)
+        st["converged"] |= np.abs(fn - st["f"]) / np.maximum(fn, 1e-300) < tol
+        improved = fn > st["best_f"]
+        np.copyto(st["best_f"], fn, where=improved)
+        np.copyto(st["best_x"], xn, where=improved)
         # Bookkeeping in ufunc reductions and count_nonzero: their method
         # forms cost several times more on arrays this short.
-        top = np.maximum.reduce(best_f, axis=(1, 2))
-        stall = (stall + 1) * (top <= last_best * (1.0 + _STALL_RTOL))
-        last_best = top
+        top = np.maximum.reduce(st["best_f"], axis=(1, 2))
+        stall = (st["stall"] + 1) * (top <= st["last_best"] * (1.0 + _STALL_RTOL))
+        st.update(x=xn, yn=yn, f=fn, stall=stall, last_best=top)
         step += 1
-        done = np.logical_and.reduce(converged, axis=(1, 2)) | (stall >= _STALL_STEPS)
+        done = np.logical_and.reduce(st["converged"], axis=(1, 2)) | (stall >= _STALL_STEPS)
         # Stack order is admission order, so the oldest problem reaches its cap first.
-        leave = done | (admitted == step - max_steps) if step == next_cap else done
-        st = [keys, dims, exps, admitted, stall, last_best, m, x, yn, f, best_f, best_x, converged]
+        admitted = st["admitted"]
+        leave = done | (admitted == step - max_steps) if step == admitted[0] + max_steps else done
         if not np.count_nonzero(leave):
             yield ()
             continue
         retired = []
         for i in np.flatnonzero(leave).tolist():
-            finish = _best_start if done[i] or converged[i].any() else _no_convergence
-            retired.append((int(keys[i]), finish(best_f[i, 0], best_x[i, : dims[i, 1]])))
+            finish = _best_start if done[i] or st["converged"][i].any() else _no_convergence
+            best = finish(st["best_f"][i, 0], st["best_x"][i, : st["dims"][i, 1]])
+            retired.append((int(st["keys"][i]), best))
         keep = ~leave
-        st = [a[keep] for a in st]
         e = [_slot_keep(a, keep) for a in e]
-        p -= len(retired)
-        if p:
-            next_cap = int(st[3][0]) + max_steps
-            top_rows, top_cols = st[1].max(axis=0).tolist()
-            if (top_rows, top_cols) != (rows, cols):
-                rows, cols, width = top_rows, top_cols, 1 + top_cols + restarts
-                st = _fit(st, rows, cols, width)
-        else:
-            st, rows, cols = [], 0, 0
+        st = {k: a[keep] for k, a in st.items()} if len(retired) < len(keep) else {}
+        if st and (top_shape := tuple(st["dims"].max(axis=0).tolist())) != st["m"].shape[1:]:
+            st = _fit(st, *top_shape, opts)
         yield retired
 
 
-def _fit(st, rows, cols, width) -> list:
+def _fit(st: dict, rows: int, cols: int, opts: SolverOptions) -> dict:
     """The stack state ``st`` cut or padded as in ``_pad``; matrices take zero columns."""
-    m, x, yn, f, best_f, best_x, converged = st[6:]
-    m = m[:, :rows, :cols]
+    width = 1 + cols + opts.restarts
+    m = st["m"][:, :rows, :cols]
     m = np.pad(m, ((0, 0), (0, rows - m.shape[1]), (0, cols - m.shape[2])))
-    return st[:6] + [m, _pad(x, cols, width), _pad(yn, rows, width), _pad(f, 1, width),
-                     _pad(best_f, 1, width), _pad(best_x, cols, width), _pad(converged, 1, width)]
+    points = {"x": cols, "best_x": cols, "yn": rows, "f": 1, "best_f": 1, "converged": 1}
+    return {**st, "m": m, **{k: _pad(st[k], n, width) for k, n in points.items()}}
 
 
 def _stackable(r, s):

@@ -29,9 +29,30 @@ def stacks(monkeypatch):
 
     def counting(st, batch, *args):
         st = admit(st, batch, *args)
-        seen.append((st[6][-len(batch):], [(r, s) for _, _, r, s in batch]))
-        seen.peak = max(seen.peak, len(st[0]))
+        seen.append((st["m"][-len(batch):], [(r, s) for _, _, r, s in batch]))
+        seen.peak = max(seen.peak, len(st["keys"]))
         return st
 
     monkeypatch.setattr(norms, "_admit", counting)
+    return seen
+
+
+class Turns:
+    """The turns ``norms._stacked_ascent`` has yielded, in ``count``."""
+
+    count = 0
+
+
+@pytest.fixture
+def turns(monkeypatch):
+    """Counts the turns of every ascent stack the test runs: one per step or empty turn."""
+    seen = Turns()
+    ascent = norms._stacked_ascent
+
+    def counting(feed, opts):
+        for out in ascent(feed, opts):
+            seen.count += 1
+            yield out
+
+    monkeypatch.setattr(norms, "_stacked_ascent", counting)
     return seen

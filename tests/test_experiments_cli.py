@@ -579,6 +579,60 @@ def test_engines_take_numpy_integer_dimensions(engine):
     assert t.rows == engine(dims=(2,), samples=2).rows
 
 
+# (engine, its other arguments, an integer argument, the least value the engine takes)
+_COUNTS = {
+    "compare-samples": (run_compare_random, {"dims": (2,)}, "samples", 1),
+    "compare-seed": (run_compare_random, {"dims": (2,), "samples": 1}, "seed", 0),
+    "fuzz-samples": (run_conjecture_fuzz, {"dims": (2,), "grid": 3}, "samples", 1),
+    "fuzz-grid": (run_conjecture_fuzz, {"dims": (2,), "samples": 1}, "grid", 2),
+    "fuzz-seed": (run_conjecture_fuzz, {"dims": (2,), "samples": 1, "grid": 3}, "seed", 0),
+    "region-d": (run_fig_region, {"samples": 1, "n_env": 2, "opts": FAST}, "d", 1),
+    "region-samples": (run_fig_region, {"n_env": 2, "opts": FAST}, "samples", 1),
+    "region-n_env": (run_fig_region, {"samples": 1, "opts": FAST}, "n_env", 2),
+    "region-seed": (run_fig_region, {"samples": 1, "n_env": 2, "opts": FAST}, "seed", 0),
+    "profile-grid": (run_norm_profile, {"opts": FAST}, "grid", 2),
+    "sweep-n_theta": (run_compare_sweep, {"opts": FAST}, "n_theta", 2),
+    "werner-grid": (run_werner_masks, {"phis": (-1.0,)}, "grid", 2),
+    "randomness-points": (run_randomness_sweep, {"c": rotation_overlap_2d(0.5),
+                          "weight_grid_n": 2, "opts": FAST}, "points", 2),
+    "randomness-weights": (run_randomness_sweep, {"c": rotation_overlap_2d(0.5), "points": 2,
+                           "opts": FAST}, "weight_grid_n", 2),
+}
+
+
+def _written(table) -> str:
+    buf = io.StringIO()
+    write_table(table, buf)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("case", _COUNTS)
+@pytest.mark.parametrize("value", [True, 2.0])
+def test_engines_reject_an_integer_argument_that_is_not_an_integer(case, value):
+    # True ran one sample and hashed "samples": true; 2.0 raised TypeError from NumPy or range.
+    engine, kwargs, name, _ = _COUNTS[case]
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {value!r}$"):
+        engine(**kwargs, **{name: value})
+
+
+@pytest.mark.parametrize("case", _COUNTS)
+def test_engines_hash_numpy_integer_arguments_as_plain_ints(case):
+    # An np.int64 ran to the end, and then write_table could not hash it as JSON.
+    engine, kwargs, name, least = _COUNTS[case]
+    t = engine(**kwargs, **{name: np.int64(least)})
+    assert t.config[name] == least and type(t.config[name]) is int
+    assert _written(t) == _written(engine(**kwargs, **{name: least}))
+
+
+@pytest.mark.parametrize("case", ["compare-samples", "fuzz-samples", "region-samples",
+                                  "region-n_env", "profile-grid", "sweep-n_theta", "werner-grid",
+                                  "randomness-points", "randomness-weights"])
+def test_engines_name_a_count_below_its_least_value(case):
+    engine, kwargs, name, least = _COUNTS[case]
+    with pytest.raises(ValueError, match=rf"^{name} must be >= {least}, got {least - 1}$"):
+        engine(**kwargs, **{name: least - 1})
+
+
 @pytest.mark.parametrize("command", [["conjecture-fuzz"], ["fig-compare", "--random"]])
 def test_repeated_dimensions_exit_one_naming_them(capsys, command):
     assert cli.main([*command, "--dims", "2,2", "--samples", "2"]) == 1

@@ -724,6 +724,18 @@ def test_one_stack_mixes_matrix_shapes_bit_for_bit(stacks):
     assert stacks.peak == 12
 
 
+def test_the_stack_schedule_takes_its_recorded_turns(turns):
+    # The turns at the production constants (_STACK_FLOATS, _GROW_SHARE,
+    # _WINDOW_PROBLEMS) and engine options.  Any change to when problems
+    # enter or leave the stack moves them: _GROW_SHARE = 5 takes compare to
+    # 2,733 turns, and _WINDOW_PROBLEMS = 64 takes it to 7,693 and the
+    # census to 890.  A change that moves them on purpose records them anew.
+    experiments.run_conjecture_fuzz(dims=(2, 3, 4), samples=16, seed=1)
+    census, turns.count = turns.count, 0
+    experiments.run_compare_random(dims=(3, 4, 8, 12), samples=60, seed=2)
+    assert (census, turns.count) == (647, 3745)
+
+
 def test_stacked_witness_owns_its_data():
     # A view would keep the stack's whole best-point array alive.
     problems = _mu_star_problems(3, 1, 5)
