@@ -28,6 +28,7 @@ from .qmath import (
     shannon_entropy,
     tensor_measurement,
     von_neumann_entropy,
+    _as_int,
     _product_entropies,
 )
 
@@ -114,9 +115,8 @@ def randomness_bound_numeric(h_x, h_y, c, grid,
     if not triples:
         raise ValueError("weight grid is empty")
     c = _as_overlap(c)
-    log_norms = np.array([res.log_value for res in
-                          _norm_many([(c, w.r, w.s) for w in triples], opts, base)])
-    lam, mu = np.array([(w.lam, w.mu) for w in triples]).T
+    lam, mu, log_norms = np.array([(w.lam, w.mu, res.log_value) for w, res in
+                                   _norm_many([(w, (c, w.r, w.s)) for w in triples], opts, base)]).T
     h_x, h_y = np.broadcast_arrays(np.asarray(h_x, dtype=float), np.asarray(h_y, dtype=float))
     best = np.empty(h_x.shape)
     for i in np.ndindex(h_x.shape[:-1]):  # a table per row of entropies bounds peak memory
@@ -275,6 +275,7 @@ def werner_state(d: int, phi: float) -> DensityMatrix:
     W = [(d - phi) I + (d phi - 1) V] / (d (d^2 - 1)); entangled exactly
     for phi < 0.
     """
+    d = _as_int(d, "local dimension")
     if d < 2:
         raise ValueError(f"local dimension must be >= 2, got {d}")
     if not -1.0 <= phi <= 1.0:

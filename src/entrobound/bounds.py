@@ -13,7 +13,6 @@ envelope over a family of weights.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -171,38 +170,44 @@ def compare_state_independent(c, opts: SolverOptions | None = None,
             conjectured closed form at the optimal weights and
             ``on_violation`` is ``"raise"``.
     """
-    return next(_compare_many([c], opts, base, on_violation))
+    return next(_compare_many([(None, c)], opts, base, on_violation))[1]
 
 
-def _compare_setup(c) -> tuple:
-    """(c, sigma2, mu* weights, proven) of one comparison input, checked."""
+def _compare_setup(item, c) -> tuple:
+    """One comparison input, checked, as a ``_numeric_many`` pair.
+
+    The item is ``(item, c, sigma2, mu* weights)``; the problem is the norm
+    at mu*, or None for a 2 x 2 doubly stochastic ``c``: the d = 2 theorem
+    gives that norm, so no solver runs.
+    """
     c = _as_overlap(c)
     m = c.matrix
     if m.shape[0] != m.shape[1]:
         raise ValueError("comparison requires a square overlap matrix")
     sigma2 = min(c.sigma2, 1.0)
     ms = mu_star(sigma2)
-    # For d = 2 the theorem gives the norm at mu*, so no solver runs.
+    w = WeightTriple(1.0, ms, ms)
     proven = m.shape[0] == 2 and c.is_doubly_stochastic()
-    return c, sigma2, WeightTriple(1.0, ms, ms), proven
+    return (item, c, sigma2, w), None if proven else (c, w.r, w.s)
 
 
-def _compare_many(cs, opts: SolverOptions | None = None, base: LogBase = LogBase.TWO,
+def _compare_many(pairs, opts: SolverOptions | None = None, base: LogBase = LogBase.TWO,
                   on_violation: str = "raise"):
-    """Yield ``compare_state_independent(c, opts, base, on_violation)`` for each c, in order.
+    """Yield ``(item, compare_state_independent(c, opts, base, on_violation))`` per ``(item, c)``.
 
-    ``cs`` is read lazily: its problems at mu* stream into ``_numeric_many``,
-    which reads a bounded window ahead of the rows yielded.  Rows, solver
-    errors and ``ConjectureViolationError`` come out in input order; an
-    input that would be rejected before solving is rejected as it is read.
+    One ``_numeric_many`` pass, in input order: each pair's problem at mu*
+    goes to the solver, and a proven d = 2 row rides through the pass in
+    its item, with no problem, so every pair counts toward the pass's
+    read-ahead window.  Rows, solver errors and
+    ``ConjectureViolationError`` come out in input order; an input that
+    would be rejected before solving is rejected as it is read.
     """
     if on_violation not in ("raise", "use_numeric"):
         raise ValueError(f"unknown on_violation mode {on_violation!r}")
-    setups, searched = itertools.tee(map(_compare_setup, cs))
-    numerics = _numeric_many(((c, w.r, w.s) for c, _, w, proven in searched if not proven),
-                             opts, base)
-    for c, sigma2, w, proven in setups:
-        numeric = None if proven else _agrees_with_closed_form(c, w.r, w.s, next(numerics), base)
+    setups = (_compare_setup(item, c) for item, c in pairs)
+    for (item, c, sigma2, w), numeric in _numeric_many(setups, opts, base):
+        if numeric is not None:
+            _agrees_with_closed_form(c, w.r, w.s, numeric, base)
         d = c.matrix.shape[0]
         conjectured = norm_mub(d, w=w)
         conjecture_ok = numeric is None or (
@@ -219,8 +224,8 @@ def _compare_many(cs, opts: SolverOptions | None = None, base: LogBase = LogBase
         bccrr = _bccrr_constant(ent, base)
         c1, c2, big_c, rpz2 = _rpz2_constant(ent, base)
         flag = ours >= max(bccrr, rpz2) - 1e-12
-        yield ComparisonRow(c1, c2, float(big_c), float(ours), float(bccrr),
-                            float(rpz2), bool(flag), bool(conjecture_ok))
+        yield item, ComparisonRow(c1, c2, float(big_c), float(ours), float(bccrr),
+                                  float(rpz2), bool(flag), bool(conjecture_ok))
 
 
 def entropy_upper_bound(h_x: float, h_y: float, c, grid=None,
@@ -243,9 +248,8 @@ def entropy_upper_bound(h_x: float, h_y: float, c, grid=None,
     pairs = [(1.0, 1.0)] + ([] if grid is None else list(grid))
     triples = [WeightTriple(1.0, float(l), float(m)) for l, m in pairs]
     c = _as_overlap(c)
-    log_norms = np.array([res.log_value for res in
-                          _norm_many([(c, w.r, w.s) for w in triples], opts, base)])
-    lam, mu = np.array([(w.lam, w.mu) for w in triples]).T
+    lam, mu, log_norms = np.array([(w.lam, w.mu, res.log_value) for w, res in
+                                   _norm_many([(w, (c, w.r, w.s)) for w in triples], opts, base)]).T
     # - c_lower_bound = -(-alpha * log_norm) = log_norm exactly, at alpha = 1.
     return float(np.min(lam * h_x + mu * h_y + log_norms))
 
@@ -292,6 +296,6 @@ def envelope_curve(c, s_grid, weight_grid=None,
             raise ValueError(f"envelope grid needs lambda = mu > 0, got {w}")
     env = np.full(s_vals.shape, -np.inf)
     c = _as_overlap(c)
-    for w, res in zip(triples, _norm_many([(c, w.r, w.s) for w in triples], opts, base)):
+    for w, res in _norm_many([(w, (c, w.r, w.s)) for w in triples], opts, base):
         env = np.maximum(env, (w.alpha * s_vals + _constant(w, res.log_value)) / w.lam)
     return s_vals, env

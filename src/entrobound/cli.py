@@ -113,6 +113,12 @@ def _write_output(args, render) -> None:
         render(sys.stdout)
 
 
+def _write_table(args, table) -> int:
+    """Write an engine's table as CSV to ``--out`` or stdout; the command's exit status, 0."""
+    _write_output(args, lambda f: experiments.write_table(table, f))
+    return 0
+
+
 def _cmd_norm(args) -> int:
     c = _matrix(args)
     have_rs = args.r is not None or args.s is not None
@@ -138,46 +144,36 @@ def _cmd_norm(args) -> int:
 
 
 def _cmd_fig_region(args) -> int:
-    table = experiments.run_fig_region(
+    return _write_table(args, experiments.run_fig_region(
         d=args.d, theta=args.theta, samples=args.samples, seed=_seed(args),
-        n_env=args.envelope_points, opts=_solver_opts(args), base=_BASES[args.base])
-    _write_output(args, lambda f: experiments.write_table(table, f))
-    return 0
+        n_env=args.envelope_points, opts=_solver_opts(args), base=_BASES[args.base]))
 
 
 def _cmd_fig_norm_profile(args) -> int:
-    table = experiments.run_norm_profile(
-        theta=args.theta, grid=args.grid, opts=_solver_opts(args),
-        base=_BASES[args.base])
-    _write_output(args, lambda f: experiments.write_table(table, f))
-    return 0
+    return _write_table(args, experiments.run_norm_profile(
+        theta=args.theta, grid=args.grid, opts=_solver_opts(args), base=_BASES[args.base]))
 
 
 def _cmd_fig_compare(args) -> int:
     base = _BASES[args.base]
     if args.random:
-        table = experiments.run_compare_random(
+        return _write_table(args, experiments.run_compare_random(
             dims=args.dims, samples=args.samples, seed=_seed(args),
-            opts=_solver_opts(args, experiments.COMPARE_RANDOM_OPTS), base=base)
-    else:
-        table = experiments.run_compare_sweep(
-            n_theta=args.sweep, opts=_solver_opts(args), base=base)
-    _write_output(args, lambda f: experiments.write_table(table, f))
-    return 0
+            opts=_solver_opts(args, experiments.COMPARE_RANDOM_OPTS), base=base))
+    return _write_table(args, experiments.run_compare_sweep(
+        n_theta=args.sweep, opts=_solver_opts(args), base=base))
 
 
 def _cmd_werner(args) -> int:
-    table = experiments.run_werner_masks(phis=args.phi, grid=args.grid,
-                                         base=_BASES[args.base])
-    _write_output(args, lambda f: experiments.write_table(table, f))
-    return 0
+    return _write_table(args, experiments.run_werner_masks(
+        phis=args.phi, grid=args.grid, base=_BASES[args.base]))
 
 
 def _cmd_conjecture_fuzz(args) -> int:
     table = experiments.run_conjecture_fuzz(
         dims=args.dims, samples=args.samples, grid=args.grid, seed=_seed(args),
         opts=_solver_opts(args, experiments.FUZZ_OPTS), base=_BASES[args.base])
-    _write_output(args, lambda f: experiments.write_table(table, f))
+    _write_table(args, table)
     stats = table.stats
     points = "; ".join(f"d={d}: {n} proven, {stats['solved'][d]} solved"
                        for d, n in stats["proven"].items())
@@ -195,11 +191,9 @@ def _cmd_conjecture_fuzz(args) -> int:
 
 
 def _cmd_randomness(args) -> int:
-    table = experiments.run_randomness_sweep(
+    return _write_table(args, experiments.run_randomness_sweep(
         _matrix(args), points=args.points, weight_grid_n=args.weight_grid,
-        opts=_solver_opts(args), base=_BASES[args.base])
-    _write_output(args, lambda f: experiments.write_table(table, f))
-    return 0
+        opts=_solver_opts(args), base=_BASES[args.base]))
 
 
 def _build_parser(chosen: str | None) -> _Parser:

@@ -271,10 +271,8 @@ def run_norm_profile(theta: float = math.pi / 6, grid: int = 200,
     rows = []
     max_equal_dev = 0.0
     min_excess_beyond = np.inf
-    mus = np.linspace(0.5, 1.0, grid)
-    triples = [WeightTriple(1.0, float(mu), float(mu)) for mu in mus]
-    solved = _numeric_many([(c, w.r, w.s) for w in triples], opts, base)
-    for mu, res in zip(mus, solved):
+    weights = [(mu, WeightTriple(1.0, float(mu), float(mu))) for mu in np.linspace(0.5, 1.0, grid)]
+    for mu, res in _numeric_many([(mu, (c, w.r, w.s)) for mu, w in weights], opts, base):
         mub_line = (1.0 - 2.0 * mu) * ln2
         excess = res.log_value - mub_line
         if excess < -1e-7:
@@ -313,10 +311,10 @@ def run_compare_sweep(n_theta: int = 101, opts: SolverOptions | None = None,
     n_theta = _count(n_theta, "n_theta", 2)
     opts = opts or SolverOptions()
     thetas = np.linspace(0.0, math.pi / 4, n_theta).tolist()
-    compared = _compare_many(map(rotation_overlap_2d, thetas), opts, base,
-                             on_violation="use_numeric")
+    compared = _compare_many(((theta, rotation_overlap_2d(theta)) for theta in thetas), opts,
+                             base, on_violation="use_numeric")
     rows = [(theta, row.c1, row.c2, row.ours, row.bccrr, row.rpz2, row.ours_at_least,
-             row.conjecture_ok) for theta, row in zip(thetas, compared)]
+             row.conjecture_ok) for theta, row in compared]
     config = {
         "cmd": "fig-compare", "mode": "sweep", "n_theta": n_theta,
         "base": base.name, **_opts_config(opts),
@@ -337,10 +335,12 @@ def run_compare_random(dims=tuple(range(2, 13)), samples: int = 1000,
     how many evaluations fell back to the numeric norm because the
     conjectured closed form failed verification.  Each dimension draws
     from its own ``default_rng([seed, d])``, and every dimension's matrices
-    are drawn lazily into one ``bounds._compare_many`` pass, whose mu*
-    problems share one refilling ascent stack that reads a bounded window
-    ahead, so memory does not grow with ``samples``; each row has the bits
-    of ``compare_state_independent`` on its own matrix.
+    are drawn lazily into one ``bounds._compare_many`` pass, each labelled
+    with its d.  The labelled draws ride through the pass's one read-ahead
+    window, proven d = 2 rows included, and its mu* problems share one
+    refilling ascent stack, so memory does not grow with ``samples`` for
+    any order of ``dims``; each row has the bits of
+    ``compare_state_independent`` on its own matrix.
 
     Raises:
         ValueError: for an empty ``dims``, a d that is not an integer or is
@@ -350,10 +350,9 @@ def run_compare_random(dims=tuple(range(2, 13)), samples: int = 1000,
     dims, samples, seed = _check_dims(dims), _count(samples, "samples", 1), _as_int(seed, "seed")
     opts = opts or COMPARE_RANDOM_OPTS
     best, fallbacks = dict.fromkeys(dims, 0), dict.fromkeys(dims, 0)
-    draws = (from_unitary(haar_random_unitary(d, rng))
+    draws = ((d, from_unitary(haar_random_unitary(d, rng)))
              for d in dims for rng in [np.random.default_rng([seed, d])] for _ in range(samples))
-    labels = (d for d in dims for _ in range(samples))
-    for d, row in zip(labels, _compare_many(draws, opts, base, on_violation="use_numeric")):
+    for d, row in _compare_many(draws, opts, base, on_violation="use_numeric"):
         best[d] += int(row.ours_at_least)
         fallbacks[d] += int(not row.conjecture_ok)
     pct = {d: 100.0 * best[d] / samples for d in dims}
@@ -438,9 +437,11 @@ def run_conjecture_fuzz(dims=(2, 3, 4), samples: int = 1000, grid: int = 11,
     Such a point has excess exactly 0: it is counted in ``evals`` but not
     solved.  At d = 2 kappa = sigma2, so no point is solved there.  A
     dimension's matrices are drawn lazily, and the open points of all its
-    samples stream through one ``norms._norm_many`` pass, whose numeric
-    points share stacked ascents with the bits of per-point ``norm``
-    calls; memory does not grow with ``samples``.  Each numeric
+    samples, each carrying its sample, matrix and weights, stream through
+    one ``norms._norm_many`` pass: every point counts toward the pass's
+    read-ahead window, and the numeric ones share stacked ascents with the
+    bits of per-point ``norm`` calls; memory does not grow with
+    ``samples``.  Each numeric
     value is attained by its witness vector, so it is a lower bound on
     the norm; any excess beyond ``excess_tol`` is a genuine
     counterexample and is emitted with the full-precision matrix and
@@ -460,7 +461,6 @@ def run_conjecture_fuzz(dims=(2, 3, 4), samples: int = 1000, grid: int = 11,
             ``excess_tol`` that is not finite and >= 0.
     """
     dims, samples, seed = _check_dims(dims), _count(samples, "samples", 1), _as_int(seed, "seed")
-    grid = _as_int(grid, "grid")  # _weight_lattice checks its size
     if not (math.isfinite(excess_tol) and excess_tol >= 0.0):
         raise ValueError(f"excess_tol must be finite and >= 0, got {excess_tol}")
     opts = opts or FUZZ_OPTS
@@ -470,13 +470,13 @@ def run_conjecture_fuzz(dims=(2, 3, 4), samples: int = 1000, grid: int = 11,
     proven, solved = {}, {}
     for d in dims:
         counts = {"evals": 0, "proven": 0}
-        points, searched = itertools.tee(
-            _fuzz_lattice(d, samples, grid, np.random.default_rng([seed, d]), counts))
-        results = _norm_many(((c, w.r, w.s) for _, c, _, w in searched), opts, base)
+        points = _fuzz_lattice(d, samples, grid, np.random.default_rng([seed, d]), counts)
+        results = _norm_many((((k, c, sigma2, w), (c, w.r, w.s)) for k, c, sigma2, w in points),
+                             opts, base)
         solved[d] = 0
         violations = 0
         max_excess = 0.0
-        for (k, c, sigma2, w), res in zip(points, results):
+        for (k, c, sigma2, w), res in results:
             conjectured = norm_mub(d, w.r, w.s)
             excess = res.value - conjectured
             solved[d] += 1
@@ -496,7 +496,8 @@ def run_conjecture_fuzz(dims=(2, 3, 4), samples: int = 1000, grid: int = 11,
         max_excess_all = max(max_excess_all, max_excess)
     config = {
         "cmd": "conjecture-fuzz", "dims": list(dims), "samples": samples,
-        "grid": grid, "seed": seed, "base": base.name,
+        # A plain int for the hash; _weight_lattice has refused a grid that is not an integer.
+        "grid": int(grid), "seed": seed, "base": base.name,
         "excess_tol": excess_tol, **_opts_config(opts),
     }
     header = ("kind", "d", "sample", "samples", "evals", "violations",

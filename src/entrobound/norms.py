@@ -7,20 +7,23 @@ by a multistart nonlinear power iteration.
 Weighted entropic bounds use the exponents r = alpha/mu and
 s = alpha/(alpha - lambda).
 
-Every numeric problem is a ``(matrix, r, s)`` triple.  ``_numeric_many``
-reads problems lazily, at most ``_WINDOW_PROBLEMS`` ahead of its results,
-into ``_stacked_ascent``, the one ascent loop: one stack of at most
+Every numeric problem is a ``(matrix, r, s)`` triple, and every many-norm
+engine passes ``(item, problem)`` pairs to ``_numeric_many``, the one
+in-order pipeline: it reads pairs lazily, at most ``_WINDOW_PROBLEMS``
+ahead of its ``(item, result)`` output, and sends interior problems into
+``_stacked_ascent``, the one ascent loop: one stack of at most
 ``_STACK_FLOATS`` start-bank floats, a dict of arrays whose fields
 ``_admit`` names, that takes problems into the slots finished ones free,
-across matrix shapes fitted to the stack's (``_fit``), and yields results
-in input order; each problem gets the bits it gets alone.
-``norm_numeric`` and ``norm`` are one-problem passes.
+across matrix shapes fitted to the stack's (``_fit``).  A pair whose
+problem is None carries its answer in its item (``_norm_many``'s closed
+forms, ``bounds._compare_many``'s proven rows) and holds its place in the
+same order.  Each problem gets the bits it gets alone; ``norm_numeric``
+and ``norm`` are one-pair passes.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 import numbers
 from collections import deque
@@ -320,6 +323,7 @@ def scan_2d_objective(theta: float, mu: float, lam: float, grid: int):
         raise ValueError(f"theta must lie in (0, pi/4], got {theta}")
     if not (0.0 < mu <= 1.0 and 0.0 <= lam < 1.0):
         raise ValueError(f"need 0 < mu <= 1 and 0 <= lambda < 1, got {mu}, {lam}")
+    grid = _as_int(grid, "grid")
     if grid < 2:
         raise ValueError(f"grid must have at least 2 points, got {grid}")
     w = WeightTriple(1.0, lam, mu)
@@ -425,11 +429,11 @@ _STACK_FLOATS = 2**14
 _GROW_SHARE = 10
 
 #: ``_numeric_many`` reads ahead of its results while fewer than
-#: _WINDOW_PROBLEMS problems are read and not yet yielded, so a slow
-#: problem at the head of one dimension does not stall the next
-#: dimensions' reads.  The count bounds the matrices and Python objects
-#: each pending problem holds along an engine's pipeline (about 0.7 kB in
-#: the census).
+#: _WINDOW_PROBLEMS pairs, problem-less ones included, are read and not yet
+#: yielded, so a slow problem at the head of one dimension does not stall
+#: the next dimensions' reads.  The count bounds the matrices and Python
+#: objects each pending pair holds along an engine's pipeline (about
+#: 0.7 kB in the census).
 _WINDOW_PROBLEMS = 1024
 
 
@@ -720,7 +724,8 @@ def norm_numeric(c, r=None, s=None, w: WeightTriple | None = None,
     """
     r, s = _exponents(r, s, w)
     c = _as_overlap(c)
-    return _agrees_with_closed_form(c, r, s, next(_numeric_many([(c, r, s)], opts, base)), base)
+    _, res = next(_numeric_many([(None, (c, r, s))], opts, base))
+    return _agrees_with_closed_form(c, r, s, res, base)
 
 
 def _agrees_with_closed_form(c, r, s, res: NormResult, base) -> NormResult:
@@ -750,32 +755,37 @@ def _numeric_result(c, r, s, witness, value, base) -> NormResult:
     return res
 
 
-def _numeric_many(problems, opts: SolverOptions | None = None,
+def _numeric_many(pairs, opts: SolverOptions | None = None,
                   base: LogBase = LogBase.TWO):
-    """Yield the numeric norm of each (c, r, s) problem, in order, as ``norm_numeric`` solves it.
+    """Yield ``(item, result)`` for each ``(item, problem)`` pair, in input order.
 
-    The in-order scheduler over the one ``_stacked_ascent`` stack.
-    Problems are read lazily, as the stack has room for them: a boundary
-    problem is solved as it is read, and an interior one goes to the
-    stack.  Results come out in input order with the bits, messages and
-    values they get when solved alone, each witness its own copy of its
-    problem's length.  Reading stops while ``_WINDOW_PROBLEMS`` problems
-    are read and not yet yielded, so a slow problem holds up reading, not
-    memory.
+    The one in-order pipeline over the one ``_stacked_ascent`` stack.  A
+    problem is a ``(c, r, s)`` triple, solved as ``norm_numeric`` solves
+    it, or None: its result is None, and the item carries what the caller
+    needs.  Pairs are read lazily, as the stack has room for them: a
+    boundary problem is solved as it is read, an interior one goes to the
+    stack, and a None is answered as it is read.  Results come out in
+    input order with the bits, messages and values they get when solved
+    alone, each witness its own copy of its problem's length.  Reading
+    stops while ``_WINDOW_PROBLEMS`` pairs, None included, are read and
+    not yet yielded, so a slow problem holds up reading, not memory.
     The results are checked against the certified sandwich but not against
     the closed form: callers that may pass closed-form problems run
     ``_agrees_with_closed_form`` on them.
     """
     opts = opts or SolverOptions()
-    pending = deque()  # (key, c, r, s) of each problem read and not yet yielded
-    solved = {}  # key -> best point, SolverFailureError or boundary (witness, value)
+    pending = deque()  # (key, item, checked problem or None) of each pair read and not yet yielded
+    solved = {}  # key -> None, best point, SolverFailureError or boundary (witness, value)
 
     def feed():
-        for key, (c, r, s) in enumerate(problems):
-            c = _as_overlap(c)
-            r, s = _exponents(r, s)
-            pending.append((key, c, r, s))
-            if _stackable(r, s):
+        for key, (item, problem) in enumerate(pairs):
+            if problem is not None:
+                c, (r, s) = _as_overlap(problem[0]), _exponents(*problem[1:])
+                problem = c, r, s
+            pending.append((key, item, problem))
+            if problem is None:
+                solved[key] = None
+            elif _stackable(r, s):
                 yield key, c.matrix, r, s
             else:
                 solved[key] = _boundary_norm(c.matrix, r, s)
@@ -785,38 +795,43 @@ def _numeric_many(problems, opts: SolverOptions | None = None,
     for retired in _stacked_ascent(feed(), opts):
         solved.update(retired)
         while pending and pending[0][0] in solved:
-            key, c, r, s = pending.popleft()
+            key, item, problem = pending.popleft()
             out = solved.pop(key)
             if isinstance(out, SolverFailureError):
                 raise out
-            witness, value = out if isinstance(out, tuple) else (out, _ratio(c.matrix, out, r, s))
-            yield _numeric_result(c, r, s, witness, value, base)
+            if problem is not None:
+                c, r, s = problem
+                if not isinstance(out, tuple):  # the stack's best point
+                    out = out, _ratio(c.matrix, out, r, s)
+                out = _numeric_result(c, r, s, *out, base)
+            yield item, out
 
 
 def norm(c, w: WeightTriple | None = None, opts: SolverOptions | None = None,
          base: LogBase = LogBase.TWO, *, r=None, s=None) -> NormResult:
     """Norm at exponents (r, s) or a weight triple's: closed form if available, else numeric."""
-    return next(_norm_many([(c, *_exponents(r, s, w))], opts, base))
+    return next(_norm_many([(None, (c, *_exponents(r, s, w)))], opts, base))[1]
 
 
-def _norm_many(problems, opts: SolverOptions | None = None,
+def _norm_many(pairs, opts: SolverOptions | None = None,
                base: LogBase = LogBase.TWO):
-    """Yield ``norm(c, opts=opts, base=base, r=r, s=s)`` for each (c, r, s) problem, in order.
+    """Yield ``(item, norm(c, opts=opts, base=base, r=r, s=s))`` for each ``(item, (c, r, s))``.
 
-    Problems are read lazily, and each matrix is validated once for both
-    paths.  The closed-form misses stream into one ``_numeric_many`` pass,
-    so the input is read at most that pass's window of misses, and the
-    hits between them, ahead of the results yielded.
+    One ``_numeric_many`` pass, in input order.  Pairs are read lazily,
+    and each matrix is validated once for both paths: a closed-form hit
+    rides through the pass in its item, with no problem, and a miss goes
+    to the solver.  Every pair counts toward the pass's read-ahead window.
     """
-    checked = ((_as_overlap(c), r, s) for c, r, s in problems)
-    dispatched, searched = itertools.tee((p, norm_closed_form(*p, base=base)) for p in checked)
-    numeric = _numeric_many((p for p, closed in searched if closed is None), opts, base)
-    for _, closed in dispatched:
-        yield closed if closed is not None else next(numeric)
+    checked = ((item, (_as_overlap(c), r, s)) for item, (c, r, s) in pairs)
+    dispatched = (((item, closed), p if closed is None else None)
+                  for item, p in checked for closed in [norm_closed_form(*p, base=base)])
+    for (item, closed), res in _numeric_many(dispatched, opts, base):
+        yield item, closed if res is None else res
 
 
 def _weight_lattice(n: int) -> tuple:
     """(mu, lambda) arrays of the n x n lattice on [0, 1]^2, mu the slow axis."""
+    n = _as_int(n, "grid")
     if n < 2:
         raise ValueError(f"grid must have at least 2 points per axis, got {n}")
     axis = np.linspace(0.0, 1.0, n)

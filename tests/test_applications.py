@@ -32,6 +32,7 @@ from entrobound import (
     rotated_measurement_2d,
     rotation_overlap_2d,
     run_randomness_sweep,
+    scan_2d_objective,
     shannon_entropy,
     tensor_measurement,
     tensor_overlap,
@@ -460,6 +461,26 @@ def test_werner_state_rejects_bad_inputs():
         werner_state(2, 1.2)
     with pytest.raises(ValueError):
         werner_state(2, -1.2)
+
+
+# A count argument of each public function, as an array of its result.
+_COUNT_ARGUMENTS = {
+    "scan_2d_objective-grid": lambda n: np.array(scan_2d_objective(math.pi / 6, 0.6, 0.5, n)),
+    "feasible_weight_grid-n": lambda n: np.array(feasible_weight_grid(0.5, n)),
+    "werner_state-d": lambda n: werner_state(n, -0.5).matrix,
+}
+
+
+@pytest.mark.parametrize("value", [2.5, True, np.int64(3)], ids=["float", "bool", "int64"])
+@pytest.mark.parametrize("case", _COUNT_ARGUMENTS)
+def test_counts_refuse_a_value_that_is_not_an_integer(case, value):
+    # 2.5 raised NumPy's TypeError, and True was refused with a size message.
+    call = _COUNT_ARGUMENTS[case]
+    if isinstance(value, np.integer):
+        assert call(value).tobytes() == call(3).tobytes()
+    else:
+        with pytest.raises(ValueError, match=rf"must be an integer, got {value!r}$"):
+            call(value)
 
 
 def test_werner_detection_scan_verdicts():

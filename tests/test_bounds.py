@@ -280,16 +280,17 @@ def test_compare_many_matches_per_matrix_calls():
     cs.insert(4, [[0.6, 0.3], [0.4, 0.7]])
     want, _ = _compare_each(cs, "use_numeric")
     assert not all(row.conjecture_ok for row in want)
-    assert list(bounds._compare_many(cs, FAST, on_violation="use_numeric")) == want
+    pairs = [(None, c) for c in cs]
+    assert [row for _, row in bounds._compare_many(pairs, FAST, on_violation="use_numeric")] == want
     # In strict mode the first violation is raised after the rows before it.
     want, error = _compare_each(cs, "raise")
     got = []
     with pytest.raises(ConjectureViolationError) as raised:
-        for row in bounds._compare_many(cs, FAST, on_violation="raise"):
+        for _, row in bounds._compare_many(pairs, FAST, on_violation="raise"):
             got.append(row)
     assert got == want and len(want) == 2 and str(raised.value) == str(error)
     with pytest.raises(ValueError):
-        list(bounds._compare_many(cs, FAST, on_violation="ignore"))
+        list(bounds._compare_many(pairs, FAST, on_violation="ignore"))
 
 
 # ---------------------------------------------------------------------------

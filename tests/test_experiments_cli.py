@@ -204,6 +204,28 @@ def test_python_dash_m_runs_the_cli():
     assert proc.stdout.strip() == "entrobound 0.1.0"
 
 
+def _top_level_imports(statement: str) -> set:
+    """Top-level names of the modules a fresh interpreter has imported after ``statement``.
+
+    Cython's runtime registers modules without an import spec; they are not imports.
+    """
+    code = (f"import sys; {statement}; print(*{{name.partition('.')[0] for name, m in "
+            "sys.modules.items() if getattr(m, '__spec__', None) is not None})")
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+def test_the_cli_imports_nothing_but_numpy_and_the_standard_library():
+    # scipy, mpmath and sympy may be installed, but the package must not load
+    # them.  What a bare interpreter loads (site may load certifi) is not the
+    # package's doing.
+    extra = _top_level_imports("import entrobound.cli") - _top_level_imports("pass")
+    assert extra - set(sys.stdlib_module_names) == {"entrobound", "numpy"}
+
+
 def test_argparse_failures_exit_one():
     for argv in [["norm", "--r", "2", "--s", "2"], ["frobnicate"], []]:
         with pytest.raises(SystemExit) as excinfo:
@@ -362,7 +384,8 @@ def test_certified_census_points_have_no_excess_over_the_closed_form():
     certified = [(c, w.r, w.s) for d in (2, 3, 4) for c, w in _census_lattice(d, 4, seed=0)
                  if w.s > w.r and norms._equality_proven(c, w.r, w.s)]
     assert {c.dim for c, _, _ in certified} == {2, 3, 4}
-    for (c, r, s), res in zip(certified, norms._numeric_many(certified, SolverOptions())):
+    solved = norms._numeric_many([(None, p) for p in certified], SolverOptions())
+    for (c, r, s), (_, res) in zip(certified, solved):
         assert abs(res.value - norms.norm_mub(c.dim, r, s)) <= 1e-9
 
 
@@ -698,6 +721,35 @@ def test_compare_random_draws_every_dimension_into_one_stack(monkeypatch, stacks
     assert rows == _compare_rows_per_sample((3, 4), samples, 3)
 
 
+def test_compare_random_counts_proven_rows_toward_the_window(monkeypatch):
+    # The d = 2 rows are proven, so they take no solve, but they ride
+    # through the same pass: reading them waits for the d = 3 rows ahead of
+    # them, and the draws read and not yet answered stay within the window
+    # whatever the number of samples.
+    from entrobound import norms
+
+    monkeypatch.setattr(norms, "_WINDOW_PROBLEMS", 17)
+    draws, answered, ahead = [0], [0], []
+    draw, many = experiments.haar_random_unitary, experiments._compare_many
+
+    def drawing(d, rng):
+        draws[0] += 1
+        return draw(d, rng)
+
+    def answering(*args, **kwargs):
+        for row in many(*args, **kwargs):
+            answered[0] += 1
+            ahead.append(draws[0] - answered[0])
+            yield row
+
+    monkeypatch.setattr(experiments, "haar_random_unitary", drawing)
+    monkeypatch.setattr(experiments, "_compare_many", answering)
+    rows = run_compare_random(dims=(3, 2), samples=60, seed=3).rows
+    assert draws[0] == answered[0] == 120
+    assert max(ahead) <= norms._WINDOW_PROBLEMS
+    assert rows == _compare_rows_per_sample((3, 2), 60, 3)
+
+
 def test_fuzz_lattice_pass_has_the_bytes_of_per_point_norms(monkeypatch):
     # Sample 2 at d = 3 is a counterexample, so its witness bits are in the CSV.
     def csv():
@@ -707,8 +759,8 @@ def test_fuzz_lattice_pass_has_the_bytes_of_per_point_norms(monkeypatch):
 
     got = csv()
     assert "\nviolation,3,2," in got
-    monkeypatch.setattr(experiments, "_norm_many", lambda problems, opts, base: [
-        norm(c, opts=opts, base=base, r=r, s=s) for c, r, s in problems])
+    monkeypatch.setattr(experiments, "_norm_many", lambda pairs, opts, base: [
+        (item, norm(c, opts=opts, base=base, r=r, s=s)) for item, (c, r, s) in pairs])
     assert csv() == got
 
 

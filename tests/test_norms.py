@@ -431,7 +431,7 @@ def test_stacked_profile_solves_match_norm_numeric_bit_for_bit(stacks):
     points = [(w.r, w.s) for w in triples]
     want = [norm_numeric(c, r, s) for r, s in points]
     stacks.clear()
-    got = list(norms._numeric_many([(c, r, s) for r, s in points]))
+    got = [res for _, res in norms._numeric_many([(None, (c, r, s)) for r, s in points])]
     assert len(got) == len(want) and all(_same_bits(a, b) for a, b in zip(got, want))
     assert [p for _, exps in stacks for p in exps] == points[:199]
     assert [len(exps) for _, exps in stacks] == [122, 6, 5, 6, 11, 8, 8, 6, 14, 13]
@@ -453,7 +453,7 @@ def test_stacked_weight_lattices_match_norm_bit_for_bit(stacks, engine):
     want = [norm(c, w) for w in triples]
     misses = [(w.r, w.s) for w in triples if norm_closed_form(c, w=w) is None]
     stacks.clear()
-    got = list(norms._norm_many([(c, w.r, w.s) for w in triples]))
+    got = [res for _, res in norms._norm_many([(None, (c, w.r, w.s)) for w in triples])]
     assert len(got) == len(want) and all(_same_bits(a, b) for a, b in zip(got, want))
     assert [p for _, exps in stacks for p in exps] == [p for p in misses if norms._stackable(*p)]
     assert [len(exps) for _, exps in stacks] == {
@@ -471,7 +471,8 @@ def test_stacked_d3_lattice_matches_norm_numeric_bit_for_bit(stacks, restarts):
     opts = SolverOptions(restarts=restarts)
     want = [norm_numeric(c, r, s, opts=opts) for r, s in points]
     stacks.clear()
-    got = list(norms._numeric_many([(c, r, s) for r, s in points], opts=opts))
+    got = [res for _, res in norms._numeric_many([(None, (c, r, s)) for r, s in points],
+                                                 opts=opts)]
     assert len(got) == len(want) and all(_same_bits(a, b) for a, b in zip(got, want))
     plain = [p for p in points if not _fast_path(*p)]
     assert len(plain) == 23 < len(points)
@@ -488,7 +489,7 @@ def test_half_weights_share_one_stack_with_plain_points(stacks):
     points += [(1.0 / 0.6, 1.0 / 0.3), (1.0 / 0.7, 1.0 / 0.25)]  # no fast path
     want = [norm_numeric(c, r, s) for r, s in points]
     stacks.clear()
-    got = list(norms._numeric_many([(c, r, s) for r, s in points]))
+    got = [res for _, res in norms._numeric_many([(None, (c, r, s)) for r, s in points])]
     assert all(_same_bits(a, b) for a, b in zip(got, want))
     assert [exps for _, exps in stacks] == [points]
     assert [_fast_path(r, s) for r, s in points] == [True] * 7 + [False] * 2
@@ -542,7 +543,7 @@ def test_one_stack_mixes_every_fast_path_power_bit_for_bit(stacks):
     opts = SolverOptions(restarts=3)
     want = [norm_numeric(c, r, s, opts=opts) for c, r, s in problems]
     stacks.clear()
-    got = list(norms._numeric_many(problems, opts=opts))
+    got = [res for _, res in norms._numeric_many([(None, p) for p in problems], opts=opts)]
     assert len(got) == len(want) and all(_same_bits(a, b) for a, b in zip(got, want))
     assert [exps for _, exps in stacks] == [[(r, s) for _, r, s in problems]]
     r, s = np.array([(r, s) for _, r, s in problems]).T
@@ -575,7 +576,7 @@ def test_stacked_dead_column_stays_finite_and_matches():
     points = [(1.5, 3.0), (1.7, 2.5), (3.0, 4.0), (1.25, 1.75)]
     with np.errstate(divide="raise", invalid="raise"):
         want = [norm_numeric(m, r, s) for r, s in points]
-        got = list(norms._numeric_many([(m, r, s) for r, s in points]))
+        got = [res for _, res in norms._numeric_many([(None, (m, r, s)) for r, s in points])]
     assert all(_same_bits(a, b) for a, b in zip(got, want))
     assert all(res.witness.tolist() == [1.0, 0.0] for res in got)
 
@@ -595,7 +596,7 @@ def test_stacked_failure_is_the_first_in_input_order(points):
             want.append(norm_numeric(m, r, s, opts=opts))
     got = []
     with pytest.raises(SolverFailureError) as stacked:
-        for res in norms._numeric_many([(m, r, s) for r, s in points], opts=opts):
+        for _, res in norms._numeric_many([(None, (m, r, s)) for r, s in points], opts=opts):
             got.append(res)
     assert len(got) == len(want) >= 1
     assert all(_same_bits(a, b) for a, b in zip(got, want))
@@ -625,7 +626,7 @@ def test_per_problem_matrices_match_norm_numeric_bit_for_bit(stacks, d, samples)
     problems[-1] = (problems[-1][0], 2.0, 3.0)
     want = [norm_numeric(c, r, s, opts=opts) for c, r, s in problems]
     stacks.clear()
-    got = list(norms._numeric_many(problems, opts=opts))
+    got = [res for _, res in norms._numeric_many([(None, p) for p in problems], opts=opts)]
     assert len(got) == len(want) and all(_same_bits(a, b) for a, b in zip(got, want))
     cap = norms._STACK_FLOATS // (d * (d + 1 + opts.restarts))
     sizes = [samples] if samples <= cap else [cap, samples - cap]
@@ -654,7 +655,8 @@ def test_per_problem_failure_is_the_first_in_input_order():
     assert any(isinstance(o, NormResult) for o in outcomes[first + 1:])
     got = []
     with pytest.raises(SolverFailureError) as stacked:
-        for res in norms._numeric_many([(c, r, s) for c, (r, s) in zip(cs, points)], opts=opts):
+        for _, res in norms._numeric_many([(None, (c, r, s)) for c, (r, s) in zip(cs, points)],
+                                          opts=opts):
             got.append(res)
     assert len(got) == first
     assert all(_same_bits(a, b) for a, b in zip(got, outcomes))
@@ -682,7 +684,7 @@ def test_late_admission_gets_its_own_iteration_cap(monkeypatch, stacks):
     stacks.clear()
     got = []
     with pytest.raises(SolverFailureError) as stacked:
-        for res in norms._numeric_many(problems, opts=opts):
+        for _, res in norms._numeric_many([(None, p) for p in problems], opts=opts):
             got.append(res)
     assert len(got) == 2 and all(_same_bits(a, b) for a, b in zip(got, want))
     assert [exps for _, exps in stacks] == [[(6.0, 7.0), (1.3, 1.7)], [(6.0, 7.0)]]
@@ -713,7 +715,7 @@ def test_one_stack_mixes_matrix_shapes_bit_for_bit(stacks):
     opts = SolverOptions(restarts=8)
     want = [norm_numeric(c, r, s, opts=opts) for c, r, s in problems]
     stacks.clear()
-    got = list(norms._numeric_many(problems, opts=opts))
+    got = [res for _, res in norms._numeric_many([(None, p) for p in problems], opts=opts)]
     assert len(got) == len(want) and all(_same_bits(a, b) for a, b in zip(got, want))
     for res, (c, _, _) in zip(got, problems):
         assert res.witness.shape == (norms._as_overlap(c).matrix.shape[1],)
@@ -728,18 +730,21 @@ def test_the_stack_schedule_takes_its_recorded_turns(turns):
     # The turns at the production constants (_STACK_FLOATS, _GROW_SHARE,
     # _WINDOW_PROBLEMS) and engine options.  Any change to when problems
     # enter or leave the stack moves them: _GROW_SHARE = 5 takes compare to
-    # 2,733 turns, and _WINDOW_PROBLEMS = 64 takes it to 7,693 and the
-    # census to 890.  A change that moves them on purpose records them anew.
+    # 2,734 turns, and _WINDOW_PROBLEMS = 64 takes it to 7,694 and the
+    # census to 893.  A change that moves them on purpose records them anew.
+    # Each pass is read to its end, so each takes one trailing empty turn:
+    # the census's three (d = 2, 3 and 4; the d = 2 pass solves nothing) and
+    # compare's one are in the counts (647 and 3,745 without them).
     experiments.run_conjecture_fuzz(dims=(2, 3, 4), samples=16, seed=1)
     census, turns.count = turns.count, 0
     experiments.run_compare_random(dims=(3, 4, 8, 12), samples=60, seed=2)
-    assert (census, turns.count) == (647, 3745)
+    assert (census, turns.count) == (650, 3746)
 
 
 def test_stacked_witness_owns_its_data():
     # A view would keep the stack's whole best-point array alive.
     problems = _mu_star_problems(3, 1, 5)
-    for res in norms._numeric_many(problems):
+    for _, res in norms._numeric_many([(None, p) for p in problems]):
         assert res.witness.base is None and res.witness.flags.owndata
     assert norm_numeric(*problems[0]).witness.base is None
 
@@ -774,10 +779,10 @@ def test_norm_stream_reads_a_constant_window_of_misses_ahead(monkeypatch, stacks
     def feed():
         for problem in problems:
             read[0] += 1
-            yield problem
+            yield None, problem
 
     got, ahead = [], []
-    for res in norms._norm_many(feed(), opts):
+    for _, res in norms._norm_many(feed(), opts):
         got.append(res)
         ahead.append(sum(misses[len(got):read[0]]))
         assert read[0] in (len(got), len(problems)) or misses[read[0] - 1]
@@ -797,12 +802,35 @@ def test_read_ahead_stops_at_the_problem_window(monkeypatch):
     def feed():
         for problem in problems:
             read[0] += 1
-            yield problem
+            yield None, problem
 
     results = norms._numeric_many(feed())
     next(results)
     assert read[0] == 5
     assert len(list(results)) == 200 and read[0] == 201
+
+
+def test_norm_stream_counts_closed_form_hits_toward_the_window():
+    # The hits behind a slow mu* miss ride through the solver's pass in
+    # input order, so the default window stops reading them before the
+    # first result, not the end of the input.
+    c, r, s = _mu_star_problems(3, 1, 1)[0]
+    hit = norm_closed_form(c, 2.0, 1.5)
+    assert hit is not None and norm_closed_form(c, r, s) is None
+    problems = [(c, r, s)] + [(c, 2.0, 1.5)] * 5000
+    read = [0]
+
+    def feed():
+        for problem in problems:
+            read[0] += 1
+            yield None, problem
+
+    results = norms._norm_many(feed())
+    next(results)
+    assert read[0] == norms._WINDOW_PROBLEMS == 1024
+    rest = [res for _, res in results]
+    assert len(rest) == 5000 and read[0] == 5001
+    assert all(_same_bits(res, hit) for res in rest)
 
 
 def test_norm_stream_dispatches_each_problem_once(monkeypatch):
@@ -818,7 +846,7 @@ def test_norm_stream_dispatches_each_problem_once(monkeypatch):
     opts = SolverOptions(restarts=2)
     want = [norm(c, opts=opts, r=r, s=s) for c, r, s in problems]
     monkeypatch.setattr(norms, "norm_closed_form", counting)
-    got = list(norms._norm_many(problems, opts))
+    got = [res for _, res in norms._norm_many([(None, p) for p in problems], opts)]
     assert len(calls) == len(problems)
     assert all(_same_bits(a, b) for a, b in zip(got, want))
 
