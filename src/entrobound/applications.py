@@ -17,7 +17,7 @@ import numpy as np
 from .bounds import _check_entropies
 from .errors import DegenerateCaseError
 from .norms import SolverOptions, WeightTriple, _check_sigma2, _norm_many, norm
-from .overlap import OverlapMatrix, _as_overlap
+from .overlap import OverlapMatrix, _as_overlap, _check_theta
 from .qmath import (
     DensityMatrix,
     LogBase,
@@ -60,11 +60,11 @@ class EntropyDeficits:
 
 
 def _checked_deficit(name: str, v):
-    """Deficit ``v`` (a float or an array) clipped at zero, once no entry is below -1e-9."""
+    """Deficit ``v`` (a float or an array) clipped at zero, once no entry is NaN or below -1e-9."""
     v = np.asarray(v, dtype=float)
-    bad = v < -_DEFICIT_TOL
+    bad = ~(v >= -_DEFICIT_TOL)
     if np.count_nonzero(bad):
-        raise ValueError(f"{name} is negative: {v[bad].flat[0]}")
+        raise ValueError(f"{name} is negative or NaN: {v[bad].flat[0]}")
     return np.maximum(v, 0.0)
 
 
@@ -104,13 +104,16 @@ def randomness_bound_numeric(h_x, h_y, c, grid,
         grid: iterable of (mu, lambda) pairs in [0, 1]^2, solved in one pass.
 
     Returns:
-        The best lower bound on H(X|E) over the grid, per entropy pair; a
-        float for float entropies.
+        The best value over the grid, per entropy pair; a float for float
+        entropies.  It is a certified lower bound on H(X|E) only where
+        every norm it uses is a closed form.  A numeric norm is the
+        solver's value, a lower bound on the norm, so a value that rests
+        on one is an estimate.
 
     Raises:
         ValueError: if an entropy is not finite, or the grid is empty.
     """
-    _check_entropies(h_x, h_y)
+    _check_entropies(h_x=h_x, h_y=h_y)
     triples = [WeightTriple(1.0, float(l), float(m)) for m, l in grid]
     if not triples:
         raise ValueError("weight grid is empty")
@@ -162,7 +165,7 @@ def optimal_weights(gamma: float, sigma2: float) -> tuple:
     Raises:
         DegenerateCaseError: for sigma2 = 1.
     """
-    if gamma < 0.0:
+    if not gamma >= 0.0:  # NaN included
         raise ValueError(f"gamma must be nonnegative, got {gamma}")
     _check_sigma2(sigma2)
     if sigma2 == 1.0:
@@ -217,7 +220,11 @@ def entanglement_witness_general(h_xab: float, h_yab: float,
 
     Returns True iff lambda H(X_AB) + mu H(Y_AB) drops below
     S_max - log(||C_A|| * ||C_B||) at exponents 1/mu -> 1/(1 - lambda).
+
+    Raises:
+        ValueError: if ``h_xab``, ``h_yab`` or ``s_max`` is not finite.
     """
+    _check_entropies(h_xab=h_xab, h_yab=h_yab, s_max=s_max)
     w = WeightTriple(1.0, lam, mu)
     log_norms = norm(c_a, w, opts=opts, base=base).log_value
     log_norms += norm(c_b, w, opts=opts, base=base).log_value
@@ -237,7 +244,12 @@ def entanglement_witness_analytic(h_xab: float, h_yab: float, d: int,
                     - 2 sigma2 sqrt(delta_x delta_y),
 
     and the clamped branches test the single-deficit conditions exactly.
+
+    Raises:
+        ValueError: if ``h_xab``, ``h_yab`` or ``s_max`` is not finite, or
+            (for sigma2 < 1) a deficit is below -1e-9.
     """
+    _check_entropies(h_xab=h_xab, h_yab=h_yab, s_max=s_max)
     detected, conjectured, mu, lam = _witness(h_xab, h_yab, d, sigma2, s_max, base)
     return WitnessResult(bool(detected), bool(conjectured), float(mu), float(lam))
 
@@ -297,34 +309,55 @@ def werner_detection_scan(phi: float, theta_pairs,
     same bits as ``shannon_entropy(measurement_distribution(w,
     tensor_measurement(...)))`` per pair, and the witness scores every
     pair in one pass with the verdicts of
-    :func:`entanglement_witness_analytic`.
+    :func:`entanglement_witness_analytic`.  This is the one-phi case of
+    the scan ``run_werner_masks`` makes over all its phi.
 
     Args:
         phi: Werner parameter in [-1, 1].
-        theta_pairs: iterable of (theta_a, theta_b), each in [0, pi/4].
+        theta_pairs: iterable of (theta_a, theta_b), each in [0, pi/4], as
+            ``rotation_overlap_2d`` takes it.
 
     Returns:
         Boolean array, True where entanglement is certified.
+
+    Raises:
+        ValueError: for a phi outside [-1, 1], or an angle outside
+            [0, pi/4]; the error names theta_a or theta_b.
     """
-    w = werner_state(2, phi)
-    x_meas = tensor_measurement(basis_measurement(2), basis_measurement(2))
-    h_x = shannon_entropy(measurement_distribution(w, x_meas), base)
-    s_max = max(
-        von_neumann_entropy(partial_trace(w, (2, 2), 0), base),
-        von_neumann_entropy(partial_trace(w, (2, 2), 1), base),
-    )
+    return _werner_scan([phi], theta_pairs, base)[0]
+
+
+def _werner_scan(phis, theta_pairs, base: LogBase) -> np.ndarray:
+    """:func:`werner_detection_scan` of each phi, shape (len(phis), pairs), in one scan.
+
+    The product projectors do not depend on phi, so each chunk of angle
+    pairs builds them once, checks them once and scores them against every
+    phi's state; each phi's distributions keep their own checks, and its
+    row has the bits of its own scan.
+    """
+    states = [werner_state(2, phi) for phi in phis]
     pairs = np.array([(float(ta), float(tb)) for ta, tb in theta_pairs]).reshape(-1, 2)
+    _check_theta(pairs[:, 0], "theta_a")
+    _check_theta(pairs[:, 1], "theta_b")
     angles, which = np.unique(pairs, return_inverse=True)
     which = which.reshape(pairs.shape)
     rotations = np.array([rotated_measurement_2d(t).projectors for t in angles],
                          dtype=complex).reshape(-1, 2, 2, 2)
-    h_y = np.empty(len(pairs))
+    m = np.array([w.matrix for w in states]).reshape(-1, 4, 4)
+    h_y = np.empty((len(states), len(pairs)))
     for i in range(0, len(pairs), _SCAN_CHUNK):
         a, b = which[i:i + _SCAN_CHUNK].T
-        h_y[i:i + _SCAN_CHUNK] = _product_entropies(w, rotations[a], rotations[b], base)
-    cos2 = np.array([math.cos(2.0 * t) for t in angles.tolist()])  # libm cos, as per pair
+        h_y[:, i:i + _SCAN_CHUNK] = _product_entropies(m, rotations[a], rotations[b], base)
+    # libm cos, as per pair; |cos 2 theta| is sigma2 of the rotation up to pi/4 + 1e-12.
+    cos2 = np.array([abs(math.cos(2.0 * t)) for t in angles.tolist()])
     sigma2 = np.maximum(cos2[which[:, 0]], cos2[which[:, 1]])
-    return _witness(h_x, h_y, 4, sigma2, s_max, base)[0]
+    x_meas = tensor_measurement(basis_measurement(2), basis_measurement(2))
+    detected = np.empty(h_y.shape, dtype=bool)
+    for k, w in enumerate(states):
+        h_x = shannon_entropy(measurement_distribution(w, x_meas), base)
+        s_max = max(von_neumann_entropy(partial_trace(w, (2, 2), keep), base) for keep in (0, 1))
+        detected[k] = _witness(h_x, h_y[k], 4, sigma2, s_max, base)[0]
+    return detected
 
 
 def eavesdropper_entropy_bound(h_x: float, h_y: float, d_a: int, d_b: int,

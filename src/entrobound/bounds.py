@@ -182,8 +182,8 @@ def _compare_setup(item, c) -> tuple:
     """
     c = _as_overlap(c)
     m = c.matrix
-    if m.shape[0] != m.shape[1]:
-        raise ValueError("comparison requires a square overlap matrix")
+    if m.shape[0] != m.shape[1] or m.shape[0] < 2:
+        raise ValueError(f"comparison requires a square overlap matrix with d >= 2, got {m.shape}")
     sigma2 = min(c.sigma2, 1.0)
     ms = mu_star(sigma2)
     w = WeightTriple(1.0, ms, ms)
@@ -244,7 +244,7 @@ def entropy_upper_bound(h_x: float, h_y: float, c, grid=None,
     Raises:
         ValueError: if ``h_x`` or ``h_y`` is not finite.
     """
-    _check_entropies(h_x, h_y)
+    _check_entropies(h_x=h_x, h_y=h_y)
     pairs = [(1.0, 1.0)] + ([] if grid is None else list(grid))
     triples = [WeightTriple(1.0, float(l), float(m)) for l, m in pairs]
     c = _as_overlap(c)
@@ -254,9 +254,9 @@ def entropy_upper_bound(h_x: float, h_y: float, c, grid=None,
     return float(np.min(lam * h_x + mu * h_y + log_norms))
 
 
-def _check_entropies(h_x, h_y) -> None:
-    """Raise ValueError unless every entry of the entropies (floats or arrays) is finite."""
-    for name, h in (("h_x", h_x), ("h_y", h_y)):
+def _check_entropies(**entropies) -> None:
+    """Raise ValueError unless every entry of each named entropy (a float or an array) is finite."""
+    for name, h in entropies.items():
         h = np.asarray(h, dtype=float)
         bad = ~np.isfinite(h)
         if bad.any():

@@ -24,7 +24,7 @@ from .applications import (
     deficits_from_entropies,
     randomness_bound_analytic,
     randomness_bound_numeric,
-    werner_detection_scan,
+    _werner_scan,
 )
 from .bounds import (
     _compare_many,
@@ -370,25 +370,22 @@ def run_werner_masks(phis=(-1.0, -0.5, -0.1), grid: int = 50,
     """Detection masks of the analytic witness for two-qubit Werner states.
 
     Scans measurement angles (theta_a, theta_b) over [0, pi/4]^2 for each
-    Werner parameter and records where entanglement is certified.
+    Werner parameter and records where entanglement is certified.  Every
+    phi is scored in one scan, which builds and checks each product
+    projector once; each phi's rows are its ``werner_detection_scan``.
     """
     grid = _count(grid, "grid", 2)
     phis = tuple(float(p) for p in phis)
     axis = np.linspace(0.0, math.pi / 4, grid)
     pairs = [(float(a), float(b)) for a in axis for b in axis]
-    rows = []
-    counts = {}
-    corner = {}
-    for phi in phis:
-        detected = werner_detection_scan(phi, pairs, base)
-        for (a, b), hit in zip(pairs, detected):
-            rows.append((a, b, phi, bool(hit)))
-        counts[phi] = int(np.sum(detected))
-        corner[phi] = bool(detected[-1])
+    detected = _werner_scan(phis, pairs, base)
+    rows = [(a, b, phi, bool(hit)) for phi, hits in zip(phis, detected)
+            for (a, b), hit in zip(pairs, hits)]
     config = {
         "cmd": "werner", "phis": list(phis), "grid": grid, "base": base.name,
     }
-    stats = {"counts": counts, "corner": corner}
+    stats = {"counts": {phi: int(np.sum(hits)) for phi, hits in zip(phis, detected)},
+             "corner": {phi: bool(hits[-1]) for phi, hits in zip(phis, detected)}}
     return Table(("theta_a", "theta_b", "phi", "detected"), tuple(rows), config, stats)
 
 
@@ -435,13 +432,14 @@ def run_conjecture_fuzz(dims=(2, 3, 4), samples: int = 1000, grid: int = 11,
     contraction coefficient (``OverlapMatrix.birkhoff_contraction``), and
     at mu + lambda <= 1 (s <= r); ``norms._equality_proven`` decides.
     Such a point has excess exactly 0: it is counted in ``evals`` but not
-    solved.  At d = 2 kappa = sigma2, so no point is solved there.  A
-    dimension's matrices are drawn lazily, and the open points of all its
-    samples, each carrying its sample, matrix and weights, stream through
-    one ``norms._norm_many`` pass: every point counts toward the pass's
-    read-ahead window, and the numeric ones share stacked ascents with the
-    bits of per-point ``norm`` calls; memory does not grow with
-    ``samples``.  Each numeric
+    solved.  At d = 2 kappa = sigma2, so no point is solved there.  Each
+    dimension draws from its own ``default_rng([seed, d])``, lazily and in
+    ``dims`` order, and the open points of every dimension's samples, each
+    carrying its sample, matrix and weights, stream through one
+    ``norms._norm_many`` pass: every point counts toward the pass's
+    read-ahead window, and the numeric ones share one refilling ascent
+    stack with the bits of per-point ``norm`` calls; memory does not grow
+    with ``samples``.  Each numeric
     value is attained by its witness vector, so it is a lower bound on
     the norm; any excess beyond ``excess_tol`` is a genuine
     counterexample and is emitted with the full-precision matrix and
@@ -464,36 +462,28 @@ def run_conjecture_fuzz(dims=(2, 3, 4), samples: int = 1000, grid: int = 11,
     if not (math.isfinite(excess_tol) and excess_tol >= 0.0):
         raise ValueError(f"excess_tol must be finite and >= 0, got {excess_tol}")
     opts = opts or FUZZ_OPTS
-    summary_rows = []
+    counts = {d: {"evals": 0, "proven": 0, "solved": 0, "violations": 0, "max_excess": 0.0}
+              for d in dims}
+    points = itertools.chain.from_iterable(
+        _fuzz_lattice(d, samples, grid, np.random.default_rng([seed, d]), counts[d]) for d in dims)
     violation_rows = []
-    max_excess_all = 0.0
-    proven, solved = {}, {}
-    for d in dims:
-        counts = {"evals": 0, "proven": 0}
-        points = _fuzz_lattice(d, samples, grid, np.random.default_rng([seed, d]), counts)
-        results = _norm_many((((k, c, sigma2, w), (c, w.r, w.s)) for k, c, sigma2, w in points),
-                             opts, base)
-        solved[d] = 0
-        violations = 0
-        max_excess = 0.0
-        for (k, c, sigma2, w), res in results:
-            conjectured = norm_mub(d, w.r, w.s)
-            excess = res.value - conjectured
-            solved[d] += 1
-            if excess > excess_tol:
-                violations += 1
-                max_excess = max(max_excess, excess)
-                violation_rows.append((
-                    "violation", d, k, "", "", "", w.mu, w.lam, sigma2,
-                    res.value, conjectured, excess, _flat17(c.matrix),
-                    _flat17(res.witness),
-                ))
-        proven[d] = counts["proven"]
-        summary_rows.append((
-            "summary", d, "", samples, counts["evals"], violations, "", "", "", "", "",
-            max_excess, "", "",
-        ))
-        max_excess_all = max(max_excess_all, max_excess)
+    for (k, c, sigma2, w), res in _norm_many(
+            (((k, c, sigma2, w), (c, w.r, w.s)) for k, c, sigma2, w in points), opts, base):
+        d = c.matrix.shape[0]
+        conjectured = norm_mub(d, w.r, w.s)
+        excess = res.value - conjectured
+        tally = counts[d]
+        tally["solved"] += 1
+        if excess > excess_tol:
+            tally["violations"] += 1
+            tally["max_excess"] = max(tally["max_excess"], excess)
+            violation_rows.append((
+                "violation", d, k, "", "", "", w.mu, w.lam, sigma2,
+                res.value, conjectured, excess, _flat17(c.matrix),
+                _flat17(res.witness),
+            ))
+    summary_rows = [("summary", d, "", samples, tally["evals"], tally["violations"], "", "", "",
+                     "", "", tally["max_excess"], "", "") for d, tally in counts.items()]
     config = {
         "cmd": "conjecture-fuzz", "dims": list(dims), "samples": samples,
         # A plain int for the hash; _weight_lattice has refused a grid that is not an integer.
@@ -503,8 +493,10 @@ def run_conjecture_fuzz(dims=(2, 3, 4), samples: int = 1000, grid: int = 11,
     header = ("kind", "d", "sample", "samples", "evals", "violations",
               "mu", "lam", "sigma2", "numeric", "conjectured", "excess",
               "matrix", "witness")
-    stats = {"violations": len(violation_rows), "max_excess": max_excess_all,
-             "proven": proven, "solved": solved}
+    stats = {"violations": len(violation_rows),
+             "max_excess": max(tally["max_excess"] for tally in counts.values()),
+             "proven": {d: tally["proven"] for d, tally in counts.items()},
+             "solved": {d: tally["solved"] for d, tally in counts.items()}}
     return Table(header, tuple(summary_rows + violation_rows), config, stats)
 
 

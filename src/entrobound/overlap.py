@@ -150,6 +150,14 @@ def from_unitary(u: np.ndarray) -> OverlapMatrix:
     return OverlapMatrix(np.abs(_check_unitary(u)) ** 2, source="from_unitary")
 
 
+def _check_theta(theta, name: str = "theta") -> None:
+    """Raise ValueError unless each angle (a float or an array) lies in [0, pi/4 + 1e-12]."""
+    theta = np.asarray(theta, dtype=float)
+    outside = theta[~((0.0 <= theta) & (theta <= math.pi / 4 + 1e-12))]
+    if outside.size:
+        raise ValueError(f"{name} must lie in [0, pi/4], got {outside.flat[0]}")
+
+
 def rotation_overlap_2d(theta: float) -> OverlapMatrix:
     """Qubit overlap [[cos^2 t, sin^2 t], [sin^2 t, cos^2 t]].
 
@@ -157,8 +165,7 @@ def rotation_overlap_2d(theta: float) -> OverlapMatrix:
         theta: rotation angle in [0, pi/4]; 0 gives the identity and
             pi/4 the mutually unbiased pair.
     """
-    if not 0.0 <= theta <= math.pi / 4 + 1e-12:
-        raise ValueError(f"theta must lie in [0, pi/4], got {theta}")
+    _check_theta(theta)
     c2, s2 = math.cos(theta) ** 2, math.sin(theta) ** 2
     return OverlapMatrix([[c2, s2], [s2, c2]], source=f"rotation_2d({theta:.6g})")
 

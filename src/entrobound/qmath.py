@@ -360,17 +360,20 @@ def _outcome_entropies(m: np.ndarray, projectors: np.ndarray, base: LogBase) -> 
     return _entropies(_check_distributions(_distributions(m, projectors)), base)
 
 
-def _product_entropies(rho: DensityMatrix, a: np.ndarray, b: np.ndarray,
+def _product_entropies(m: np.ndarray, a: np.ndarray, b: np.ndarray,
                        base: LogBase) -> np.ndarray:
-    """Shannon entropy of each product measurement a[k] (x) b[k] on ``rho``.
+    """Shannon entropy of each product measurement a[k] (x) b[k] on each state of ``m``.
 
-    ``a`` and ``b`` are stacks of projector sets, shape (m, n, d, d).  Each
-    entry runs the checks and has the bits of ``shannon_entropy(
-    measurement_distribution(rho, tensor_measurement(A_k, B_k)), base)``.
+    ``m`` is a state (d, d) or a stack of states (..., d, d); ``a`` and
+    ``b`` are stacks of projector sets, shape (p, n, d, d), and the result
+    has shape (..., p).  The product projectors are built and checked once
+    for every state.  Each entry runs the checks and has the bits of
+    ``shannon_entropy(measurement_distribution(rho, tensor_measurement(A_k,
+    B_k)), base)``.
     """
     proj = _tensor_projectors(a, b)
     _check_projectors(proj)
-    return _outcome_entropies(rho.matrix, proj, base)
+    return _outcome_entropies(m[..., None, :, :], proj, base)
 
 
 def haar_random_unitary(d: int, seed) -> np.ndarray:

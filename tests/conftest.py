@@ -38,18 +38,23 @@ def stacks(monkeypatch):
 
 
 class Turns:
-    """The turns ``norms._stacked_ascent`` has yielded, in ``count``."""
+    """The ``norms._stacked_ascent`` stacks started (``passes``) and their turns (``count``)."""
 
     count = 0
+    passes = 0
 
 
 @pytest.fixture
 def turns(monkeypatch):
-    """Counts the turns of every ascent stack the test runs: one per step or empty turn."""
+    """Counts the ascent stacks the test starts and their turns: one per step or empty turn.
+
+    A stack counts once its generator starts, when a solve pass first asks it for a turn.
+    """
     seen = Turns()
     ascent = norms._stacked_ascent
 
     def counting(feed, opts):
+        seen.passes += 1
         for out in ascent(feed, opts):
             seen.count += 1
             yield out

@@ -367,6 +367,27 @@ def test_witness_body_has_the_bits_of_the_scalar_formula(base):
                     assert tuple(map(_fbits, weights)) == (_fbits(ref[2]), _fbits(ref[3]))
 
 
+def test_analytic_applications_refuse_nan_entropies():
+    nan = math.nan
+    c = rotation_overlap_2d(0.3)
+    with pytest.raises(ValueError, match="^delta_x is negative or NaN: nan$"):
+        EntropyDeficits(nan, 0.5)
+    with pytest.raises(ValueError, match="^delta_y is negative or NaN: nan$"):
+        deficits_from_entropies(1.0, nan, 4)
+    with pytest.raises(ValueError, match="^gamma must be nonnegative, got nan$"):
+        optimal_weights(nan, 0.5)
+    for args, name in (((nan, 0.5, 1.0), "h_xab"), ((0.5, nan, 1.0), "h_yab"),
+                       ((0.5, 0.5, nan), "s_max")):
+        h_xab, h_yab, s_max = args
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got nan$"):
+            entanglement_witness_analytic(h_xab, h_yab, 2, 0.5, s_max)
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got nan$"):
+            entanglement_witness_general(h_xab, h_yab, c, c, s_max, 0.5, 0.5, opts=FAST)
+    with pytest.raises(ValueError, match="^delta_y is negative or NaN: nan$"):
+        applications._witness(1.0, np.array([1.0, nan]), 4, np.array([0.5, 0.5]), 0.0,
+                              LogBase.TWO)
+
+
 def test_square_has_the_bits_of_python_float_power():
     x = np.random.default_rng(SEED).random(200_000)
     assert [v**2 for v in x.tolist()] == applications._square(x).tolist()
@@ -556,6 +577,38 @@ def test_werner_scan_entropies_are_pinned(monkeypatch, phi, base):
     assert tuple(seen) == WERNER_H_Y_PINS[phi, base]
 
 
+@pytest.mark.parametrize("pair, name, angle", [
+    ((1.5, 0.7), "theta_a", 1.5),   # max(cos 2 theta) is 0.170; the pair's overlap has 0.990
+    ((1.4, 1.2), "theta_a", 1.4),   # max(cos 2 theta) is -0.737
+    ((0.3, -0.1), "theta_b", -0.1),
+    ((0.3, math.nan), "theta_b", math.nan),
+])
+def test_werner_scan_refuses_angles_outside_the_rotation_range(pair, name, angle):
+    with pytest.raises(ValueError, match=rf"^{name} must lie in \[0, pi/4\], got {angle}$"):
+        werner_detection_scan(-1.0, [(0.2, 0.3), pair])
+    with pytest.raises(ValueError, match=rf"^theta must lie in \[0, pi/4\], got {angle}$"):
+        rotation_overlap_2d(angle if name == "theta_b" else pair[0])
+
+
+def test_werner_scan_takes_the_angles_rotation_overlap_takes(monkeypatch):
+    # Up to pi/4 + 1e-12, as rotation_overlap_2d; past pi/4, cos 2 theta is
+    # slightly negative, and the rotation's sigma2 is its magnitude.
+    edge = math.pi / 4 + 5e-13
+    seen = []
+    witness = applications._witness
+
+    def recording(h_x, h_y, d, sigma2, s_max, base):
+        seen.append(np.array(sigma2))
+        return witness(h_x, h_y, d, sigma2, s_max, base)
+
+    monkeypatch.setattr(applications, "_witness", recording)
+    assert werner_detection_scan(-1.0, [(edge, edge), (edge, 0.3)]).tolist() == [True, False]
+    # The overlap snaps a sigma2 below 1e-12 to 0; the scan keeps |cos 2 theta|.
+    want = [rotation_overlap_2d(edge).sigma2, rotation_overlap_2d(0.3).sigma2]
+    assert seen[0] == pytest.approx(want, abs=2e-12)
+    assert seen[0][0] > 0.0
+
+
 def test_werner_scan_handles_unsorted_repeated_angles_across_chunks():
     rng = np.random.default_rng(SEED)
     angles = rng.uniform(0.0, math.pi / 4, 40)
@@ -563,7 +616,7 @@ def test_werner_scan_handles_unsorted_repeated_angles_across_chunks():
     w = werner_state(2, -0.8)
     a = np.array([rotated_measurement_2d(ta).projectors for ta, _ in pairs])
     b = np.array([rotated_measurement_2d(tb).projectors for _, tb in pairs])
-    batched = _product_entropies(w, a, b, LogBase.TWO)
+    batched = _product_entropies(w.matrix, a, b, LogBase.TWO)
     per_pair = [shannon_entropy(measurement_distribution(w, tensor_measurement(
         rotated_measurement_2d(ta), rotated_measurement_2d(tb)))) for ta, tb in pairs]
     assert (_bits(batched) == _bits(per_pair)).all()

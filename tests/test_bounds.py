@@ -201,6 +201,9 @@ def test_compare_rejects_bad_mode_and_shape():
         compare_state_independent(rotation_overlap_2d(0.3), on_violation="ignore")
     with pytest.raises(ValueError):
         compare_state_independent(OverlapMatrix(np.full((2, 3), 0.5)))
+    # A 1 x 1 matrix has no second entry for the second-overlap bound.
+    with pytest.raises(ValueError, match=r"square overlap matrix with d >= 2, got \(1, 1\)$"):
+        compare_state_independent(np.array([[1.0]]))
 
 
 def test_compare_takes_an_array_like_its_overlap_matrix():

@@ -34,6 +34,7 @@ from entrobound import (
     mub_overlap,
     norm,
     norms,
+    qmath,
     random_density_matrix,
     rotated_measurement_2d,
     rotation_overlap_2d,
@@ -46,6 +47,7 @@ from entrobound import (
     run_werner_masks,
     shannon_entropy,
     von_neumann_entropy,
+    werner_detection_scan,
     write_table,
 )
 
@@ -780,6 +782,47 @@ def test_werner_masks_engine_nesting():
     for ta, tb, phi, flag in t.rows:
         if ta == 0.0 or tb == 0.0:
             assert not flag
+
+
+@pytest.mark.parametrize("phis", [(-1.0,), (-1.0, -0.5, -0.1), (-1.0, -0.8, -0.5, -0.3, 0.5)])
+def test_werner_masks_are_the_per_phi_scans_with_each_projector_checked_once(monkeypatch, phis):
+    # The product projectors do not depend on phi, so one scan builds and
+    # checks them once for every phi: 3 checks for the X measurement (two
+    # bases and their product), 50 for the rotated bases and 10 for the
+    # chunks of 256 product projectors, for any number of phi.
+    checked = []
+    check = qmath._check_projectors
+
+    def counting(p):
+        checked.append(p.shape)
+        return check(p)
+
+    monkeypatch.setattr(qmath, "_check_projectors", counting)
+    table = run_werner_masks(phis=phis)
+    monkeypatch.undo()
+    assert len(checked) == 63
+    axis = np.linspace(0.0, math.pi / 4, 50)
+    pairs = [(float(a), float(b)) for a in axis for b in axis]
+    want = [(a, b, phi, bool(hit)) for phi in phis
+            for (a, b), hit in zip(pairs, werner_detection_scan(phi, pairs))]
+    assert table.rows == tuple(want)
+    assert table.stats["counts"] == {phi: sum(row[3] for row in want if row[2] == phi)
+                                     for phi in phis}
+
+
+def test_werner_masks_of_no_phi_are_empty():
+    table = run_werner_masks(phis=(), grid=3)
+    assert table.rows == () and table.stats == {"counts": {}, "corner": {}}
+
+
+@pytest.mark.parametrize("dims", [(2, 3, 4), (4, 2, 3), (3,)])
+def test_the_census_and_compare_each_make_one_ascent_pass(turns, dims):
+    # Every dimension's problems stream through one pass, into one stack.
+    run_conjecture_fuzz(dims=dims, samples=2, seed=1)
+    assert turns.passes == 1
+    turns.passes = 0
+    run_compare_random(dims=dims, samples=2, seed=1)
+    assert turns.passes == 1
 
 
 def test_werner_cli_output(tmp_path):

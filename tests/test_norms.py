@@ -730,15 +730,16 @@ def test_the_stack_schedule_takes_its_recorded_turns(turns):
     # The turns at the production constants (_STACK_FLOATS, _GROW_SHARE,
     # _WINDOW_PROBLEMS) and engine options.  Any change to when problems
     # enter or leave the stack moves them: _GROW_SHARE = 5 takes compare to
-    # 2,734 turns, and _WINDOW_PROBLEMS = 64 takes it to 7,694 and the
-    # census to 893.  A change that moves them on purpose records them anew.
-    # Each pass is read to its end, so each takes one trailing empty turn:
-    # the census's three (d = 2, 3 and 4; the d = 2 pass solves nothing) and
-    # compare's one are in the counts (647 and 3,745 without them).
+    # 2,734 turns and the census to 335, and _WINDOW_PROBLEMS = 64 takes
+    # them to 7,694 and 891.  A change that moves them on purpose records
+    # them anew.  Each pass is read to its end, so each takes one trailing
+    # empty turn, in the counts (356 and 3,745 without it).  The census was
+    # 650 turns while it made one pass per dimension: its d = 4 problems now
+    # join the stack while the d = 3 ones still run.
     experiments.run_conjecture_fuzz(dims=(2, 3, 4), samples=16, seed=1)
     census, turns.count = turns.count, 0
     experiments.run_compare_random(dims=(3, 4, 8, 12), samples=60, seed=2)
-    assert (census, turns.count) == (650, 3746)
+    assert (census, turns.count) == (357, 3746)
 
 
 def test_stacked_witness_owns_its_data():

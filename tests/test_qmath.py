@@ -275,9 +275,9 @@ def test_product_entropies_check_their_projectors():
     rho = DensityMatrix(np.eye(4) / 4)
     a = np.array([rotated_measurement_2d(t).projectors for t in (0.1, 0.2, 0.3)])
     b = a[::-1].copy()
-    assert np.allclose(_product_entropies(rho, a, b, LogBase.TWO), 2.0, atol=1e-12)
+    assert np.allclose(_product_entropies(rho.matrix, a, b, LogBase.TWO), 2.0, atol=1e-12)
     a[1, 0, 0, 1] += 1e-6j
-    assert _raised(_product_entropies, rho, a, b, LogBase.TWO)[0] is InvalidStateError
+    assert _raised(_product_entropies, rho.matrix, a, b, LogBase.TWO)[0] is InvalidStateError
 
 
 @pytest.mark.parametrize("n", [9, 10, 16, 17, 33])
