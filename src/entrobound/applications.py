@@ -28,7 +28,7 @@ from .qmath import (
     shannon_entropy,
     tensor_measurement,
     von_neumann_entropy,
-    _as_int,
+    _count,
     _product_entropies,
 )
 
@@ -60,11 +60,17 @@ class EntropyDeficits:
 
 
 def _checked_deficit(name: str, v):
-    """Deficit ``v`` (a float or an array) clipped at zero, once no entry is NaN or below -1e-9."""
+    """Deficit ``v`` (a float or an array) clipped at zero, once every entry is checked.
+
+    No entry may be NaN or below -1e-9, nor infinite: a deficit log d - H
+    is at most log d.
+    """
     v = np.asarray(v, dtype=float)
     bad = ~(v >= -_DEFICIT_TOL)
     if np.count_nonzero(bad):
         raise ValueError(f"{name} is negative or NaN: {v[bad].flat[0]}")
+    if np.count_nonzero(v == math.inf):
+        raise ValueError(f"{name} must be finite, got inf")
     return np.maximum(v, 0.0)
 
 
@@ -77,8 +83,13 @@ def _gamma(dx, dy):
 
 def deficits_from_entropies(h_x: float, h_y: float, d: int,
                             base: LogBase = LogBase.TWO) -> EntropyDeficits:
-    """Build deficits log d - H from measured entropies."""
-    log_d = base.log(d)
+    """Build deficits log d - H from measured entropies.
+
+    Raises:
+        ValueError: if ``d`` is not an integer >= 1, or a deficit is NaN,
+            infinite or below -1e-9.
+    """
+    log_d = base.log(_count(d, "d", 1))
     return EntropyDeficits(log_d - h_x, log_d - h_y)
 
 
@@ -141,15 +152,13 @@ def randomness_bound_analytic(deficits: EntropyDeficits, sigma2: float) -> Rando
         DegenerateCaseError: for sigma2 = 1.
         ValueError: if gamma > 1.
     """
-    _check_sigma2(sigma2)
-    if sigma2 == 1.0:
-        raise DegenerateCaseError("sigma2 = 1 leaves no usable weights")
+    _check_usable_sigma2(sigma2)
     dx, dy = deficits.delta_x, deficits.delta_y
     if deficits.gamma > 1.0 + 1e-12:
         raise ValueError("gamma > 1: swap the measurements so delta_x <= delta_y")
-    if sigma2 == 0.0:
+    if sigma2 == 0.0:  # delta_y exactly, which the interior formula rounds
         return RandomnessBound(dy, False, "interior")
-    if deficits.gamma < sigma2:
+    if _clamps(deficits.gamma, sigma2)[0]:
         return RandomnessBound(dy - dx, False, "clamped")
     value = (math.sqrt(dy) - sigma2 * math.sqrt(dx)) ** 2 / (1.0 - sigma2**2)
     return RandomnessBound(float(value), True, "interior")
@@ -159,7 +168,7 @@ def optimal_weights(gamma: float, sigma2: float) -> tuple:
     """Weights (mu, lambda) maximizing lambda delta_x + mu delta_y on the region.
 
     Interior solution ((1 - sigma2 gamma), (1 - sigma2/gamma)) / (1 - sigma2^2),
-    clamped to (1, 0) for gamma < sigma2 and (0, 1) for gamma > 1/sigma2.
+    clamped to (1, 0) below gamma = sigma2 and (0, 1) above gamma = 1/sigma2.
     The output satisfies the region inequality within 1e-12.
 
     Raises:
@@ -167,11 +176,27 @@ def optimal_weights(gamma: float, sigma2: float) -> tuple:
     """
     if not gamma >= 0.0:  # NaN included
         raise ValueError(f"gamma must be nonnegative, got {gamma}")
+    _check_usable_sigma2(sigma2)
+    mu, lam = _optimal_weights(gamma, sigma2)
+    return (float(mu), float(lam))
+
+
+def _check_usable_sigma2(sigma2: float) -> None:
+    """Raise ValueError unless sigma2 lies in [0, 1], and DegenerateCaseError at sigma2 = 1."""
     _check_sigma2(sigma2)
     if sigma2 == 1.0:
         raise DegenerateCaseError("sigma2 = 1 leaves no usable weights")
-    mu, lam = _optimal_weights(gamma, sigma2)
-    return (float(mu), float(lam))
+
+
+def _clamps(gamma, sigma2) -> tuple:
+    """Where the optimal weights clamp: masks (low, high) of gamma below sigma2 and above 1/sigma2.
+
+    Both are False at sigma2 = 0, where the weights are (1, 1).  Elementwise
+    for arrays.
+    """
+    live = sigma2 > 0.0
+    with np.errstate(divide="ignore"):
+        return live & (gamma < sigma2), live & (gamma > np.divide(1.0, sigma2))
 
 
 def _square(x):
@@ -191,7 +216,7 @@ def _optimal_weights(gamma, sigma2):
         # Rounding at the clamp thresholds can overshoot [0, 1] by one ulp.
         mu = np.clip((1.0 - sigma2 * gamma) / den, 0.0, 1.0)
         lam = np.clip((1.0 - sigma2 / gamma) / den, 0.0, 1.0)
-        low, high = gamma < sigma2, gamma > 1.0 / sigma2
+    low, high = _clamps(gamma, sigma2)
     unbiased = sigma2 == 0.0
     mu = np.where(unbiased | low, 1.0, np.where(high, 0.0, mu))
     lam = np.where(unbiased, 1.0, np.where(low, 0.0, np.where(high, 1.0, lam)))
@@ -246,11 +271,12 @@ def entanglement_witness_analytic(h_xab: float, h_yab: float, d: int,
     and the clamped branches test the single-deficit conditions exactly.
 
     Raises:
-        ValueError: if ``h_xab``, ``h_yab`` or ``s_max`` is not finite, or
-            (for sigma2 < 1) a deficit is below -1e-9.
+        ValueError: if ``h_xab``, ``h_yab`` or ``s_max`` is not finite, ``d``
+            is not an integer >= 1, or (for sigma2 < 1) a deficit is below -1e-9.
     """
     _check_entropies(h_xab=h_xab, h_yab=h_yab, s_max=s_max)
-    detected, conjectured, mu, lam = _witness(h_xab, h_yab, d, sigma2, s_max, base)
+    detected, conjectured, mu, lam = _witness(h_xab, h_yab, _count(d, "d", 1), sigma2,
+                                              s_max, base)
     return WitnessResult(bool(detected), bool(conjectured), float(mu), float(lam))
 
 
@@ -271,8 +297,8 @@ def _witness(h_x: float, h_y, d: int, sigma2, s_max: float, base: LogBase) -> tu
     dy = _checked_deficit("delta_y", np.where(live, log_d - h_y, 0.0))
     gamma = _gamma(dx, dy)
     mu, lam = _optimal_weights(gamma, sigma2)
+    clamped = np.logical_or(*_clamps(gamma, sigma2))
     with np.errstate(divide="ignore", invalid="ignore"):
-        clamped = (sigma2 > 0.0) & ((gamma < sigma2) | (gamma > 1.0 / sigma2))
         sq = _square(sigma2)
         rhs = (1.0 - sq) * s_max + (1.0 + sq) * log_d - 2.0 * sigma2 * np.sqrt(dx * dy)
         detected = np.where(clamped, lam * dx + mu * dy > log_d - s_max, h_x + h_y < rhs)
@@ -287,9 +313,7 @@ def werner_state(d: int, phi: float) -> DensityMatrix:
     W = [(d - phi) I + (d phi - 1) V] / (d (d^2 - 1)); entangled exactly
     for phi < 0.
     """
-    d = _as_int(d, "local dimension")
-    if d < 2:
-        raise ValueError(f"local dimension must be >= 2, got {d}")
+    d = _count(d, "local dimension", 2)
     if not -1.0 <= phi <= 1.0:
         raise ValueError(f"phi must lie in [-1, 1], got {phi}")
     eye = np.eye(d * d)
@@ -374,22 +398,19 @@ def eavesdropper_entropy_bound(h_x: float, h_y: float, d_a: int, d_b: int,
 
     Raises:
         DegenerateCaseError: for sigma2 = 1.
+        ValueError: if ``d_a`` or ``d_b`` is not an integer >= 1, or an
+            entropy lies outside [0, log(d_a d_b)].
     """
-    _check_sigma2(sigma2)
-    if sigma2 == 1.0:
-        raise DegenerateCaseError("sigma2 = 1 leaves no usable weights")
-    d = d_a * d_b
+    _check_usable_sigma2(sigma2)
+    d = _count(d_a, "d_a", 1) * _count(d_b, "d_b", 1)
     log_d = base.log(d)
     for name, h in (("h_x", h_x), ("h_y", h_y)):
         if not -_DEFICIT_TOL <= h <= log_d + _DEFICIT_TOL:
             raise ValueError(f"{name} = {h} outside [0, log d]")
     dd = deficits_from_entropies(h_x, h_y, d, base)
-    gamma = dd.gamma
-    if sigma2 > 0.0:
-        if gamma < sigma2:
-            return float(h_y)
-        if gamma > 1.0 / sigma2:
-            return float(h_x)
+    low, high = _clamps(dd.gamma, sigma2)
+    if low or high:
+        return float(h_y if low else h_x)
     value = (h_x + h_y + 2.0 * sigma2 * math.sqrt(dd.delta_x * dd.delta_y)
              - (1.0 + sigma2**2) * log_d) / (1.0 - sigma2**2)
     return float(value)

@@ -24,6 +24,7 @@ from .norms import (
     WeightTriple,
     _agrees_with_closed_form,
     _check_sigma2,
+    _equality_proven,
     _norm_many,
     _numeric_many,
     mu_star,
@@ -35,6 +36,7 @@ from .qmath import (
     DensityMatrix,
     LogBase,
     ProjectiveMeasurement,
+    _count,
     measurement_distribution,
     shannon_entropy,
     von_neumann_entropy,
@@ -45,7 +47,11 @@ from .qmath import (
 class BoundReport:
     """One evaluation of the weighted uncertainty bound.
 
-    ``gap = lhs - rhs`` is nonnegative up to numerical noise (-1e-8).
+    ``rhs`` is a bound where ``norm_method`` is a closed form.  With
+    ``NUMERIC_MULTISTART`` it is an estimate: the solver's norm is a lower
+    bound on the norm, so the constant taken from it can overstate the
+    true one.  ``gap = lhs - rhs`` is nonnegative up to numerical noise
+    (-1e-8) for a bound, and not proven so for an estimate.
     """
 
     lhs: float
@@ -72,7 +78,12 @@ class ComparisonRow:
 
 def c_lower_bound(c, w: WeightTriple, opts: SolverOptions | None = None,
                   base: LogBase = LogBase.TWO) -> float:
-    """Additive constant -alpha log ||C||_{r->s}; zero when alpha = 0."""
+    """Additive constant -alpha log ||C||_{r->s}; zero when alpha = 0.
+
+    The constant of a bound where ``norm`` gives a closed form.  Where the
+    solver supplies the norm, its value is a lower bound on the norm, so
+    the constant is an estimate that can overstate the true one.
+    """
     if w.alpha == 0.0:
         return 0.0
     return _constant(w, norm(c, w, opts=opts, base=base).log_value)
@@ -87,7 +98,11 @@ def evaluate_eur(rho: DensityMatrix, x: ProjectiveMeasurement,
                  y: ProjectiveMeasurement, w: WeightTriple,
                  opts: SolverOptions | None = None,
                  base: LogBase = LogBase.TWO) -> BoundReport:
-    """Evaluate lambda H(X) + mu H(Y) against alpha S(rho) + c for one state."""
+    """Evaluate lambda H(X) + mu H(Y) against alpha S(rho) + c for one state.
+
+    The report's ``rhs`` is a bound or, where the solver supplies the
+    norm, an estimate: see :class:`BoundReport`.
+    """
     h_x = shannon_entropy(measurement_distribution(rho, x), base)
     h_y = shannon_entropy(measurement_distribution(rho, y), base)
     lhs = w.lam * h_x + w.mu * h_y
@@ -108,7 +123,7 @@ def qudit_eur_rhs(sigma2: float, d: int, s_rho: float,
     equal weights; exact for sigma2 = 0 and sigma2 = 1.
     """
     _check_sigma2(sigma2)
-    log_d = base.log(d)
+    log_d = base.log(_count(d, "d", 1))
     if not -1e-9 <= s_rho <= log_d + 1e-9:
         raise ValueError(f"entropy {s_rho} outside [0, log d]")
     return (1.0 + sigma2) * s_rho + (1.0 - sigma2) * log_d
@@ -131,7 +146,12 @@ def _rpz2_constant(ent: np.ndarray, base: LogBase) -> tuple:
 
 
 def bccrr_rhs(c, s_rho: float, base: LogBase = LogBase.TWO) -> float:
-    """Largest-overlap bound S - log c1."""
+    """Largest-overlap bound S - log c1.
+
+    Raises:
+        ValueError: if ``s_rho`` is not finite.
+    """
+    _check_entropies(s_rho=s_rho)
     return s_rho + _bccrr_constant(_entries_desc(c), base)
 
 
@@ -140,7 +160,11 @@ def rpz2_rhs(c, s_rho: float, base: LogBase = LogBase.TWO) -> float:
 
     c1 and c2 are the two largest entries of the overlap matrix, counted
     with multiplicity.
+
+    Raises:
+        ValueError: if ``s_rho`` is not finite.
     """
+    _check_entropies(s_rho=s_rho)
     return s_rho + _rpz2_constant(_entries_desc(c), base)[3]
 
 
@@ -177,8 +201,9 @@ def _compare_setup(item, c) -> tuple:
     """One comparison input, checked, as a ``_numeric_many`` pair.
 
     The item is ``(item, c, sigma2, mu* weights)``; the problem is the norm
-    at mu*, or None for a 2 x 2 doubly stochastic ``c``: the d = 2 theorem
-    gives that norm, so no solver runs.
+    at mu*, or None where ``norms._equality_proven`` holds (every 2 x 2
+    doubly stochastic ``c``, by the d = 2 theorem): a theorem gives that
+    norm, so no solver runs.
     """
     c = _as_overlap(c)
     m = c.matrix
@@ -187,8 +212,7 @@ def _compare_setup(item, c) -> tuple:
     sigma2 = min(c.sigma2, 1.0)
     ms = mu_star(sigma2)
     w = WeightTriple(1.0, ms, ms)
-    proven = m.shape[0] == 2 and c.is_doubly_stochastic()
-    return (item, c, sigma2, w), None if proven else (c, w.r, w.s)
+    return (item, c, sigma2, w), None if _equality_proven(c, w.r, w.s) else (c, w.r, w.s)
 
 
 def _compare_many(pairs, opts: SolverOptions | None = None, base: LogBase = LogBase.TWO,
@@ -231,12 +255,15 @@ def _compare_many(pairs, opts: SolverOptions | None = None, base: LogBase = LogB
 def entropy_upper_bound(h_x: float, h_y: float, c, grid=None,
                         opts: SolverOptions | None = None,
                         base: LogBase = LogBase.TWO) -> float:
-    """Upper bound on S(rho) from measured entropies: min over a weight grid.
+    """Upper estimate of S(rho) from measured entropies: min over a weight grid.
 
     Each grid point (lambda, mu) with alpha = 1 contributes
     lambda h_x + mu h_y - c_lower_bound; the mutually-unbiased corner
     (1, 1) is always added, so the result never exceeds the plain
     largest-overlap value.  All points are solved in one ``_norm_many`` pass.
+    The result is a certified upper bound only where every norm it uses is
+    a closed form.  A numeric norm is the solver's value, a lower bound on
+    the norm, so a value that rests on one is an estimate.
 
     Args:
         grid: iterable of (lambda, mu) pairs; defaults to the corner only.
@@ -264,21 +291,25 @@ def _check_entropies(**entropies) -> None:
 
 
 def default_envelope_grid(n_alpha: int = 11, n_lam: int = 11) -> list:
-    """Triples with lambda = mu in (0, alpha], lattice over both axes."""
-    grid = []
-    for a in np.linspace(0.0, 1.0, n_alpha)[1:]:
-        for t in np.linspace(0.0, 1.0, n_lam)[1:]:
-            grid.append(WeightTriple(float(a), float(t * a), float(t * a)))
-    return grid
+    """Triples with lambda = mu in (0, alpha], lattice over both axes.
+
+    Raises:
+        ValueError: unless ``n_alpha`` and ``n_lam`` are integers >= 2.
+    """
+    alphas = np.linspace(0.0, 1.0, _count(n_alpha, "n_alpha", 2))[1:]
+    ts = np.linspace(0.0, 1.0, _count(n_lam, "n_lam", 2))[1:]
+    return [WeightTriple(float(a), float(t * a), float(t * a)) for a in alphas for t in ts]
 
 
 def envelope_curve(c, s_grid, weight_grid=None,
                    opts: SolverOptions | None = None,
                    base: LogBase = LogBase.TWO):
-    """Best bound on H(X) + H(Y) over equal-weight triples, per entropy value.
+    """Best lower estimate of H(X) + H(Y) over equal-weight triples, per entropy value.
 
     For each S in ``s_grid`` returns max over the grid of
-    (alpha S + c_lower_bound) / lambda.
+    (alpha S + c_lower_bound) / lambda.  A value is a certified bound only
+    where every norm it uses is a closed form; where the solver supplies a
+    norm, its constant is an estimate (see :func:`c_lower_bound`).
 
     Args:
         weight_grid: iterable of WeightTriple with lam == mu > 0;

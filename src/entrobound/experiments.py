@@ -54,6 +54,7 @@ from .qmath import (
     rotated_measurement_2d,
     _as_int,
     _check_states,
+    _count,
     _entropies,
     _outcome_entropies,
     _random_states,
@@ -127,14 +128,6 @@ def _check_dims(dims) -> tuple:
     if len(set(dims)) < len(dims):
         raise ValueError(f"dimensions must not repeat, got {dims}")
     return dims
-
-
-def _count(value, name: str, least: int) -> int:
-    """``value`` as a plain int of at least ``least``; the error names the parameter."""
-    value = _as_int(value, name)
-    if value < least:
-        raise ValueError(f"{name} must be >= {least}, got {value}")
-    return value
 
 
 def _opts_config(opts: SolverOptions) -> dict:

@@ -36,7 +36,7 @@ from numpy.random import default_rng
 
 from .errors import NormConsistencyError, SolverFailureError
 from .overlap import _as_overlap
-from .qmath import LogBase, _as_int, _check_dim
+from .qmath import LogBase, _as_int, _count
 
 
 @dataclass(frozen=True)
@@ -78,19 +78,13 @@ class SolverOptions:
 
     def __post_init__(self):
         # Plain Python numbers: a NumPy scalar is not JSON, and configs are hashed as JSON.
-        for name in ("restarts", "max_iterations", "seed"):
-            object.__setattr__(self, name, _as_int(getattr(self, name), name))
+        for name, least in (("restarts", 0), ("max_iterations", 1), ("seed", 0)):
+            object.__setattr__(self, name, _count(getattr(self, name), name, least))
         if isinstance(self.tolerance, bool) or not isinstance(self.tolerance, numbers.Real):
             raise ValueError(f"tolerance must be a real number, got {self.tolerance!r}")
         object.__setattr__(self, "tolerance", float(self.tolerance))
-        if not self.restarts >= 0:
-            raise ValueError(f"restarts must be >= 0, got {self.restarts}")
-        if not self.max_iterations >= 1:
-            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):
             raise ValueError(f"tolerance must be finite and > 0, got {self.tolerance}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 class NormMethod(str, enum.Enum):
@@ -213,7 +207,7 @@ def _ratio(c: np.ndarray, v: np.ndarray, r: float, s: float) -> float:
 def norm_mub(d: int, r=None, s=None, w: WeightTriple | None = None) -> float:
     """Closed-form norm d**(1/s - 1/r) of the constant overlap matrix."""
     r, s = _exponents(r, s, w)
-    _check_dim(d)
+    d = _count(d, "dimension", 1)
     inv_s = 0.0 if math.isinf(s) else 1.0 / s
     inv_r = 0.0 if math.isinf(r) else 1.0 / r
     return float(d) ** (inv_s - inv_r)
@@ -222,7 +216,7 @@ def norm_mub(d: int, r=None, s=None, w: WeightTriple | None = None) -> float:
 def norm_identity(d: int, r=None, s=None, w: WeightTriple | None = None) -> float:
     """Closed-form norm of the identity: d**(1/s - 1/r) if r >= s, else 1."""
     r, s = _exponents(r, s, w)
-    _check_dim(d)
+    d = _count(d, "dimension", 1)
     return norm_mub(d, r, s) if r >= s else 1.0
 
 
@@ -265,10 +259,15 @@ def conjecture_region_contains(mu: float, lam: float, sigma2: float) -> bool:
     see ``_equality_proven``).  The cross-multiplied form stays finite at
     mu = 1 or lambda = 1, and mu = 0 or lambda = 0 is always inside.
     """
-    if not (0.0 <= mu <= 1.0 and 0.0 <= lam <= 1.0):
-        raise ValueError(f"weights must lie in [0, 1], got mu={mu}, lambda={lam}")
+    _check_weights(mu, lam)
     _check_sigma2(sigma2)
     return bool(_in_region(mu, lam, sigma2))
+
+
+def _check_weights(mu, lam) -> None:
+    """Raise ValueError unless both weights lie in [0, 1]; NaN included."""
+    if not (0.0 <= mu <= 1.0 and 0.0 <= lam <= 1.0):
+        raise ValueError(f"weights must lie in [0, 1], got mu={mu}, lambda={lam}")
 
 
 def _in_region(mu, lam, sigma2):
@@ -293,7 +292,12 @@ def hessian_spectrum_at_ones(c, mu: float, lam: float) -> np.ndarray:
 
     Returns:
         Ascending eigenvalues, length d - 1.
+
+    Raises:
+        ValueError: if a weight is outside [0, 1], or ``c`` is not square
+            doubly stochastic.
     """
+    _check_weights(mu, lam)
     c = _as_overlap(c)
     if not c.is_doubly_stochastic():
         raise ValueError("matrix must be square doubly stochastic")
@@ -323,9 +327,7 @@ def scan_2d_objective(theta: float, mu: float, lam: float, grid: int):
         raise ValueError(f"theta must lie in (0, pi/4], got {theta}")
     if not (0.0 < mu <= 1.0 and 0.0 <= lam < 1.0):
         raise ValueError(f"need 0 < mu <= 1 and 0 <= lambda < 1, got {mu}, {lam}")
-    grid = _as_int(grid, "grid")
-    if grid < 2:
-        raise ValueError(f"grid must have at least 2 points, got {grid}")
+    grid = _count(grid, "grid", 2)
     w = WeightTriple(1.0, lam, mu)
     t2 = math.tan(theta) ** 2
     z = np.linspace(0.0, 1.0, grid)
@@ -380,12 +382,19 @@ def _equality_proven(c, r, s):
     contraction in Hilbert's projective metric, so its fixed point, the
     uniform vector, is the unique positive maximiser (Bushell 1973;
     Gautier, Tudisco & Hein 2021).  In weights that is
-    kappa**2 lambda mu < (1 - lambda)(1 - mu).  At d = 2 kappa = sigma2,
-    so it covers the whole strict region.  Only the census asks: neither
-    ``norm`` nor ``norm_closed_form`` returns the value on this ground.
-    Elementwise for arrays ``r`` and ``s``; the product is taken only
-    where s is finite, so kappa = 0 with s = inf makes no NaN.
+    kappa**2 lambda mu < (1 - lambda)(1 - mu).  For a 2 x 2 ``c``, where
+    kappa = sigma2, that test is instead the closed region of
+    ``conjecture_region_contains`` at mu = 1/r, lambda = 1 - 1/s, boundary
+    exponents and mu* = 1/(1 + sigma2) included (two-point hypercontractivity:
+    Bonami 1970; Beckner, Ann. Math. 102, 1975); the 1e-12 slack of
+    ``_in_region`` absorbs the rounding of mu*, r and s.  The census and
+    ``bounds._compare_setup`` ask: neither ``norm`` nor
+    ``norm_closed_form`` returns the value on this ground.  Elementwise
+    for arrays ``r`` and ``s``; the product is taken only where s is
+    finite, so kappa = 0 with s = inf makes no NaN.
     """
+    if c.shape == (2, 2):
+        return c.is_doubly_stochastic() & ((s <= r) | _in_region(1.0 / r, 1.0 - 1.0 / s, c.sigma2))
     interior = _stackable(r, s)
     contracts = c.birkhoff_contraction**2 * (np.where(interior, s, 1.0) - 1.0) < r - 1.0
     return c.is_doubly_stochastic() & ((s <= r) | (interior & contracts))

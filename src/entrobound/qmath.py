@@ -173,15 +173,17 @@ def _as_int(value, name: str) -> int:
     return int(value)
 
 
-def _check_dim(d: int) -> None:
-    """Raise ValueError unless the dimension ``d`` is at least 1."""
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
+def _count(value, name: str, least: int) -> int:
+    """``value`` as a plain int of at least ``least``; the error names the parameter."""
+    value = _as_int(value, name)
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return value
 
 
 def basis_measurement(d: int) -> ProjectiveMeasurement:
     """Computational (standard) basis measurement in dimension ``d``."""
-    _check_dim(d)
+    d = _count(d, "dimension", 1)
     eye = np.eye(d, dtype=complex)
     return ProjectiveMeasurement(np.einsum("ki,kj->kij", eye, eye.conj()))
 
@@ -217,7 +219,7 @@ def rotated_measurement_2d(theta: float) -> ProjectiveMeasurement:
 
 def fourier_measurement(d: int) -> ProjectiveMeasurement:
     """Discrete-Fourier basis measurement, mutually unbiased with the standard one."""
-    _check_dim(d)
+    d = _count(d, "dimension", 1)
     k = np.arange(d)
     u = np.exp(2j * np.pi * np.outer(k, k) / d) / math.sqrt(d)
     return measurement_from_unitary(u)
@@ -380,10 +382,10 @@ def haar_random_unitary(d: int, seed) -> np.ndarray:
     """Haar-distributed random unitary via phase-corrected QR of a Ginibre matrix.
 
     Args:
-        d: dimension, >= 1.
+        d: dimension, an integer >= 1.
         seed: integer seed or a numpy Generator.
     """
-    _check_dim(d)
+    d = _count(d, "dimension", 1)
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     q, r = np.linalg.qr(g)
@@ -393,7 +395,7 @@ def haar_random_unitary(d: int, seed) -> np.ndarray:
 
 def random_density_matrix(d: int, seed) -> DensityMatrix:
     """Hilbert-Schmidt distributed random state, G G^dag normalized."""
-    _check_dim(d)
+    d = _count(d, "dimension", 1)
     return DensityMatrix(_random_states(np.random.default_rng(seed), 1, d)[0])
 
 
@@ -409,6 +411,16 @@ def _random_states(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     return m / np.trace(m, axis1=-2, axis2=-1).real[:, None, None]
 
 
+def _check_hermitian(lind) -> np.ndarray:
+    """``lind`` as a complex array, checked to be a Hermitian operator within 1e-10."""
+    lind = np.asarray(lind, dtype=complex)
+    if lind.ndim != 2 or lind.shape[0] != lind.shape[1]:
+        raise DimensionMismatchError(f"expected a square matrix, got {lind.shape}")
+    if np.abs(lind - lind.conj().T).max() > 1e-10:
+        raise InvalidStateError("operator is not Hermitian within 1e-10")
+    return lind
+
+
 def gibbs_gap(rho: DensityMatrix, lind: np.ndarray, base: LogBase = LogBase.TWO) -> float:
     """Free-energy style gap Tr(rho L) - [S(rho) - log Tr(base^-L)].
 
@@ -422,15 +434,13 @@ def gibbs_gap(rho: DensityMatrix, lind: np.ndarray, base: LogBase = LogBase.TWO)
 
     Raises:
         InvalidStateError: if ``lind`` is not Hermitian within 1e-10.
-        DimensionMismatchError: on dimension mismatch.
+        DimensionMismatchError: if ``lind`` is not square or does not match ``rho``.
     """
-    lind = np.asarray(lind, dtype=complex)
+    lind = _check_hermitian(lind)
     if lind.shape != rho.matrix.shape:
         raise DimensionMismatchError(
             f"operator shape {lind.shape} != state shape {rho.matrix.shape}"
         )
-    if np.abs(lind - lind.conj().T).max() > 1e-10:
-        raise InvalidStateError("operator is not Hermitian within 1e-10")
     energy = float(np.einsum("ij,ji->", rho.matrix, lind).real)
     w = np.linalg.eigvalsh(lind)
     exponents = -w * base.ln
@@ -440,9 +450,13 @@ def gibbs_gap(rho: DensityMatrix, lind: np.ndarray, base: LogBase = LogBase.TWO)
 
 
 def gibbs_state(lind: np.ndarray, base: LogBase = LogBase.TWO) -> DensityMatrix:
-    """Gibbs state base^-L / Tr(base^-L) of a Hermitian operator."""
-    lind = np.asarray(lind, dtype=complex)
-    w, v = np.linalg.eigh(lind)
+    """Gibbs state base^-L / Tr(base^-L) of a Hermitian operator.
+
+    Raises:
+        DimensionMismatchError: if ``lind`` is not a square matrix.
+        InvalidStateError: if ``lind`` is not Hermitian within 1e-10.
+    """
+    w, v = np.linalg.eigh(_check_hermitian(lind))
     weights = np.exp(-(w - w.min()) * base.ln)
     weights /= weights.sum()
     return DensityMatrix((v * weights) @ v.conj().T)

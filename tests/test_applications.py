@@ -14,6 +14,7 @@ from entrobound import (
     SolverOptions,
     WeightTriple,
     basis_measurement,
+    default_envelope_grid,
     deficits_from_entropies,
     eavesdropper_entropy_bound,
     entanglement_witness_analytic,
@@ -22,11 +23,16 @@ from entrobound import (
     fourier_measurement,
     from_unitary,
     haar_random_unitary,
+    identity_overlap,
     measurement_distribution,
     mub_overlap,
     norm,
+    norm_identity,
+    norm_mub,
     optimal_weights,
     partial_trace,
+    qudit_eur_rhs,
+    random_density_matrix,
     randomness_bound_analytic,
     randomness_bound_numeric,
     rotated_measurement_2d,
@@ -340,6 +346,21 @@ def _fbits(x):
     return struct.pack("<d", x)
 
 
+def _clamp_edges(h_x, h_y, base):
+    """(h_y, sigma2, kind) at the witness's clamp boundaries, d = 4: sigma2 = 0, and
+    sigma2 = gamma ("low") or 1.0 / sigma2 = gamma ("high") exactly, where a float allows."""
+    edges = []
+    for h in h_y.tolist():
+        gamma = deficits_from_entropies(h_x, h, 4, base).gamma
+        edges.append((h, 0.0, "zero"))
+        if 0.0 < gamma <= 1.0:
+            edges.append((h, gamma, "low"))
+        elif 1.0 < gamma < math.inf:
+            near = (1.0 / gamma, math.nextafter(1.0 / gamma, 0.0), math.nextafter(1.0 / gamma, 1.0))
+            edges += [(h, t, "high") for t in near if 1.0 / t == gamma][:1]
+    return edges
+
+
 @pytest.mark.parametrize("base", [LogBase.TWO, LogBase.NATURAL])
 def test_witness_body_has_the_bits_of_the_scalar_formula(base):
     """One array body serves the scalar witness and the scan, with Python-float bits."""
@@ -350,21 +371,32 @@ def test_witness_body_has_the_bits_of_the_scalar_formula(base):
     h_y = rng.random(2000) * log_d
     h_y[::7] = log_d
     h_y[1::9] = log_d + 5e-10
+    kinds = set()
     for h_x, s_max in ((0.3 * log_d, 0.2), (log_d, 0.5), (0.0, 0.0), (log_d + 5e-10, 1.0)):
-        det, conj, mu, lam = applications._witness(h_x, h_y, 4, sigma2, s_max, base)
-        for k in range(len(h_y)):
-            ref = _scalar_witness(h_x, float(h_y[k]), 4, float(sigma2[k]), s_max, base)
-            one = entanglement_witness_analytic(h_x, float(h_y[k]), 4, float(sigma2[k]),
-                                                s_max, base)
-            assert (bool(det[k]), bool(conj[k])) == ref[:2] == (one.detected, one.conjectured)
-            for got, want in ((mu[k], ref[2]), (lam[k], ref[3]), (one.mu, ref[2]),
-                              (one.lam, ref[3])):
-                assert _fbits(got) == _fbits(want)
-            if 0.0 < sigma2[k] < 1.0:
-                gamma = deficits_from_entropies(h_x, float(h_y[k]), 4, base).gamma
-                weights = optimal_weights(gamma, float(sigma2[k]))
-                if not (gamma < sigma2[k] or gamma > 1.0 / sigma2[k]):
-                    assert tuple(map(_fbits, weights)) == (_fbits(ref[2]), _fbits(ref[3]))
+        edges = _clamp_edges(h_x, h_y[:60], base)
+        kinds.update(kind for _, _, kind in edges)
+        h_y_k = np.concatenate([h_y, [h for h, _, _ in edges]])
+        sigma2_k = np.concatenate([sigma2, [t for _, t, _ in edges]])
+        _check_witness_bits(h_x, h_y_k, sigma2_k, s_max, base)
+    assert kinds == {"zero", "low", "high"}
+
+
+def _check_witness_bits(h_x, h_y, sigma2, s_max, base):
+    """The array witness, the scalar one and the optimal weights against ``_scalar_witness``."""
+    det, conj, mu, lam = applications._witness(h_x, h_y, 4, sigma2, s_max, base)
+    for k in range(len(h_y)):
+        ref = _scalar_witness(h_x, float(h_y[k]), 4, float(sigma2[k]), s_max, base)
+        one = entanglement_witness_analytic(h_x, float(h_y[k]), 4, float(sigma2[k]),
+                                            s_max, base)
+        assert (bool(det[k]), bool(conj[k])) == ref[:2] == (one.detected, one.conjectured)
+        for got, want in ((mu[k], ref[2]), (lam[k], ref[3]), (one.mu, ref[2]),
+                          (one.lam, ref[3])):
+            assert _fbits(got) == _fbits(want)
+        if 0.0 < sigma2[k] < 1.0:
+            gamma = deficits_from_entropies(h_x, float(h_y[k]), 4, base).gamma
+            weights = optimal_weights(gamma, float(sigma2[k]))
+            if not (gamma < sigma2[k] or gamma > 1.0 / sigma2[k]):
+                assert tuple(map(_fbits, weights)) == (_fbits(ref[2]), _fbits(ref[3]))
 
 
 def test_analytic_applications_refuse_nan_entropies():
@@ -386,6 +418,74 @@ def test_analytic_applications_refuse_nan_entropies():
     with pytest.raises(ValueError, match="^delta_y is negative or NaN: nan$"):
         applications._witness(1.0, np.array([1.0, nan]), 4, np.array([0.5, 0.5]), 0.0,
                               LogBase.TWO)
+
+
+def test_analytic_applications_refuse_infinite_deficits():
+    # An infinite deficit was certified as an infinite randomness rate.
+    with pytest.raises(ValueError, match="^delta_y must be finite, got inf$"):
+        randomness_bound_analytic(EntropyDeficits(0.5, math.inf), 0.5)
+    with pytest.raises(ValueError, match="^delta_x must be finite, got inf$"):
+        deficits_from_entropies(-math.inf, 1.0, 4)
+    with pytest.raises(ValueError, match="^delta_y must be finite, got inf$"):
+        applications._checked_deficit("delta_y", np.array([0.5, math.inf]))
+
+
+# The clamp boundaries with sigma2 = 1/2: deficits (1/8, 1/2) give gamma = 1/2
+# exactly and (1/2, 1/8) give gamma = 2; entropies are in bits at d = 4
+# (log d = 2).  Each sigma2 is also taken one ulp above and below.
+_UP, _DOWN = math.nextafter(0.5, 1.0), math.nextafter(0.5, 0.0)
+RANDOMNESS_EDGES = {  # (delta_x, delta_y, sigma2): (value, conjectured, branch)
+    (0.125, 0.5, 0.5): ("0x1.8000000000001p-2", True, "interior"),
+    (0.125, 0.5, _UP): ("0x1.8000000000000p-2", False, "clamped"),
+    (0.125, 0.5, _DOWN): ("0x1.8000000000001p-2", True, "interior"),
+    (0.125, 0.5, 0.0): ("0x1.0000000000000p-1", False, "interior"),
+    (0.5, 0.5, 0.0): ("0x1.0000000000000p-1", False, "interior"),
+}
+EAVESDROPPER_EDGES = {  # (h_x, h_y, sigma2) at d_a = d_b = 2: S(E) bound
+    (1.875, 1.5, 0.5): "0x1.8000000000000p+0",
+    (1.875, 1.5, _UP): "0x1.8000000000000p+0",
+    (1.875, 1.5, _DOWN): "0x1.8000000000000p+0",
+    (1.5, 1.875, 0.5): "0x1.8000000000000p+0",
+    (1.5, 1.875, _UP): "0x1.8000000000000p+0",
+    (1.5, 1.875, _DOWN): "0x1.8000000000000p+0",
+    (1.5, 1.875, 0.0): "0x1.6000000000000p+0",
+    (1.875, 1.5, 0.0): "0x1.6000000000000p+0",
+}
+WEIGHT_EDGES = {  # (gamma, sigma2): (mu, lambda)
+    (0.5, 0.5): ("0x1.0000000000000p+0", "0x0.0p+0"),
+    (0.5, _UP): ("0x1.0000000000000p+0", "0x0.0p+0"),
+    (0.5, _DOWN): ("0x1.0000000000000p+0", "0x1.5555555555555p-53"),
+    (2.0, 0.5): ("0x0.0p+0", "0x1.0000000000000p+0"),
+    (2.0, _UP): ("0x0.0p+0", "0x1.0000000000000p+0"),
+    (2.0, _DOWN): ("0x1.5555555555555p-53", "0x1.0000000000000p+0"),
+    (0.7, 0.0): ("0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+    (0.0, 0.0): ("0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+    (math.inf, 0.0): ("0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+    (0.0, 0.5): ("0x1.0000000000000p+0", "0x0.0p+0"),
+    (math.inf, 0.5): ("0x0.0p+0", "0x1.0000000000000p+0"),
+}
+WITNESS_EDGES = {  # (h_x, h_y, sigma2, s_max) at d = 4: (detected, conjectured, mu, lambda)
+    (1.875, 1.5, 0.5, 1.75): (True, True, "0x1.0000000000000p+0", "0x0.0p+0"),
+    (1.875, 1.5, _UP, 1.75): (True, False, "0x1.0000000000000p+0", "0x0.0p+0"),
+    (1.5, 1.875, 0.5, 1.75): (True, True, "0x0.0p+0", "0x1.0000000000000p+0"),
+    (1.5, 1.875, _UP, 1.75): (True, False, "0x0.0p+0", "0x1.0000000000000p+0"),
+    (1.5, 1.875, 0.0, 1.75): (True, False, "0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+    (1.875, 1.5, 0.5, 1.5): (False, True, "0x1.0000000000000p+0", "0x0.0p+0"),
+    (1.875, 1.5, _UP, 1.5): (False, False, "0x1.0000000000000p+0", "0x0.0p+0"),
+}
+
+
+def test_clamp_boundaries_keep_their_recorded_bits():
+    for (dx, dy, sigma2), (value, conjectured, branch) in RANDOMNESS_EDGES.items():
+        rb = randomness_bound_analytic(EntropyDeficits(dx, dy), sigma2)
+        assert (rb.value.hex(), rb.conjectured, rb.branch) == (value, conjectured, branch)
+    for (h_x, h_y, sigma2), value in EAVESDROPPER_EDGES.items():
+        assert eavesdropper_entropy_bound(h_x, h_y, 2, 2, sigma2).hex() == value
+    for (gamma, sigma2), weights in WEIGHT_EDGES.items():
+        assert tuple(w.hex() for w in optimal_weights(gamma, sigma2)) == weights
+    for (h_x, h_y, sigma2, s_max), want in WITNESS_EDGES.items():
+        got = entanglement_witness_analytic(h_x, h_y, 4, sigma2, s_max)
+        assert (got.detected, got.conjectured, got.mu.hex(), got.lam.hex()) == want
 
 
 def test_square_has_the_bits_of_python_float_power():
@@ -485,17 +585,44 @@ def test_werner_state_rejects_bad_inputs():
 
 
 # A count argument of each public function, as an array of its result.
+def _fields(result) -> np.ndarray:
+    return np.array([float(v) for v in vars(result).values()])
+
+
 _COUNT_ARGUMENTS = {
     "scan_2d_objective-grid": lambda n: np.array(scan_2d_objective(math.pi / 6, 0.6, 0.5, n)),
     "feasible_weight_grid-n": lambda n: np.array(feasible_weight_grid(0.5, n)),
     "werner_state-d": lambda n: werner_state(n, -0.5).matrix,
+    "qudit_eur_rhs-d": lambda n: np.array(qudit_eur_rhs(0.5, n, 1.0)),
+    "deficits_from_entropies-d": lambda n: _fields(deficits_from_entropies(1.0, 1.5, n)),
+    "eavesdropper_entropy_bound-d_a": lambda n: np.array(
+        eavesdropper_entropy_bound(1.5, 1.6, n, 2, 0.5)),
+    "eavesdropper_entropy_bound-d_b": lambda n: np.array(
+        eavesdropper_entropy_bound(1.5, 1.6, 2, n, 0.5)),
+    "entanglement_witness_analytic-d": lambda n: _fields(
+        entanglement_witness_analytic(1.0, 1.2, n, 0.5, 0.5)),
+    "default_envelope_grid-n_alpha": lambda n: np.array(
+        [(w.alpha, w.lam, w.mu) for w in default_envelope_grid(n, 3)]),
+    "default_envelope_grid-n_lam": lambda n: np.array(
+        [(w.alpha, w.lam, w.mu) for w in default_envelope_grid(3, n)]),
+    # The eight constructors and closed forms that take a dimension.
+    "basis_measurement-d": lambda n: basis_measurement(n).projectors,
+    "fourier_measurement-d": lambda n: fourier_measurement(n).projectors,
+    "haar_random_unitary-d": lambda n: haar_random_unitary(n, 0),
+    "random_density_matrix-d": lambda n: random_density_matrix(n, 0).matrix,
+    "mub_overlap-d": lambda n: mub_overlap(n).matrix,
+    "identity_overlap-d": lambda n: identity_overlap(n).matrix,
+    "norm_mub-d": lambda n: np.array(norm_mub(n, 2.0, 3.0)),
+    "norm_identity-d": lambda n: np.array(norm_identity(n, 2.0, 3.0)),
 }
 
 
 @pytest.mark.parametrize("value", [2.5, True, np.int64(3)], ids=["float", "bool", "int64"])
 @pytest.mark.parametrize("case", _COUNT_ARGUMENTS)
 def test_counts_refuse_a_value_that_is_not_an_integer(case, value):
-    # 2.5 raised NumPy's TypeError, and True was refused with a size message.
+    # 2.5 raised NumPy's TypeError, or was computed with (norm_mub gave 0.858,
+    # the eavesdropper bound a negative entropy), and True was refused with a
+    # size message or taken as 1.
     call = _COUNT_ARGUMENTS[case]
     if isinstance(value, np.integer):
         assert call(value).tobytes() == call(3).tobytes()

@@ -32,6 +32,8 @@ from entrobound import (
     rotated_measurement_2d,
     rotation_overlap_2d,
     rpz2_rhs,
+    run_compare_random,
+    run_compare_sweep,
     shannon_entropy,
     von_neumann_entropy,
 )
@@ -161,6 +163,14 @@ def test_second_entry_refinement_never_loses():
     assert rpz2_rhs(c, 0.0) > bccrr_rhs(c, 0.0) + 1e-6
 
 
+@pytest.mark.parametrize("rhs", [bccrr_rhs, rpz2_rhs])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_overlap_rhs_refuse_a_non_finite_entropy(rhs, bad):
+    # They returned nan or an infinite bound.
+    with pytest.raises(ValueError, match=f"^s_rho must be finite, got {bad}$"):
+        rhs(rotation_overlap_2d(0.3), bad)
+
+
 # ---------------------------------------------------------------------------
 # state-independent comparison
 
@@ -225,6 +235,10 @@ def test_compare_runs_the_solver_only_where_no_theorem_applies(stacks):
     for theta in (0.0, 0.3, math.pi / 6, math.pi / 4):
         assert compare_state_independent(rotation_overlap_2d(theta), opts=FAST).conjecture_ok
     assert compare_state_independent(np.eye(2)[::-1], opts=FAST).conjecture_ok
+    assert calls() == []
+    # The engines ask the same theorem: their d = 2 rows start no solve either.
+    run_compare_sweep(n_theta=201, opts=FAST)
+    run_compare_random(dims=(2,), samples=100, seed=SEED, opts=FAST)
     assert calls() == []
     compare_state_independent(from_unitary(haar_random_unitary(3, np.random.default_rng(SEED))),
                               opts=FAST, on_violation="use_numeric")

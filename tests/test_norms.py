@@ -967,6 +967,16 @@ def test_hessian_rejects_non_doubly_stochastic():
         hessian_spectrum_at_ones(np.array([[1.0, 2.0], [3.0, 4.0]]), 0.5, 0.5)
 
 
+@pytest.mark.parametrize("mu, lam", [(math.nan, 0.5), (0.5, math.nan), (1.5, 0.5), (0.5, -0.1)])
+def test_hessian_checks_its_weights_as_the_region_does(mu, lam):
+    # A NaN weight gave [nan], and mu = 1.5 a spectrum.
+    message = rf"^weights must lie in \[0, 1\], got mu={mu}, lambda={lam}$"
+    with pytest.raises(ValueError, match=message):
+        hessian_spectrum_at_ones(rotation_overlap_2d(0.3), mu, lam)
+    with pytest.raises(ValueError, match=message):
+        conjecture_region_contains(mu, lam, 0.5)
+
+
 # ---------------------------------------------------------------------------
 # conjectured equality region
 
@@ -1039,6 +1049,17 @@ def test_birkhoff_contraction_bounds_sigma2_and_certifies_no_mu_star():
             ms = mu_star(min(c.sigma2, 1.0))
             w = WeightTriple(1.0, ms, ms)
             assert not norms._equality_proven(c, w.r, w.s)
+
+
+def test_the_qubit_theorem_proves_mu_star_at_every_angle():
+    # The closed region's boundary mu* = 1/(1 + sigma2) is proven at d = 2,
+    # whatever the rounding of mu*, r and s; the kappa test alone missed it
+    # at 1,140 of these angles.
+    for theta in np.linspace(0.0, math.pi / 4, 2001).tolist():
+        c = rotation_overlap_2d(theta)
+        ms = mu_star(min(c.sigma2, 1.0))
+        w = WeightTriple(1.0, ms, ms)
+        assert norms._equality_proven(c, w.r, w.s)
 
 
 def test_certificate_needs_every_entry_positive():

@@ -187,6 +187,12 @@ def test_gibbs_gap_rejects_non_hermitian_operator():
         gibbs_gap(rho, np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_gibbs_state_rejects_non_hermitian_operator():
+    # The eigensolver read only the lower triangle: this L gave the maximally mixed state.
+    with pytest.raises(InvalidStateError, match="^operator is not Hermitian within 1e-10$"):
+        gibbs_state(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
 def _raised(fn, *args):
     with pytest.raises(Exception) as excinfo:
         fn(*args)
