@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import _check_entropies
+from .bounds import _DEFICIT_TOL, _check_entropies, _check_entropy_range
 from .errors import DegenerateCaseError
 from .norms import SolverOptions, WeightTriple, _check_sigma2, _norm_many, norm
 from .overlap import OverlapMatrix, _as_overlap, _check_theta
@@ -32,7 +32,6 @@ from .qmath import (
     _product_entropies,
 )
 
-_DEFICIT_TOL = 1e-9
 # Angle pairs scored per NumPy pass of the Werner scan: bounds its projector
 # stack (256 x 4 x 4 x 4 complex, 256 KiB) and the temporaries built from it.
 _SCAN_CHUNK = 256
@@ -404,9 +403,7 @@ def eavesdropper_entropy_bound(h_x: float, h_y: float, d_a: int, d_b: int,
     _check_usable_sigma2(sigma2)
     d = _count(d_a, "d_a", 1) * _count(d_b, "d_b", 1)
     log_d = base.log(d)
-    for name, h in (("h_x", h_x), ("h_y", h_y)):
-        if not -_DEFICIT_TOL <= h <= log_d + _DEFICIT_TOL:
-            raise ValueError(f"{name} = {h} outside [0, log d]")
+    _check_entropy_range(log_d, h_x=h_x, h_y=h_y)
     dd = deficits_from_entropies(h_x, h_y, d, base)
     low, high = _clamps(dd.gamma, sigma2)
     if low or high:

@@ -42,6 +42,9 @@ from .qmath import (
     von_neumann_entropy,
 )
 
+# The package's one slack on a measured entropy in [0, log d] and on a deficit log d - H >= 0.
+_DEFICIT_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class BoundReport:
@@ -121,11 +124,14 @@ def qudit_eur_rhs(sigma2: float, d: int, s_rho: float,
 
     Valid whenever the extended equality regime holds at the optimal
     equal weights; exact for sigma2 = 0 and sigma2 = 1.
+
+    Raises:
+        ValueError: if ``sigma2`` lies outside [0, 1], ``d`` is not an
+            integer >= 1, or ``s_rho`` lies outside [0, log d].
     """
     _check_sigma2(sigma2)
     log_d = base.log(_count(d, "d", 1))
-    if not -1e-9 <= s_rho <= log_d + 1e-9:
-        raise ValueError(f"entropy {s_rho} outside [0, log d]")
+    _check_entropy_range(log_d, s_rho=s_rho)
     return (1.0 + sigma2) * s_rho + (1.0 - sigma2) * log_d
 
 
@@ -288,6 +294,13 @@ def _check_entropies(**entropies) -> None:
         bad = ~np.isfinite(h)
         if bad.any():
             raise ValueError(f"{name} must be finite, got {h[bad].flat[0]}")
+
+
+def _check_entropy_range(log_d: float, **entropies) -> None:
+    """Raise ValueError unless each named entropy (a float) lies in [0, log d] within 1e-9."""
+    for name, h in entropies.items():
+        if not -_DEFICIT_TOL <= h <= log_d + _DEFICIT_TOL:
+            raise ValueError(f"{name} = {h} outside [0, log d]")
 
 
 def default_envelope_grid(n_alpha: int = 11, n_lam: int = 11) -> list:

@@ -53,6 +53,7 @@ from .qmath import (
     haar_random_unitary,
     rotated_measurement_2d,
     _as_int,
+    _check_square,
     _check_states,
     _count,
     _entropies,
@@ -503,12 +504,13 @@ def run_randomness_sweep(c, points: int = 11, weight_grid_n: int = 21,
     lattice and the whole entropy mesh; the analytic column is the
     closed-form optimum where it applies (delta_X <= delta_Y), with the
     flag column marking values that rely on the extended equality regime.
+
+    Raises:
+        DimensionMismatchError: if ``c`` is not a square matrix.
     """
     points, weight_grid_n = _count(points, "points", 2), _count(weight_grid_n, "weight_grid_n", 2)
     c = _as_overlap(c)
-    d = c.matrix.shape[0]
-    if c.matrix.shape[0] != c.matrix.shape[1]:
-        raise ValueError("randomness sweep requires a square overlap matrix")
+    d = _check_square(c.matrix).shape[0]
     opts = opts or SolverOptions()
     sigma2 = min(float(c.sigma2), 1.0)
     log_d = float(base.log(d))

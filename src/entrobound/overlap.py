@@ -146,7 +146,12 @@ def build_overlap(x: ProjectiveMeasurement, y: ProjectiveMeasurement) -> Overlap
 
 
 def from_unitary(u: np.ndarray) -> OverlapMatrix:
-    """Unistochastic overlap |u_ij|^2 of a change-of-basis unitary."""
+    """Unistochastic overlap |u_ij|^2 of a change-of-basis unitary.
+
+    Raises:
+        DimensionMismatchError: if ``u`` is not a square matrix.
+        InvalidStateError: if ``u`` is not unitary within 1e-10.
+    """
     return OverlapMatrix(np.abs(_check_unitary(u)) ** 2, source="from_unitary")
 
 

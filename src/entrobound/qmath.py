@@ -55,7 +55,8 @@ class DensityMatrix:
             read-only copy.
 
     Raises:
-        InvalidStateError: if any of the state invariants fails.
+        DimensionMismatchError: if the matrix is not square.
+        InvalidStateError: if any of the other state invariants fails.
     """
 
     matrix: np.ndarray
@@ -63,9 +64,7 @@ class DensityMatrix:
     _spectrum: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise InvalidStateError(f"expected a square matrix, got shape {m.shape}")
+        m = _check_square(np.array(self.matrix, dtype=complex))
         object.__setattr__(self, "_spectrum", _check_states(m))
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -77,6 +76,17 @@ class DensityMatrix:
     def eigenvalues(self) -> np.ndarray:
         """Real eigenvalues in ascending order, clipped to [0, 1]."""
         return self._spectrum.copy()
+
+
+def _check_square(m: np.ndarray) -> np.ndarray:
+    """``m`` itself, once it is checked to be a square matrix.
+
+    Raises:
+        DimensionMismatchError: unless ``m`` is two-dimensional with equal sides.
+    """
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
+    return m
 
 
 def _check_states(m: np.ndarray) -> np.ndarray:
@@ -190,9 +200,7 @@ def basis_measurement(d: int) -> ProjectiveMeasurement:
 
 def _check_unitary(u) -> np.ndarray:
     """``u`` as a complex array, checked to be a unitary within 1e-10."""
-    u = np.asarray(u, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise DimensionMismatchError(f"expected a square matrix, got {u.shape}")
+    u = _check_square(np.asarray(u, dtype=complex))
     if np.abs(u.conj().T @ u - np.eye(u.shape[0])).max() > 1e-10:
         raise InvalidStateError("matrix is not unitary within 1e-10")
     return u
@@ -205,6 +213,7 @@ def measurement_from_unitary(u: np.ndarray) -> ProjectiveMeasurement:
         u: unitary matrix whose columns are the measured basis vectors.
 
     Raises:
+        DimensionMismatchError: if ``u`` is not a square matrix.
         InvalidStateError: if ``u`` is not unitary within 1e-10.
     """
     u = _check_unitary(u)
@@ -249,11 +258,17 @@ def partial_trace(rho: DensityMatrix, dims: tuple, keep: int) -> DensityMatrix:
         rho: state on a system of dimension dims[0] * dims[1].
         dims: local dimensions (d_a, d_b).
         keep: 0 to keep the first factor, 1 the second.
+
+    Raises:
+        ValueError: unless each of ``dims`` is an integer >= 1 and ``keep``
+            is the integer 0 or 1.
+        DimensionMismatchError: if d_a * d_b is not the dimension of ``rho``.
     """
-    da, db = dims
+    da, db = (_count(n, "dims", 1) for n in dims)
     if da * db != rho.dim:
         raise DimensionMismatchError(f"dims {dims} incompatible with {rho.dim}")
     t = rho.matrix.reshape(da, db, da, db)
+    keep = _as_int(keep, "keep")
     if keep == 0:
         return DensityMatrix(np.einsum("ikjk->ij", t))
     if keep == 1:
@@ -413,9 +428,7 @@ def _random_states(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
 
 def _check_hermitian(lind) -> np.ndarray:
     """``lind`` as a complex array, checked to be a Hermitian operator within 1e-10."""
-    lind = np.asarray(lind, dtype=complex)
-    if lind.ndim != 2 or lind.shape[0] != lind.shape[1]:
-        raise DimensionMismatchError(f"expected a square matrix, got {lind.shape}")
+    lind = _check_square(np.asarray(lind, dtype=complex))
     if np.abs(lind - lind.conj().T).max() > 1e-10:
         raise InvalidStateError("operator is not Hermitian within 1e-10")
     return lind

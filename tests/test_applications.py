@@ -614,6 +614,7 @@ _COUNT_ARGUMENTS = {
     "identity_overlap-d": lambda n: identity_overlap(n).matrix,
     "norm_mub-d": lambda n: np.array(norm_mub(n, 2.0, 3.0)),
     "norm_identity-d": lambda n: np.array(norm_identity(n, 2.0, 3.0)),
+    "partial_trace-dims": lambda n: partial_trace(DensityMatrix(np.eye(9) / 9), (n, 3), 0).matrix,
 }
 
 
@@ -775,6 +776,8 @@ def test_eavesdropper_rejects_bad_inputs():
         eavesdropper_entropy_bound(1.0, 1.0, 2, 2, 1.0)
     with pytest.raises(ValueError):
         eavesdropper_entropy_bound(1.0, 1.0, 2, 2, 1.5)
+    with pytest.raises(ValueError, match=r"^h_y = 2\.5 outside \[0, log d\]$"):
+        eavesdropper_entropy_bound(1.0, 2.5, 2, 2, 0.5)
 
 
 def test_eavesdropper_matches_weight_grid_minimum():

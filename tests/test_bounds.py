@@ -135,6 +135,11 @@ def test_qudit_rhs_rejects_bad_inputs():
         qudit_eur_rhs(0.5, 2, 1.5)  # above log2(2)
     with pytest.raises(ValueError):
         qudit_eur_rhs(0.5, 2, -0.5)
+    # One range check, with one 1e-9 slack, serves this and the eavesdropper bound.
+    with pytest.raises(ValueError, match=r"^s_rho = 1\.5 outside \[0, log d\]$"):
+        qudit_eur_rhs(0.5, 2, 1.5)
+    assert qudit_eur_rhs(0.5, 2, 1.0 + 1e-9) == 1.5 * (1.0 + 1e-9) + 0.5
+    assert qudit_eur_rhs(0.5, 2, -1e-9) == 1.5 * -1e-9 + 0.5
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from entrobound import (
     COMPARE_RANDOM_OPTS,
     DensityMatrix,
     InvalidStateError,
+    NormConsistencyError,
     OverlapMatrix,
     SolverOptions,
     Table,
@@ -30,6 +32,7 @@ from entrobound import (
     fourier_measurement,
     from_unitary,
     haar_random_unitary,
+    identity_overlap,
     measurement_distribution,
     mub_overlap,
     norm,
@@ -233,6 +236,18 @@ def test_argparse_failures_exit_one():
         with pytest.raises(SystemExit) as excinfo:
             cli.main(argv)
         assert excinfo.value.code == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["fig-compare", "--random", "--dims", ","], "argument --dims: expected a comma-separated "
+                                                  "integer list"),
+    (["werner", "--phi=,"], "argument --phi: expected a comma-separated number list"),
+])
+def test_an_empty_list_exits_one_naming_the_option(capsys, argv, message):
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(argv)
+    assert excinfo.value.code == 1
+    assert capsys.readouterr().err.endswith(f"error: {message}\n")
 
 
 # werner solves no norm, so it takes no solver options.
@@ -533,6 +548,42 @@ def test_fig_region_higher_dimension_rules():
     s_mix, h_mix = t.stats["mixed_point"]
     assert s_mix == pytest.approx(math.log2(3.0), abs=1e-9)
     assert h_mix == pytest.approx(2.0 * math.log2(3.0), abs=1e-9)
+
+
+def test_fig_region_refuses_a_sample_below_the_envelope(monkeypatch):
+    kwargs = {"samples": 5, "seed": 2, "n_env": 5, "opts": FAST}
+    samples = [(s, h) for kind, s, h in run_fig_region(**kwargs).rows if kind == "sample"]
+    monkeypatch.setattr(experiments, "envelope_curve",
+                        lambda c, s_grid, **kw: (s_grid, np.full(len(s_grid), 10.0)))
+    k = min(range(len(samples)), key=lambda i: samples[i][1])
+    s, h = samples[k]
+    with pytest.raises(NormConsistencyError) as excinfo:
+        run_fig_region(**kwargs)
+    assert str(excinfo.value) == (
+        f"sample {k} lies {10.0 - h:.3e} below the envelope at S={np.float64(s)!r}")
+
+
+# mu = lambda profiles, in bits, that break each of the paper's three claims
+# at theta = pi/6 (sigma2 = 1/2, mu* = 2/3), with the first weight each fails at.
+_PROFILE_MU = np.linspace(0.5, 1.0, 30)
+_BROKEN_PROFILES = {
+    "below": (lambda mu: 1.0 - 2.0 * mu - 1e-6, _PROFILE_MU[0],
+              "is 1.000e-06 below the constant-matrix line"),
+    "inside": (lambda mu: 1.0 - 2.0 * mu + 1e-6, _PROFILE_MU[0],
+               "deviates 1.000e-06 inside the equality regime"),
+    "beyond": (lambda mu: 1.0 - 2.0 * mu, _PROFILE_MU[_PROFILE_MU >= 2.0 / 3.0 + 0.03][0],
+               "shows no excess past the critical weight"),
+}
+
+
+@pytest.mark.parametrize("case", _BROKEN_PROFILES)
+def test_norm_profile_refuses_a_profile_that_breaks_a_claim(monkeypatch, case):
+    profile, mu, message = _BROKEN_PROFILES[case]
+    monkeypatch.setattr(experiments, "_numeric_many", lambda pairs, opts, base: (
+        (m, SimpleNamespace(log_value=profile(m))) for m, _ in pairs))
+    with pytest.raises(NormConsistencyError) as excinfo:
+        run_norm_profile(grid=len(_PROFILE_MU))
+    assert str(excinfo.value) == f"profile at mu={mu!r} {message}"
 
 
 def test_norm_profile_engine():
@@ -857,6 +908,18 @@ def test_randomness_sweep_engine_and_cli(tmp_path):
     assert lines[1] == "h_x,h_y,bound_numeric,bound_analytic,flag"
     assert len(lines) == 2 + 9
     assert cli.main(["randomness", "--rotation", "0.3", "--points", "1"]) == 1
+
+
+@pytest.mark.parametrize("argv, engine", [
+    (["fig-norm-profile", "--grid", "5"], lambda: run_norm_profile(grid=5)),
+    (["fig-compare", "--sweep", "5"], lambda: run_compare_sweep(n_theta=5)),
+    (["randomness", "--identity", "2", "--points", "3", "--weight-grid", "3"],
+     lambda: run_randomness_sweep(identity_overlap(2), points=3, weight_grid_n=3)),
+], ids=["fig-norm-profile", "fig-compare-sweep", "randomness-identity"])
+def test_cli_writes_the_bytes_of_its_engine(tmp_path, argv, engine):
+    out = tmp_path / "out.csv"
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    assert out.read_bytes() == _written(engine()).encode()
 
 
 def test_fuzz_engine_validation():

@@ -8,6 +8,7 @@ import pytest
 
 from entrobound import (
     OverlapMatrix,
+    ProjectiveMeasurement,
     basis_measurement,
     build_overlap,
     from_text,
@@ -21,7 +22,7 @@ from entrobound import (
     tensor_overlap,
     to_text,
 )
-from entrobound.errors import DimensionMismatchError
+from entrobound.errors import DimensionMismatchError, InvalidStateError
 
 
 def test_build_overlap_is_doubly_stochastic_for_rank_one_pairs():
@@ -65,6 +66,7 @@ def test_special_matrices():
     c = identity_overlap(3)
     assert np.allclose(c.matrix, np.eye(3), atol=0)
     assert abs(c.sigma2 - 1.0) < 1e-12
+    assert repr(c) == "OverlapMatrix(shape=(3, 3), source='identity(3)')"
 
 
 def test_tensor_overlap_sigma2_is_max_factor_value():
@@ -112,3 +114,23 @@ def test_from_text_skips_comments_and_blanks():
     text = "# a comment\n\n0.75 0.25\n0.25 0.75\n"
     c = from_text(text)
     assert np.allclose(c.matrix, [[0.75, 0.25], [0.25, 0.75]], atol=0)
+
+
+def test_from_text_rejects_no_rows_and_ragged_rows():
+    with pytest.raises(ValueError, match="^no matrix rows found$"):
+        from_text("# only a comment\n\n")
+    with pytest.raises(DimensionMismatchError, match=r"^ragged rows with lengths \[1, 2\]$"):
+        from_text("0.5 0.5\n1.0\n")
+
+
+def test_build_overlap_rejects_differing_dimensions():
+    with pytest.raises(DimensionMismatchError, match="^dimensions differ: 2 vs 3$"):
+        build_overlap(basis_measurement(2), basis_measurement(3))
+
+
+def test_build_overlap_rejects_a_rank_one_pair_that_is_not_doubly_stochastic():
+    # Each projector passes its own 1e-10 checks, but the overlap's row sums
+    # add both slacks: 1 + 1.8e-10 is past the doubly-stochastic tolerance.
+    x = ProjectiveMeasurement(basis_measurement(2).projectors * (1.0 + 0.9e-10))
+    with pytest.raises(InvalidStateError, match="^rank-1 overlap is not doubly stochastic$"):
+        build_overlap(x, x)

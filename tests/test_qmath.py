@@ -23,8 +23,15 @@ from entrobound import (
     tensor_measurement,
     von_neumann_entropy,
 )
-from entrobound import identity_overlap, mub_overlap, norm_identity, norm_mub
-from entrobound.errors import InvalidDistributionError, InvalidStateError
+from entrobound import (
+    from_unitary,
+    identity_overlap,
+    mub_overlap,
+    norm_identity,
+    norm_mub,
+    run_randomness_sweep,
+)
+from entrobound.errors import DimensionMismatchError, InvalidDistributionError, InvalidStateError
 from entrobound.qmath import (
     _check_projectors,
     _check_states,
@@ -54,6 +61,14 @@ def test_shannon_entropy_rejects_bad_distributions():
         shannon_entropy([0.5, 0.6])
     with pytest.raises(InvalidDistributionError):
         shannon_entropy([1.2, -0.2])
+    with pytest.raises(InvalidDistributionError, match=r"^expected a vector, got shape \(2, 2\)$"):
+        shannon_entropy(np.eye(2) / 2)
+
+
+def test_log_base_exp_inverts_log():
+    assert LogBase.TWO.exp(3.0) == pytest.approx(8.0, rel=1e-15)
+    for base in LogBase:
+        assert base.exp(base.log(2.5)) == pytest.approx(2.5, rel=1e-15)
 
 
 def test_density_matrix_validation():
@@ -64,6 +79,29 @@ def test_density_matrix_validation():
     rho = DensityMatrix(np.eye(3) / 3)
     assert rho.dim == 3
     assert abs(rho.eigenvalues().sum() - 1.0) < 1e-12
+    with pytest.raises(DimensionMismatchError,
+                       match=r"^expected a square matrix, got shape \(3,\)$"):
+        DensityMatrix(np.ones(3) / 3)
+
+
+NON_SQUARE = np.zeros((2, 3))
+
+
+@pytest.mark.parametrize("refuse", [
+    DensityMatrix,
+    measurement_from_unitary,
+    from_unitary,
+    gibbs_state,
+    lambda m: gibbs_gap(DensityMatrix(np.eye(2) / 2), m),
+    run_randomness_sweep,
+], ids=["DensityMatrix", "measurement_from_unitary", "from_unitary", "gibbs_state", "gibbs_gap",
+        "run_randomness_sweep"])
+def test_a_matrix_that_is_not_square_is_refused_alike_everywhere(refuse):
+    # DensityMatrix raised InvalidStateError, the sweep a plain ValueError, and
+    # the unitary and Hermitian checks said "got (2, 3)".
+    with pytest.raises(DimensionMismatchError,
+                       match=r"^expected a square matrix, got shape \(2, 3\)$"):
+        refuse(NON_SQUARE)
 
 
 def test_von_neumann_entropy_pure_and_mixed():
@@ -98,12 +136,37 @@ def test_measurement_rejects_incomplete_projectors():
     p[0, 0, 0] = 1.0
     with pytest.raises(InvalidStateError):
         ProjectiveMeasurement(p)
+    with pytest.raises(DimensionMismatchError,
+                       match=r"^expected projectors of shape \(n, d, d\), got \(2, 2\)$"):
+        ProjectiveMeasurement(np.eye(2))
+    with pytest.raises(DimensionMismatchError, match="^one label per projector required$"):
+        ProjectiveMeasurement(basis_measurement(2).projectors, labels=("up",))
+    with pytest.raises(InvalidStateError, match="^matrix is not unitary within 1e-10$"):
+        measurement_from_unitary(np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+
+def test_measurement_counts_its_outcomes():
+    assert basis_measurement(3).n_outcomes == 3
+    assert tensor_measurement(basis_measurement(2), fourier_measurement(3)).n_outcomes == 6
 
 
 def test_measurement_distribution_uniform_on_mixed():
     rho = DensityMatrix(np.eye(5) / 5)
     meas = measurement_from_unitary(haar_random_unitary(5, 7))
     assert np.allclose(measurement_distribution(rho, meas), 0.2, atol=1e-10)
+
+
+def test_measurement_distribution_refuses_a_mismatch_and_a_negative_probability():
+    with pytest.raises(DimensionMismatchError,
+                       match="^state dimension 2 != measurement dimension 3$"):
+        measurement_distribution(DensityMatrix(np.eye(2) / 2), basis_measurement(3))
+    # Two eigenvalues of -9e-11 each pass the state's -1e-10 check, but a
+    # rank-2 projector onto both sees a probability of -1.8e-10.
+    rho = DensityMatrix(np.diag([1.0 + 1.8e-10, -9e-11, -9e-11]))
+    meas = ProjectiveMeasurement(np.array([np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 1.0])]))
+    with pytest.raises(InvalidDistributionError) as excinfo:
+        measurement_distribution(rho, meas)
+    assert str(excinfo.value) == f"probability {np.float64(-1.8e-10)!r} below -1e-10"
 
 
 def test_rotated_measurement_matches_hand_distribution():
@@ -156,6 +219,20 @@ def test_partial_trace_recovers_factors():
     joint = DensityMatrix(np.kron(rho_a.matrix, rho_b.matrix))
     assert np.allclose(partial_trace(joint, (2, 3), 0).matrix, rho_a.matrix, atol=1e-12)
     assert np.allclose(partial_trace(joint, (2, 3), 1).matrix, rho_b.matrix, atol=1e-12)
+    with pytest.raises(DimensionMismatchError, match=r"^dims \(3, 3\) incompatible with 6$"):
+        partial_trace(joint, (3, 3), 0)
+
+
+def test_partial_trace_refuses_a_keep_that_is_not_zero_or_one():
+    # True and 1.0 were both taken as 1.
+    rho = DensityMatrix(np.eye(4) / 4)
+    for keep in (True, 1.0):
+        with pytest.raises(ValueError, match=rf"^keep must be an integer, got {keep!r}$"):
+            partial_trace(rho, (2, 2), keep)
+    with pytest.raises(ValueError, match="^keep must be 0 or 1, got 2$"):
+        partial_trace(rho, (2, 2), 2)
+    assert (partial_trace(rho, (2, 2), np.int64(1)).matrix
+            == partial_trace(rho, (2, 2), 1).matrix).all()
 
 
 def test_gibbs_gap_nonnegative_on_random_sweep():
@@ -185,6 +262,9 @@ def test_gibbs_gap_rejects_non_hermitian_operator():
     rho = DensityMatrix(np.eye(2) / 2)
     with pytest.raises(InvalidStateError):
         gibbs_gap(rho, np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(DimensionMismatchError,
+                       match=r"^operator shape \(3, 3\) != state shape \(2, 2\)$"):
+        gibbs_gap(rho, np.eye(3))
 
 
 def test_gibbs_state_rejects_non_hermitian_operator():
