@@ -15,6 +15,8 @@ import hashlib
 import itertools
 import json
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,6 +59,7 @@ from .qmath import (
     _check_states,
     _count,
     _entropies,
+    _ginibre,
     _outcome_entropies,
     _random_states,
 )
@@ -218,7 +221,7 @@ def run_fig_region(d: int = 2, theta: float | None = None, samples: int = 10_000
     if margins.min() < -1e-8:
         k = int(np.argmin(margins))
         raise NormConsistencyError(
-            f"sample {k} lies {-margins[k]:.3e} below the envelope at S={s_vals[k]!r}"
+            f"sample {k} lies {-margins[k]:.3e} below the envelope at S={float(s_vals[k])!r}"
         )
     mu_level = float(-base.log(c.max_entry))
 
@@ -271,19 +274,19 @@ def run_norm_profile(theta: float = math.pi / 6, grid: int = 200,
         excess = res.log_value - mub_line
         if excess < -1e-7:
             raise NormConsistencyError(
-                f"profile at mu={mu!r} is {-excess:.3e} below the constant-matrix line"
+                f"profile at mu={float(mu)!r} is {-excess:.3e} below the constant-matrix line"
             )
         if mu <= ms + 1e-12:
             max_equal_dev = max(max_equal_dev, abs(excess))
             if abs(excess) > 1e-7:
                 raise NormConsistencyError(
-                    f"profile at mu={mu!r} deviates {excess:.3e} inside the equality regime"
+                    f"profile at mu={float(mu)!r} deviates {excess:.3e} inside the equality regime"
                 )
         elif mu >= ms + 0.03:
             min_excess_beyond = min(min_excess_beyond, excess)
             if excess <= 1e-7:
                 raise NormConsistencyError(
-                    f"profile at mu={mu!r} shows no excess past the critical weight"
+                    f"profile at mu={float(mu)!r} shows no excess past the critical weight"
                 )
         rows.append((float(mu), float(res.log_value), float(mub_line), kmu_level))
     config = {
@@ -318,6 +321,53 @@ def run_compare_sweep(n_theta: int = 101, opts: SolverOptions | None = None,
     return Table(header, tuple(rows), config)
 
 
+def _workers(samples: int) -> int:
+    """Shares of a compare run: the CPUs this process may run on, at most ``samples``.
+
+    One where the platform cannot fork, and where this process runs other
+    threads: a forked child gets a copy of any lock they hold, never released.
+    """
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(cpus or 1, samples)
+
+
+def _compare_share(dims: tuple, samples: int, seed: int, opts: SolverOptions, base: LogBase,
+                   share: int, shares: int) -> tuple:
+    """``(wins, fallbacks, failure)`` of the draws j = share (mod shares) of every dimension.
+
+    Walks each ``default_rng([seed, d])`` stream in order and solves its
+    own draws in one ``bounds._compare_many`` pass; another share's draw
+    is skipped by drawing only its Ginibre matrix.  ``wins`` and
+    ``fallbacks`` map each d to its counts.  ``failure`` is None, or
+    ``(index, exception)`` for the first draw the pass fails on, where
+    draw j of the a-th dimension has index a * samples + j: the pass
+    stops there, and the exception is returned, not raised.
+    """
+    wins, fallbacks = dict.fromkeys(dims, 0), dict.fromkeys(dims, 0)
+
+    def draws():
+        for d in dims:
+            rng = np.random.default_rng([seed, d])
+            for j in range(samples):
+                if j % shares == share:
+                    yield d, from_unitary(haar_random_unitary(d, rng))
+                else:
+                    _ginibre(rng, d)
+
+    # The pass yields its rows, and raises, in draw order.
+    indices = (a * samples + j for a in range(len(dims)) for j in range(share, samples, shares))
+    try:
+        for (d, row), _ in zip(_compare_many(draws(), opts, base, on_violation="use_numeric"),
+                               indices):
+            wins[d] += int(row.ours_at_least)
+            fallbacks[d] += int(not row.conjecture_ok)
+    except Exception as exc:  # the caller raises the run's first failure
+        return wins, fallbacks, (next(indices), exc)
+    return wins, fallbacks, None
+
+
 def run_compare_random(dims=tuple(range(2, 13)), samples: int = 1000,
                        seed: int = 0, opts: SolverOptions | None = None,
                        base: LogBase = LogBase.TWO) -> Table:
@@ -328,13 +378,21 @@ def run_compare_random(dims=tuple(range(2, 13)), samples: int = 1000,
     the largest-overlap and second-overlap constants.  Rows also report
     how many evaluations fell back to the numeric norm because the
     conjectured closed form failed verification.  Each dimension draws
-    from its own ``default_rng([seed, d])``, and every dimension's matrices
-    are drawn lazily into one ``bounds._compare_many`` pass, each labelled
-    with its d.  The labelled draws ride through the pass's one read-ahead
-    window, proven d = 2 rows included, and its mu* problems share one
-    refilling ascent stack, so memory does not grow with ``samples`` for
-    any order of ``dims``; each row has the bits of
-    ``compare_state_independent`` on its own matrix.
+    from its own ``default_rng([seed, d])``.
+
+    The draws are dealt to K shares, K the number of CPUs in this
+    process's affinity mask, at most ``samples`` (one where the platform
+    cannot fork or this process runs other threads): share i takes the
+    samples j = i (mod K) of every dimension.  This process solves share
+    0 and K - 1 forked processes the rest; all are joined before the call
+    returns or raises, and with K = 1 no process is started.  Each share draws its matrices lazily
+    into one ``bounds._compare_many`` pass, each labelled with its d: they
+    ride through the pass's one read-ahead window, proven d = 2 rows
+    included, and its mu* problems share one refilling ascent stack, so a
+    process's memory does not grow with ``samples`` for any order of
+    ``dims``.  Each row has the bits of ``compare_state_independent`` on
+    its own matrix, so the table is the same for every K; a failure is
+    the one of the first draw that fails, as one process raises it.
 
     Raises:
         ValueError: for an empty ``dims``, a d that is not an integer or is
@@ -343,12 +401,24 @@ def run_compare_random(dims=tuple(range(2, 13)), samples: int = 1000,
     """
     dims, samples, seed = _check_dims(dims), _count(samples, "samples", 1), _as_int(seed, "seed")
     opts = opts or COMPARE_RANDOM_OPTS
-    best, fallbacks = dict.fromkeys(dims, 0), dict.fromkeys(dims, 0)
-    draws = ((d, from_unitary(haar_random_unitary(d, rng)))
-             for d in dims for rng in [np.random.default_rng([seed, d])] for _ in range(samples))
-    for d, row in _compare_many(draws, opts, base, on_violation="use_numeric"):
-        best[d] += int(row.ours_at_least)
-        fallbacks[d] += int(not row.conjecture_ok)
+    shares = _workers(samples)
+    if shares == 1:
+        found = [_compare_share(dims, samples, seed, opts, base, 0, 1)]
+    else:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # Leaving the block joins every child, after a failure too.
+        with ProcessPoolExecutor(shares - 1, mp_context=multiprocessing.get_context("fork")) as pool:
+            futures = [pool.submit(_compare_share, dims, samples, seed, opts, base, i, shares)
+                       for i in range(1, shares)]
+            found = [_compare_share(dims, samples, seed, opts, base, 0, shares)]
+            found += [f.result() for f in futures]
+    failures = [failure for _, _, failure in found if failure is not None]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    best = {d: sum(wins[d] for wins, _, _ in found) for d in dims}
+    fallbacks = {d: sum(fb[d] for _, fb, _ in found) for d in dims}
     pct = {d: 100.0 * best[d] / samples for d in dims}
     rows = [(d, samples, pct[d], fallbacks[d]) for d in dims]
     config = {

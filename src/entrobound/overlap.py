@@ -43,7 +43,7 @@ class OverlapMatrix:
         if not np.isfinite(m).all():
             raise InvalidStateError("overlap entries must be finite")
         if m.min() < -1e-12:
-            raise InvalidStateError(f"overlap entry {m.min()!r} below -1e-12")
+            raise InvalidStateError(f"overlap entry {float(m.min())!r} below -1e-12")
         self.matrix = np.clip(m, 0.0, None)
         self.matrix.setflags(write=False)
         self.source = source

@@ -110,7 +110,7 @@ def _check_states(m: np.ndarray) -> np.ndarray:
         if herm[first]:
             raise InvalidStateError("matrix is not Hermitian within 1e-12")
         if off[first]:
-            raise InvalidStateError(f"trace is {tr[first]!r}, not 1 within 1e-12")
+            raise InvalidStateError(f"trace is {float(tr[first])!r}, not 1 within 1e-12")
         raise InvalidStateError("matrix has an eigenvalue below -1e-10")
     return np.clip(w, 0.0, 1.0)
 
@@ -260,10 +260,12 @@ def partial_trace(rho: DensityMatrix, dims: tuple, keep: int) -> DensityMatrix:
         keep: 0 to keep the first factor, 1 the second.
 
     Raises:
-        ValueError: unless each of ``dims`` is an integer >= 1 and ``keep``
+        ValueError: unless ``dims`` holds two integers >= 1 and ``keep``
             is the integer 0 or 1.
         DimensionMismatchError: if d_a * d_b is not the dimension of ``rho``.
     """
+    if len(dims) != 2:
+        raise ValueError(f"dims must be a pair (d_a, d_b), got {dims}")
     da, db = (_count(n, "dims", 1) for n in dims)
     if da * db != rho.dim:
         raise DimensionMismatchError(f"dims {dims} incompatible with {rho.dim}")
@@ -287,11 +289,11 @@ def _check_distributions(p: np.ndarray) -> np.ndarray:
     """
     bad = p.min(axis=-1) < -_DIST_TOL
     if np.count_nonzero(bad):
-        raise InvalidDistributionError(f"negative entry {p[bad].min()!r} beyond tolerance")
+        raise InvalidDistributionError(f"negative entry {float(p[bad].min())!r} beyond tolerance")
     sums = p.sum(axis=-1)
     bad = np.abs(sums - 1.0) > 1e-10
     if np.count_nonzero(bad):
-        raise InvalidDistributionError(f"entries sum to {sums[bad].flat[0]!r}, not 1")
+        raise InvalidDistributionError(f"entries sum to {float(sums[bad].flat[0])!r}, not 1")
     return np.maximum(p, 0.0)
 
 
@@ -364,7 +366,7 @@ def _distributions(m: np.ndarray, projectors: np.ndarray) -> np.ndarray:
     p = np.einsum("...kij,...ji->...k", projectors, m).real
     bad = p.min(axis=-1) < -_EIG_TOL
     if np.count_nonzero(bad):
-        raise InvalidDistributionError(f"probability {p[bad].min()!r} below -1e-10")
+        raise InvalidDistributionError(f"probability {float(p[bad].min())!r} below -1e-10")
     return np.maximum(p, 0.0)  # the ufunc np.clip(p, 0.0, None) runs, without its overhead
 
 
@@ -401,11 +403,14 @@ def haar_random_unitary(d: int, seed) -> np.ndarray:
         seed: integer seed or a numpy Generator.
     """
     d = _count(d, "dimension", 1)
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    q, r = np.linalg.qr(g)
+    q, r = np.linalg.qr(_ginibre(np.random.default_rng(seed), d))
     phases = np.diag(r) / np.abs(np.diag(r))
     return q * phases
+
+
+def _ginibre(rng: np.random.Generator, d: int) -> np.ndarray:
+    """The d x d complex Ginibre matrix ``haar_random_unitary`` draws: all its use of ``rng``."""
+    return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
 
 
 def random_density_matrix(d: int, seed) -> DensityMatrix:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from entrobound import norms
+from entrobound import experiments, norms
 
 
 class Admissions(list):
@@ -26,6 +26,8 @@ def stacks(monkeypatch):
     """
     seen = Admissions()
     admit = norms._admit
+    # Forked shares of fig-compare --random admit in other processes, out of sight.
+    monkeypatch.setattr(experiments, "_workers", lambda samples: 1)
 
     def counting(st, batch, *args):
         st = admit(st, batch, *args)
@@ -52,6 +54,8 @@ def turns(monkeypatch):
     """
     seen = Turns()
     ascent = norms._stacked_ascent
+    # Forked shares of fig-compare --random take their turns in other processes, out of sight.
+    monkeypatch.setattr(experiments, "_workers", lambda samples: 1)
 
     def counting(feed, opts):
         seen.passes += 1

@@ -3,10 +3,12 @@
 import io
 import json
 import math
+import multiprocessing
 import os
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
@@ -20,10 +22,12 @@ from entrobound import (
     InvalidStateError,
     NormConsistencyError,
     OverlapMatrix,
+    SolverFailureError,
     SolverOptions,
     Table,
     WeightTriple,
     basis_measurement,
+    bounds,
     cli,
     compare_state_independent,
     config_hash,
@@ -560,7 +564,7 @@ def test_fig_region_refuses_a_sample_below_the_envelope(monkeypatch):
     with pytest.raises(NormConsistencyError) as excinfo:
         run_fig_region(**kwargs)
     assert str(excinfo.value) == (
-        f"sample {k} lies {10.0 - h:.3e} below the envelope at S={np.float64(s)!r}")
+        f"sample {k} lies {10.0 - h:.3e} below the envelope at S={s!r}")
 
 
 # mu = lambda profiles, in bits, that break each of the paper's three claims
@@ -583,7 +587,7 @@ def test_norm_profile_refuses_a_profile_that_breaks_a_claim(monkeypatch, case):
         (m, SimpleNamespace(log_value=profile(m))) for m, _ in pairs))
     with pytest.raises(NormConsistencyError) as excinfo:
         run_norm_profile(grid=len(_PROFILE_MU))
-    assert str(excinfo.value) == f"profile at mu={mu!r} {message}"
+    assert str(excinfo.value) == f"profile at mu={float(mu)!r} {message}"
 
 
 def test_norm_profile_engine():
@@ -781,6 +785,7 @@ def test_compare_random_counts_proven_rows_toward_the_window(monkeypatch):
     # whatever the number of samples.
     from entrobound import norms
 
+    monkeypatch.setattr(experiments, "_workers", lambda samples: 1)  # counts one process's draws
     monkeypatch.setattr(norms, "_WINDOW_PROBLEMS", 17)
     draws, answered, ahead = [0], [0], []
     draw, many = experiments.haar_random_unitary, experiments._compare_many
@@ -801,6 +806,107 @@ def test_compare_random_counts_proven_rows_toward_the_window(monkeypatch):
     assert draws[0] == answered[0] == 120
     assert max(ahead) <= norms._WINDOW_PROBLEMS
     assert rows == _compare_rows_per_sample((3, 2), 60, 3)
+
+
+def _deal(monkeypatch, k):
+    """Deal fig-compare --random draws to k shares, as on a box with k CPUs."""
+    monkeypatch.setattr(experiments, "_workers", lambda samples: min(k, samples))
+
+
+@pytest.mark.parametrize("samples", [2, 7])
+@pytest.mark.parametrize("dims", [(2, 3, 4, 8, 12), (3, 2)])
+def test_compare_random_is_the_same_in_any_number_of_shares(monkeypatch, dims, samples):
+    # Three shares of two samples are two; seven samples divide by neither two nor three.
+    _deal(monkeypatch, 1)
+    want = run_compare_random(dims=dims, samples=samples, seed=5)
+    for k in (2, 3):
+        _deal(monkeypatch, k)
+        got = run_compare_random(dims=dims, samples=samples, seed=5)
+        assert (got.rows, got.stats, got.config) == (want.rows, want.stats, want.config)
+        assert multiprocessing.active_children() == []
+
+
+def _fail_at(monkeypatch, dims, samples, seed, indices):
+    """Make the compare pass fail on the draws at ``indices`` (a * samples + j for d = dims[a]).
+
+    Each failure is a ``SolverFailureError`` that names its draw and
+    carries the bits of the draw's solved norm as its best value and point.
+    """
+    targets = {}
+    for index in indices:
+        a, j = divmod(index, samples)
+        rng = np.random.default_rng([seed, dims[a]])
+        for _ in range(j + 1):
+            u = haar_random_unitary(dims[a], rng)
+        targets[from_unitary(u).matrix.tobytes()] = index
+    check = bounds._agrees_with_closed_form
+
+    def failing(c, r, s, res, base):
+        index = targets.get(c.matrix.tobytes())
+        if index is not None:
+            raise SolverFailureError(f"draw {index} failed", best_value=res.value,
+                                     best_point=res.witness)
+        return check(c, r, s, res, base)
+
+    monkeypatch.setattr(bounds, "_agrees_with_closed_form", failing)
+
+
+def _raised_by_compare(**kwargs):
+    with pytest.raises(SolverFailureError) as excinfo:
+        run_compare_random(**kwargs)
+    exc = excinfo.value
+    return str(exc), exc.best_value, exc.best_point.tobytes()
+
+
+# Draws of dims (2, 3, 4, 8, 12) at 7 samples: index 7 + j is sample j at d = 3,
+# owned by share j % k.  The first failure is in share 0, 1 or 2 of two or three.
+# Of two shares, share 0 holds four of the seven samples of each d and
+# share 1 three, so an index taken as (rows the share has answered) * k + i
+# would put 22 (d = 8, j = 1) ahead of 20 (d = 4, j = 6).
+@pytest.mark.parametrize("indices", [(10,), (8, 15), (26, 12, 16), (29, 16), (34, 7), (22, 20)])
+def test_compare_random_raises_the_first_failure_in_any_number_of_shares(monkeypatch, indices):
+    kwargs = {"dims": (2, 3, 4, 8, 12), "samples": 7, "seed": 5}
+    _fail_at(monkeypatch, indices=indices, **kwargs)
+    _deal(monkeypatch, 1)
+    want = _raised_by_compare(**kwargs)
+    assert want[0] == f"draw {min(indices)} failed"
+    for k in (2, 3):
+        _deal(monkeypatch, k)
+        assert _raised_by_compare(**kwargs) == want
+        assert multiprocessing.active_children() == []
+
+
+def test_compare_random_cli_exits_two_on_a_failure_with_no_process_left(monkeypatch, capsys):
+    _fail_at(monkeypatch, (3, 2), 4, 0, [2, 1])
+    _deal(monkeypatch, 2)
+    assert cli.main(["fig-compare", "--random", "--dims", "3,2", "--samples", "4",
+                     "--seed", "0"]) == 2
+    assert capsys.readouterr().err == "entrobound: error: draw 1 failed\n"
+    assert multiprocessing.active_children() == []
+
+
+def test_compare_random_workers_are_the_cpus_it_may_run_on(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    monkeypatch.setattr(threading, "active_count", lambda: 1)
+    assert [experiments._workers(n) for n in (1, 2, 3, 1000)] == [1, 2, 3, 3]
+    # A forked child would get a copy of any lock another thread holds.
+    monkeypatch.setattr(threading, "active_count", lambda: 2)
+    assert experiments._workers(1000) == 1
+    monkeypatch.setattr(threading, "active_count", lambda: 1)
+    monkeypatch.delattr(os, "fork")
+    assert experiments._workers(1000) == 1
+
+
+def test_compare_random_on_one_cpu_builds_no_executor(monkeypatch):
+    import concurrent.futures
+
+    def refused(*args, **kwargs):
+        raise AssertionError("an executor was built")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refused)
+    assert run_compare_random(dims=(2, 3), samples=4, seed=1).rows == (
+        _compare_rows_per_sample((2, 3), 4, 1))
 
 
 def test_fuzz_lattice_pass_has_the_bytes_of_per_point_norms(monkeypatch):

@@ -87,7 +87,8 @@ def test_second_singular_value_known_matrix():
 
 
 def test_overlap_rejects_negative_entries():
-    with pytest.raises(ValueError):
+    # Under NumPy 2 the message said "np.float64(-0.1)".
+    with pytest.raises(InvalidStateError, match=r"^overlap entry -0\.1 below -1e-12$"):
         OverlapMatrix(np.array([[1.1, -0.1], [-0.1, 1.1]]))
 
 

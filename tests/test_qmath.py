@@ -57,9 +57,10 @@ def test_shannon_entropy_extremes():
 
 
 def test_shannon_entropy_rejects_bad_distributions():
-    with pytest.raises(InvalidDistributionError):
+    # Under NumPy 2 the messages said "np.float64(1.1)" and "np.float64(-0.2)".
+    with pytest.raises(InvalidDistributionError, match=r"^entries sum to 1\.1, not 1$"):
         shannon_entropy([0.5, 0.6])
-    with pytest.raises(InvalidDistributionError):
+    with pytest.raises(InvalidDistributionError, match=r"^negative entry -0\.2 beyond tolerance$"):
         shannon_entropy([1.2, -0.2])
     with pytest.raises(InvalidDistributionError, match=r"^expected a vector, got shape \(2, 2\)$"):
         shannon_entropy(np.eye(2) / 2)
@@ -166,7 +167,7 @@ def test_measurement_distribution_refuses_a_mismatch_and_a_negative_probability(
     meas = ProjectiveMeasurement(np.array([np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 1.0])]))
     with pytest.raises(InvalidDistributionError) as excinfo:
         measurement_distribution(rho, meas)
-    assert str(excinfo.value) == f"probability {np.float64(-1.8e-10)!r} below -1e-10"
+    assert str(excinfo.value) == "probability -1.8e-10 below -1e-10"
 
 
 def test_rotated_measurement_matches_hand_distribution():
@@ -221,6 +222,10 @@ def test_partial_trace_recovers_factors():
     assert np.allclose(partial_trace(joint, (2, 3), 1).matrix, rho_b.matrix, atol=1e-12)
     with pytest.raises(DimensionMismatchError, match=r"^dims \(3, 3\) incompatible with 6$"):
         partial_trace(joint, (3, 3), 0)
+    # Any other length raised the interpreter's unpacking error, which does not name dims.
+    for dims, shown in (((2, 3, 1), r"\(2, 3, 1\)"), ((6,), r"\(6,\)")):
+        with pytest.raises(ValueError, match=rf"^dims must be a pair \(d_a, d_b\), got {shown}$"):
+            partial_trace(joint, dims, 0)
 
 
 def test_partial_trace_refuses_a_keep_that_is_not_zero_or_one():
@@ -314,7 +319,7 @@ def test_state_stack_raises_like_density_matrix():
     shift = w[0] + 1e-6  # moves the smallest eigenvalue to -1e-6, keeping the trace
     negative = (v * (w + np.array([-shift, 0.0, shift]))) @ v.conj().T
     messages = ("matrix is not Hermitian within 1e-12",
-                f"trace is {np.trace(off_trace).real!r}, not 1 within 1e-12",
+                f"trace is {float(np.trace(off_trace).real)!r}, not 1 within 1e-12",
                 "matrix has an eigenvalue below -1e-10")
     for bad, message in zip((non_hermitian, off_trace, negative), messages):
         expected = _raised(DensityMatrix, bad)
