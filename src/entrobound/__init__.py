@@ -29,6 +29,12 @@ from .bounds import (
     qudit_eur_rhs,
     rpz2_rhs,
 )
+from .certify import (
+    conjecture_region_contains,
+    feasible_weight_grid,
+    hessian_spectrum_at_ones,
+    mu_star,
+)
 from .errors import (
     ConjectureViolationError,
     DegenerateCaseError,
@@ -58,10 +64,6 @@ from .norms import (
     NormResult,
     SolverOptions,
     WeightTriple,
-    conjecture_region_contains,
-    feasible_weight_grid,
-    hessian_spectrum_at_ones,
-    mu_star,
     norm,
     norm_closed_form,
     norm_identity,

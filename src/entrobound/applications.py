@@ -15,8 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import _DEFICIT_TOL, _check_entropies, _check_entropy_range
+from .certify import _check_sigma2
 from .errors import DegenerateCaseError
-from .norms import SolverOptions, WeightTriple, _check_sigma2, _norm_many, norm
+from .norms import SolverOptions, WeightTriple, _norm_many, norm
 from .overlap import OverlapMatrix, _as_overlap, _check_theta
 from .qmath import (
     DensityMatrix,

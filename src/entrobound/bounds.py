@@ -17,17 +17,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .certify import _check_sigma2, _equality_proven, mu_star
 from .errors import ConjectureViolationError
 from .norms import (
     NormMethod,
     SolverOptions,
     WeightTriple,
     _agrees_with_closed_form,
-    _check_sigma2,
-    _equality_proven,
     _norm_many,
     _numeric_many,
-    mu_star,
     norm,
     norm_mub,
 )
@@ -207,7 +205,7 @@ def _compare_setup(item, c) -> tuple:
     """One comparison input, checked, as a ``_numeric_many`` pair.
 
     The item is ``(item, c, sigma2, mu* weights)``; the problem is the norm
-    at mu*, or None where ``norms._equality_proven`` holds (every 2 x 2
+    at mu*, or None where ``certify._equality_proven`` holds (every 2 x 2
     doubly stochastic ``c``, by the d = 2 theorem): a theorem gives that
     norm, so no solver runs.
     """

@@ -310,7 +310,3 @@ def main(argv=None) -> int:
     except RuntimeError as exc:
         print(f"entrobound: error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

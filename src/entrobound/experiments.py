@@ -33,17 +33,14 @@ from .bounds import (
     default_envelope_grid,
     envelope_curve,
 )
+from .certify import _equality_proven, _in_region, _weight_lattice, mu_star
 from .errors import NormConsistencyError
 from .norms import (
     SolverOptions,
     WeightTriple,
-    _equality_proven,
     _exponents,
-    _in_region,
     _norm_many,
     _numeric_many,
-    _weight_lattice,
-    mu_star,
     norm,
     norm_mub,
 )
@@ -101,6 +98,7 @@ def config_hash(config: dict) -> str:
 
 
 def _fmt(v) -> str:
+    """The CSV text of one cell; ``write_table`` writes the same text column by column."""
     if isinstance(v, bool):
         return "1" if v else "0"
     if isinstance(v, (int, np.integer)):
@@ -115,13 +113,33 @@ def _flat17(a) -> str:
     return ";".join(format(float(x), ".17g") for x in np.asarray(a, dtype=float).ravel())
 
 
+def _column(cells: tuple):
+    """``_fmt`` of each cell of a column, as one ``map`` where all cells share one exact type.
+
+    ``"%.12g" % v`` is ``format(v, ".12g")`` for every float, signed zeros,
+    infinities, NaN and subnormals included.
+    """
+    kinds = set(map(type, cells))
+    if kinds == {float}:
+        return map("%.12g".__mod__, cells)
+    if kinds == {bool}:
+        return map(("0", "1").__getitem__, cells)
+    if kinds == {str}:
+        return cells
+    return map(_fmt, cells)
+
+
 def write_table(table: Table, stream) -> None:
-    """Write a table as CSV: provenance comment, header row, data rows."""
+    """Write a table as CSV: provenance comment, header row, data rows.
+
+    The rows are formatted a column at a time and written at once; each
+    cell has the text ``_fmt`` gives it.
+    """
     seed = table.config.get("seed", "-")
     stream.write(f"# entrobound {__version__} seed={seed} config={config_hash(table.config)}\n")
     stream.write(",".join(table.header) + "\n")
-    for row in table.rows:
-        stream.write(",".join(_fmt(v) for v in row) + "\n")
+    lines = map(",".join, zip(*map(_column, zip(*table.rows, strict=True))))
+    stream.write("".join(f"{line}\n" for line in lines))
 
 
 def _check_dims(dims) -> tuple:
@@ -184,9 +202,11 @@ def run_fig_region(d: int = 2, theta: float | None = None, samples: int = 10_000
     and ``shannon_entropy(measurement_distribution(...))``.
 
     Raises:
+        ValueError: for a ``d`` below 2, a negative ``seed``, or a ``d``,
+            ``seed``, ``samples`` or ``n_env`` that is not an integer.
         NormConsistencyError: if any sampled state lands below the envelope.
     """
-    d, seed = _as_int(d, "d"), _as_int(seed, "seed")
+    d, seed = _count(d, "d", 2), _count(seed, "seed", 0)
     samples, n_env = _count(samples, "samples", 1), _count(n_env, "n_env", 2)
     opts = opts or SolverOptions()
     x = basis_measurement(d)
@@ -397,9 +417,9 @@ def run_compare_random(dims=tuple(range(2, 13)), samples: int = 1000,
     Raises:
         ValueError: for an empty ``dims``, a d that is not an integer or is
             below 2, a repeated d, a ``samples`` or ``seed`` that is not an
-            integer, or no samples.
+            integer, no samples, or a negative seed.
     """
-    dims, samples, seed = _check_dims(dims), _count(samples, "samples", 1), _as_int(seed, "seed")
+    dims, samples, seed = _check_dims(dims), _count(samples, "samples", 1), _count(seed, "seed", 0)
     opts = opts or COMPARE_RANDOM_OPTS
     shares = _workers(samples)
     if shares == 1:
@@ -457,7 +477,7 @@ def _fuzz_lattice(d: int, samples: int, grid: int, rng, counts: dict):
     """(sample k, matrix, sigma2, weights) at each open census lattice point, drawn lazily in order.
 
     The points are those of ``feasible_weight_grid``, in its order.  A
-    point where ``norms._equality_proven`` holds has excess exactly 0, so
+    point where ``certify._equality_proven`` holds has excess exactly 0, so
     it is not yielded; ``counts["evals"]`` tallies every point and
     ``counts["proven"]`` those.  Each matrix's region and certificate
     masks are one NumPy pass with the float expressions of the per-point
@@ -494,7 +514,7 @@ def run_conjecture_fuzz(dims=(2, 3, 4), samples: int = 1000, grid: int = 11,
     proven at every d on the sub-region
     kappa^2 lambda mu < (1 - lambda)(1 - mu), kappa the Birkhoff
     contraction coefficient (``OverlapMatrix.birkhoff_contraction``), and
-    at mu + lambda <= 1 (s <= r); ``norms._equality_proven`` decides.
+    at mu + lambda <= 1 (s <= r); ``certify._equality_proven`` decides.
     Such a point has excess exactly 0: it is counted in ``evals`` but not
     solved.  At d = 2 kappa = sigma2, so no point is solved there.  Each
     dimension draws from its own ``default_rng([seed, d])``, lazily and in
@@ -519,10 +539,10 @@ def run_conjecture_fuzz(dims=(2, 3, 4), samples: int = 1000, grid: int = 11,
     Raises:
         ValueError: for an empty ``dims``, a d that is not an integer or is
             below 2, a repeated d, a ``samples``, ``grid`` or ``seed`` that
-            is not an integer, no samples, a grid below 2, or an
-            ``excess_tol`` that is not finite and >= 0.
+            is not an integer, no samples, a negative seed, a grid below 2,
+            or an ``excess_tol`` that is not finite and >= 0.
     """
-    dims, samples, seed = _check_dims(dims), _count(samples, "samples", 1), _as_int(seed, "seed")
+    dims, samples, seed = _check_dims(dims), _count(samples, "samples", 1), _count(seed, "seed", 0)
     if not (math.isfinite(excess_tol) and excess_tol >= 0.0):
         raise ValueError(f"excess_tol must be finite and >= 0, got {excess_tol}")
     opts = opts or FUZZ_OPTS

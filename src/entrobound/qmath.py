@@ -400,12 +400,19 @@ def haar_random_unitary(d: int, seed) -> np.ndarray:
 
     Args:
         d: dimension, an integer >= 1.
-        seed: integer seed or a numpy Generator.
+        seed: integer seed >= 0 or a numpy Generator.
     """
     d = _count(d, "dimension", 1)
-    q, r = np.linalg.qr(_ginibre(np.random.default_rng(seed), d))
+    q, r = np.linalg.qr(_ginibre(_generator(seed), d))
     phases = np.diag(r) / np.abs(np.diag(r))
     return q * phases
+
+
+def _generator(seed) -> np.random.Generator:
+    """``np.random.default_rng(seed)``; an integer seed is checked as the count ``seed`` >= 0."""
+    if isinstance(seed, (int, np.integer)):
+        seed = _count(seed, "seed", 0)
+    return np.random.default_rng(seed)
 
 
 def _ginibre(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -416,7 +423,7 @@ def _ginibre(rng: np.random.Generator, d: int) -> np.ndarray:
 def random_density_matrix(d: int, seed) -> DensityMatrix:
     """Hilbert-Schmidt distributed random state, G G^dag normalized."""
     d = _count(d, "dimension", 1)
-    return DensityMatrix(_random_states(np.random.default_rng(seed), 1, d)[0])
+    return DensityMatrix(_random_states(_generator(seed), 1, d)[0])
 
 
 def _random_states(rng: np.random.Generator, n: int, d: int) -> np.ndarray:

@@ -6,6 +6,7 @@ import math
 import multiprocessing
 import os
 import re
+import runpy
 import subprocess
 import sys
 import threading
@@ -28,6 +29,7 @@ from entrobound import (
     WeightTriple,
     basis_measurement,
     bounds,
+    certify,
     cli,
     compare_state_independent,
     config_hash,
@@ -118,6 +120,38 @@ def test_write_table_cell_formats():
     assert "seed=-" in buf.getvalue().splitlines()[0]
 
 
+def test_write_table_writes_the_bytes_of_the_per_cell_format():
+    columns = {
+        "float": [-0.0, math.inf, -math.inf, math.nan, 1e-300, 5e-324, 0.1, -2.5e17, 1 / 3],
+        "np_float64": [np.float64(x) for x in (-0.0, math.inf, math.nan, 1e-300, 0.1, 7.0,
+                                               1 / 3, -1.5, 2.0)],
+        "bool": [True, False] * 4 + [True],
+        "np_bool": [np.bool_(x) for x in [False, True] * 4 + [False]],
+        "int": [0, -1, 42, 10**20, 3, 4, 5, 6, 7],
+        "np_int64": [np.int64(x) for x in (0, -1, 42, 2**62, 3, 4, 5, 6, 7)],
+        "str": ["summary", "violation", "", "a;b", "x", "y", "z", "0.5", "-"],
+        "blank_or_float": ["", 0.25, "", math.nan, 1e-300, "", -0.0, "", 2.0],
+        "blank_or_int": ["", 3, "", np.int64(4), 5, "", 6, "", 7],
+        "float_and_np_float64": [0.5, np.float64(0.5), 1e-300, np.float64(-0.0), 2.0,
+                                 np.float64(math.inf), 3.0, 4.0, 5.0],
+        "bool_and_int": [True, 1, False, 0, np.bool_(True), 2, 3, 4, 5],
+    }
+    header = tuple(columns)
+    t = Table(header, tuple(zip(*columns.values())), {"seed": 3}, {})
+    buf = io.StringIO()
+    write_table(t, buf)
+    lines = buf.getvalue().splitlines(keepends=True)
+    per_cell = [",".join(experiments._fmt(v) for v in row) + "\n" for row in t.rows]
+    assert lines[1:] == [",".join(header) + "\n"] + per_cell
+    assert per_cell[0].split(",")[:3] == ["-0", "-0", "1"]
+
+    buf = io.StringIO()
+    write_table(Table(("x",), (), {}, {}), buf)
+    assert buf.getvalue().splitlines()[1:] == ["x"]
+    with pytest.raises(ValueError):
+        write_table(Table(("a", "b"), ((1.0, 2.0), (3.0,)), {}, {}), io.StringIO())
+
+
 # ---------------------------------------------------------------------------
 # norm subcommand JSON contract
 
@@ -198,7 +232,13 @@ def test_norm_nan_exponent_exits_one_naming_the_exponents(capsys, r, s):
 @pytest.mark.parametrize("d", ["0", "-1"])
 def test_fig_region_dimension_below_one_exits_one_naming_it(capsys, d):
     assert cli.main(["fig-region", f"--d={d}", "--samples", "3"]) == 1
-    assert f"entrobound: error: dimension must be >= 1, got {d}\n" == capsys.readouterr().err
+    assert f"entrobound: error: d must be >= 2, got {d}\n" == capsys.readouterr().err
+
+
+def test_fig_region_one_dimension_exits_one_naming_it(capsys):
+    # d = 1 wrote a figure of one-outcome measurements whose entropies all read -0.
+    assert cli.main(["fig-region", "--d", "1", "--samples", "3"]) == 1
+    assert capsys.readouterr().err == "entrobound: error: d must be >= 2, got 1\n"
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +251,18 @@ def test_python_dash_m_runs_the_cli():
                           env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "entrobound 0.1.0"
+
+
+def test_python_dash_m_writes_the_bytes_of_main(tmp_path, monkeypatch):
+    # In process, so the statements of __main__.py count as run.
+    via_main, via_m = tmp_path / "main.json", tmp_path / "m.json"
+    argv = ["norm", "--mub", "3", "--r", "1.5", "--s", "3", "--out"]
+    assert cli.main([*argv, str(via_main)]) == 0
+    monkeypatch.setattr(sys, "argv", ["entrobound", *argv, str(via_m)])
+    with pytest.raises(SystemExit) as excinfo:
+        runpy.run_module("entrobound", run_name="__main__")
+    assert excinfo.value.code == 0
+    assert via_m.read_bytes() == via_main.read_bytes()
 
 
 def _top_level_imports(statement: str) -> set:
@@ -379,7 +431,7 @@ def _census_lattice(d, samples, seed, grid=11):
     rng = np.random.default_rng([seed, d])
     for _ in range(samples):
         c = from_unitary(haar_random_unitary(d, rng))
-        for mu, lam in norms.feasible_weight_grid(min(c.sigma2, 1.0), grid):
+        for mu, lam in certify.feasible_weight_grid(min(c.sigma2, 1.0), grid):
             yield c, WeightTriple(1.0, lam, mu)
 
 
@@ -390,8 +442,8 @@ def test_fuzz_solves_a_dimension_in_one_stack(stacks):
     # stacks per matrix or per fast-path power.
     run_conjecture_fuzz(dims=(3,), samples=16, seed=1)
     open_points = [(c, w) for c, w in _census_lattice(3, 16, seed=1)
-                   if not norms._equality_proven(c, w.r, w.s)]
-    assert all(norms._stackable(w.r, w.s) for _, w in open_points)
+                   if not certify._equality_proven(c, w.r, w.s)]
+    assert all(certify._stackable(w.r, w.s) for _, w in open_points)
     assert {0.5} <= {w.mu for _, w in open_points} & {w.lam for _, w in open_points}
     ((m, exps),) = stacks
     assert stacks.peak == len(exps) == len(open_points)
@@ -403,7 +455,7 @@ def test_certified_census_points_have_no_excess_over_the_closed_form():
     # Every certified point with s > r, solved by the 64-restart ascent as
     # norm_numeric solves it (d = 2 included, where the census solves nothing).
     certified = [(c, w.r, w.s) for d in (2, 3, 4) for c, w in _census_lattice(d, 4, seed=0)
-                 if w.s > w.r and norms._equality_proven(c, w.r, w.s)]
+                 if w.s > w.r and certify._equality_proven(c, w.r, w.s)]
     assert {c.dim for c, _, _ in certified} == {2, 3, 4}
     solved = norms._numeric_many([(None, p) for p in certified], SolverOptions())
     for (c, r, s), (_, res) in zip(certified, solved):
@@ -430,7 +482,7 @@ def _per_point_lattice(d, samples, grid, seed):
                     continue
                 w = WeightTriple(1.0, lam, mu)
                 counts["evals"] += 1
-                if norms._equality_proven(c, w.r, w.s):
+                if certify._equality_proven(c, w.r, w.s):
                     counts["proven"] += 1
                 else:
                     points.append((k, c.matrix.tobytes(), sigma2, w))
@@ -666,7 +718,7 @@ _COUNTS = {
     "fuzz-samples": (run_conjecture_fuzz, {"dims": (2,), "grid": 3}, "samples", 1),
     "fuzz-grid": (run_conjecture_fuzz, {"dims": (2,), "samples": 1}, "grid", 2),
     "fuzz-seed": (run_conjecture_fuzz, {"dims": (2,), "samples": 1, "grid": 3}, "seed", 0),
-    "region-d": (run_fig_region, {"samples": 1, "n_env": 2, "opts": FAST}, "d", 1),
+    "region-d": (run_fig_region, {"samples": 1, "n_env": 2, "opts": FAST}, "d", 2),
     "region-samples": (run_fig_region, {"n_env": 2, "opts": FAST}, "samples", 1),
     "region-n_env": (run_fig_region, {"samples": 1, "opts": FAST}, "n_env", 2),
     "region-seed": (run_fig_region, {"samples": 1, "n_env": 2, "opts": FAST}, "seed", 0),
@@ -706,11 +758,24 @@ def test_engines_hash_numpy_integer_arguments_as_plain_ints(case):
 
 @pytest.mark.parametrize("case", ["compare-samples", "fuzz-samples", "region-samples",
                                   "region-n_env", "profile-grid", "sweep-n_theta", "werner-grid",
-                                  "randomness-points", "randomness-weights"])
+                                  "randomness-points", "randomness-weights", "compare-seed",
+                                  "fuzz-seed", "region-seed", "region-d"])
 def test_engines_name_a_count_below_its_least_value(case):
     engine, kwargs, name, least = _COUNTS[case]
     with pytest.raises(ValueError, match=rf"^{name} must be >= {least}, got {least - 1}$"):
         engine(**kwargs, **{name: least - 1})
+
+
+@pytest.mark.parametrize("command", [
+    ["fig-region", "--samples", "3"],
+    ["fig-compare", "--random", "--dims", "2", "--samples", "1"],
+    ["conjecture-fuzz", "--dims", "2", "--samples", "1", "--grid", "3"],
+    ["randomness", "--haar", "3", "--points", "2", "--weight-grid", "2"],
+    ["norm", "--haar", "3", "--r", "2", "--s", "3"],
+])
+def test_a_negative_seed_exits_one_naming_it(capsys, command):
+    assert cli.main([*command, "--seed", "-1"]) == 1
+    assert capsys.readouterr().err == "entrobound: error: seed must be >= 0, got -1\n"
 
 
 @pytest.mark.parametrize("command", [["conjecture-fuzz"], ["fig-compare", "--random"]])

@@ -1,6 +1,8 @@
 """Tests for weighted r -> s operator norms of overlap matrices."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from entrobound import (
     SolverOptions,
     WeightTriple,
     bccrr_rhs,
+    certify,
     compare_state_independent,
     conjecture_region_contains,
     default_envelope_grid,
@@ -455,7 +458,7 @@ def test_stacked_weight_lattices_match_norm_bit_for_bit(stacks, engine):
     stacks.clear()
     got = [res for _, res in norms._norm_many([(None, (c, w.r, w.s)) for w in triples])]
     assert len(got) == len(want) and all(_same_bits(a, b) for a, b in zip(got, want))
-    assert [p for _, exps in stacks for p in exps] == [p for p in misses if norms._stackable(*p)]
+    assert [p for _, exps in stacks for p in exps] == [p for p in misses if certify._stackable(*p)]
     assert [len(exps) for _, exps in stacks] == {
         "randomness": [122, 2, 3, 4, 3, 1, 3, 13, 3, 14, 4, 10], "envelope": [40]}[engine]
     assert stacks.peak == {"randomness": 122, "envelope": 40}[engine]
@@ -643,7 +646,7 @@ def test_per_problem_failure_is_the_first_in_input_order():
     rank1 = [np.outer(rng.uniform(0.1, 1.0, 4), rng.uniform(0.1, 1.0, 4)) for _ in range(2)]
     cs = [rank1[0], full[0], rank1[1], full[1], full[0]]
     points = [(6.0, 7.0), (1.3, 1.7), (1.3, 1.7), (6.0, 7.0), (1.1, 1.1)]
-    assert all(norms._stackable(r, s) for r, s in points)
+    assert all(certify._stackable(r, s) for r, s in points)
     opts = SolverOptions(restarts=2, max_iterations=3)
     outcomes = []
     for c, (r, s) in zip(cs, points):
@@ -720,7 +723,7 @@ def test_one_stack_mixes_matrix_shapes_bit_for_bit(stacks):
     for res, (c, _, _) in zip(got, problems):
         assert res.witness.shape == (norms._as_overlap(c).matrix.shape[1],)
         assert res.witness.base is None and res.witness.flags.owndata
-    stacked = [(r, s) for _, r, s in problems if norms._stackable(r, s)]
+    stacked = [(r, s) for _, r, s in problems if certify._stackable(r, s)]
     assert [exps for _, exps in stacks] == [stacked[:4], stacked[4:7], stacked[7:9], stacked[9:]]
     assert [m.shape[1:] for m, _ in stacks] == [(3, 3), (4, 4), (8, 8), (12, 12)]
     assert stacks.peak == 12
@@ -992,11 +995,11 @@ def test_mu_star_values():
 
 
 def test_sigma2_check_names_the_first_entry_outside_the_unit_interval():
-    norms._check_sigma2(np.array([[0.0, 0.5], [1.0, 0.25]]))
+    certify._check_sigma2(np.array([[0.0, 0.5], [1.0, 0.25]]))
     for bad, first in [(np.array([0.5, 1.5, -1.0]), "1.5"), (np.array([[0.2], [np.nan]]), "nan"),
                        (np.array(-0.25), "-0.25"), (-0.5, "-0.5"), (math.nan, "nan")]:
         with pytest.raises(ValueError, match=f"sigma2 must lie in \\[0, 1\\], got {first}$"):
-            norms._check_sigma2(bad)
+            certify._check_sigma2(bad)
 
 
 def test_conjecture_region_examples():
@@ -1048,7 +1051,7 @@ def test_birkhoff_contraction_bounds_sigma2_and_certifies_no_mu_star():
                 OverlapMatrix(c.matrix.T).birkhoff_contraction, abs=1e-12)
             ms = mu_star(min(c.sigma2, 1.0))
             w = WeightTriple(1.0, ms, ms)
-            assert not norms._equality_proven(c, w.r, w.s)
+            assert not certify._equality_proven(c, w.r, w.s)
 
 
 def test_the_qubit_theorem_proves_mu_star_at_every_angle():
@@ -1059,7 +1062,7 @@ def test_the_qubit_theorem_proves_mu_star_at_every_angle():
         c = rotation_overlap_2d(theta)
         ms = mu_star(min(c.sigma2, 1.0))
         w = WeightTriple(1.0, ms, ms)
-        assert norms._equality_proven(c, w.r, w.s)
+        assert certify._equality_proven(c, w.r, w.s)
 
 
 def test_certificate_needs_every_entry_positive():
@@ -1070,14 +1073,28 @@ def test_certificate_needs_every_entry_positive():
         for mu in np.linspace(0.05, 0.95, 19):
             for lam in np.linspace(0.05, 0.95, 19):
                 w = WeightTriple(1.0, float(lam), float(mu))
-                assert norms._equality_proven(c, w.r, w.s) == (w.s <= w.r)
+                assert certify._equality_proven(c, w.r, w.s) == (w.s <= w.r)
 
 
 def test_certificate_needs_a_doubly_stochastic_matrix():
     c = OverlapMatrix([[0.6, 0.3], [0.3, 0.6]])
     assert c.birkhoff_contraction < 1.0
-    assert not norms._equality_proven(c, 2.0, 1.5)
-    assert not norms._equality_proven(c, 1.5, 1.6)
+    assert not certify._equality_proven(c, 2.0, 1.5)
+    assert not certify._equality_proven(c, 1.5, 1.6)
+
+
+def test_certify_imports_no_solver_engine_or_front_end():
+    # norms imports certify, so certify may build only on overlap and qmath.
+    tree = ast.parse(Path(certify.__file__).read_text(encoding="utf-8"))
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(part for alias in node.names for part in alias.name.split("."))
+        elif isinstance(node, ast.ImportFrom):
+            modules.update((node.module or "").split("."))
+            modules.update(alias.name for alias in node.names)
+    assert not modules & {"norms", "bounds", "experiments", "applications", "cli"}
+    assert {"overlap", "qmath"} <= modules
 
 
 def test_scan_2d_objective_profile():

@@ -200,6 +200,16 @@ def test_random_density_matrix_is_valid_state():
         assert rho.eigenvalues().min() > -1e-12
 
 
+@pytest.mark.parametrize("draw", [haar_random_unitary, random_density_matrix])
+@pytest.mark.parametrize("seed, message", [(-1, "must be >= 0, got -1"),
+                                           (np.int64(-7), "must be >= 0, got -7"),
+                                           (True, "must be an integer, got True")])
+def test_random_draws_refuse_a_negative_seed_by_name(draw, seed, message):
+    # NumPy's own refusal read "expected non-negative integer", and True drew as seed 1.
+    with pytest.raises(ValueError, match=rf"^seed {message}$"):
+        draw(3, seed)
+
+
 def test_tensor_measurement_product_distribution():
     x = rotated_measurement_2d(0.4)
     y = basis_measurement(2)

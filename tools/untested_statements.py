@@ -6,9 +6,9 @@ of the main thread whose code lives in ``src/entrobound``, then prints
 every statement none of whose lines ran, as ``file:line function:
 source``.  Docstrings are not statements here, and neither is ``from
 __future__ import ...``, which compiles to no code.  Statements that only
-run in a subprocess (the CLI's ``python -m entrobound`` entry) show up too,
-since the trace sees this process only.  The standard library is all it
-needs.
+run in a subprocess would show up too, since the trace sees this process
+only; the suite runs ``python -m entrobound`` in process as well.  The
+standard library is all it needs.
 
 Usage, from anywhere::
 
