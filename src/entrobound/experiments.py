@@ -98,7 +98,6 @@ def config_hash(config: dict) -> str:
 
 
 def _fmt(v) -> str:
-    """The CSV text of one cell; ``write_table`` writes the same text column by column."""
     if isinstance(v, bool):
         return "1" if v else "0"
     if isinstance(v, (int, np.integer)):
@@ -113,33 +112,13 @@ def _flat17(a) -> str:
     return ";".join(format(float(x), ".17g") for x in np.asarray(a, dtype=float).ravel())
 
 
-def _column(cells: tuple):
-    """``_fmt`` of each cell of a column, as one ``map`` where all cells share one exact type.
-
-    ``"%.12g" % v`` is ``format(v, ".12g")`` for every float, signed zeros,
-    infinities, NaN and subnormals included.
-    """
-    kinds = set(map(type, cells))
-    if kinds == {float}:
-        return map("%.12g".__mod__, cells)
-    if kinds == {bool}:
-        return map(("0", "1").__getitem__, cells)
-    if kinds == {str}:
-        return cells
-    return map(_fmt, cells)
-
-
 def write_table(table: Table, stream) -> None:
-    """Write a table as CSV: provenance comment, header row, data rows.
-
-    The rows are formatted a column at a time and written at once; each
-    cell has the text ``_fmt`` gives it.
-    """
+    """Write a table as CSV: provenance comment, header row, data rows."""
     seed = table.config.get("seed", "-")
     stream.write(f"# entrobound {__version__} seed={seed} config={config_hash(table.config)}\n")
     stream.write(",".join(table.header) + "\n")
-    lines = map(",".join, zip(*map(_column, zip(*table.rows, strict=True))))
-    stream.write("".join(f"{line}\n" for line in lines))
+    for row in table.rows:
+        stream.write(",".join(_fmt(v) for v in row) + "\n")
 
 
 def _check_dims(dims) -> tuple:

@@ -409,8 +409,8 @@ def haar_random_unitary(d: int, seed) -> np.ndarray:
 
 
 def _generator(seed) -> np.random.Generator:
-    """``np.random.default_rng(seed)``; an integer seed is checked as the count ``seed`` >= 0."""
-    if isinstance(seed, (int, np.integer)):
+    """``np.random.default_rng(seed)``; a seed that is not a Generator must be a count >= 0."""
+    if not isinstance(seed, np.random.Generator):
         seed = _count(seed, "seed", 0)
     return np.random.default_rng(seed)
 

@@ -120,38 +120,6 @@ def test_write_table_cell_formats():
     assert "seed=-" in buf.getvalue().splitlines()[0]
 
 
-def test_write_table_writes_the_bytes_of_the_per_cell_format():
-    columns = {
-        "float": [-0.0, math.inf, -math.inf, math.nan, 1e-300, 5e-324, 0.1, -2.5e17, 1 / 3],
-        "np_float64": [np.float64(x) for x in (-0.0, math.inf, math.nan, 1e-300, 0.1, 7.0,
-                                               1 / 3, -1.5, 2.0)],
-        "bool": [True, False] * 4 + [True],
-        "np_bool": [np.bool_(x) for x in [False, True] * 4 + [False]],
-        "int": [0, -1, 42, 10**20, 3, 4, 5, 6, 7],
-        "np_int64": [np.int64(x) for x in (0, -1, 42, 2**62, 3, 4, 5, 6, 7)],
-        "str": ["summary", "violation", "", "a;b", "x", "y", "z", "0.5", "-"],
-        "blank_or_float": ["", 0.25, "", math.nan, 1e-300, "", -0.0, "", 2.0],
-        "blank_or_int": ["", 3, "", np.int64(4), 5, "", 6, "", 7],
-        "float_and_np_float64": [0.5, np.float64(0.5), 1e-300, np.float64(-0.0), 2.0,
-                                 np.float64(math.inf), 3.0, 4.0, 5.0],
-        "bool_and_int": [True, 1, False, 0, np.bool_(True), 2, 3, 4, 5],
-    }
-    header = tuple(columns)
-    t = Table(header, tuple(zip(*columns.values())), {"seed": 3}, {})
-    buf = io.StringIO()
-    write_table(t, buf)
-    lines = buf.getvalue().splitlines(keepends=True)
-    per_cell = [",".join(experiments._fmt(v) for v in row) + "\n" for row in t.rows]
-    assert lines[1:] == [",".join(header) + "\n"] + per_cell
-    assert per_cell[0].split(",")[:3] == ["-0", "-0", "1"]
-
-    buf = io.StringIO()
-    write_table(Table(("x",), (), {}, {}), buf)
-    assert buf.getvalue().splitlines()[1:] == ["x"]
-    with pytest.raises(ValueError):
-        write_table(Table(("a", "b"), ((1.0, 2.0), (3.0,)), {}, {}), io.StringIO())
-
-
 # ---------------------------------------------------------------------------
 # norm subcommand JSON contract
 
@@ -229,16 +197,11 @@ def test_norm_nan_exponent_exits_one_naming_the_exponents(capsys, r, s):
     assert "exponents must be >= 1" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("d", ["0", "-1"])
-def test_fig_region_dimension_below_one_exits_one_naming_it(capsys, d):
+@pytest.mark.parametrize("d", ["1", "0", "-1"])
+def test_fig_region_dimension_below_two_exits_one_naming_it(capsys, d):
+    # d = 1 wrote a figure of one-outcome measurements whose entropies all read -0.
     assert cli.main(["fig-region", f"--d={d}", "--samples", "3"]) == 1
     assert f"entrobound: error: d must be >= 2, got {d}\n" == capsys.readouterr().err
-
-
-def test_fig_region_one_dimension_exits_one_naming_it(capsys):
-    # d = 1 wrote a figure of one-outcome measurements whose entropies all read -0.
-    assert cli.main(["fig-region", "--d", "1", "--samples", "3"]) == 1
-    assert capsys.readouterr().err == "entrobound: error: d must be >= 2, got 1\n"
 
 
 # ---------------------------------------------------------------------------

@@ -203,9 +203,11 @@ def test_random_density_matrix_is_valid_state():
 @pytest.mark.parametrize("draw", [haar_random_unitary, random_density_matrix])
 @pytest.mark.parametrize("seed, message", [(-1, "must be >= 0, got -1"),
                                            (np.int64(-7), "must be >= 0, got -7"),
-                                           (True, "must be an integer, got True")])
+                                           (True, "must be an integer, got True"),
+                                           (1.5, "must be an integer, got 1.5")])
 def test_random_draws_refuse_a_negative_seed_by_name(draw, seed, message):
-    # NumPy's own refusal read "expected non-negative integer", and True drew as seed 1.
+    # NumPy's own refusals read "expected non-negative integer" and, for 1.5, a TypeError;
+    # True drew as seed 1.
     with pytest.raises(ValueError, match=rf"^seed {message}$"):
         draw(3, seed)
 
