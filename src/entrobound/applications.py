@@ -14,11 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import _DEFICIT_TOL, _check_entropies, _check_entropy_range
+from .bounds import _DEFICIT_TOL, _check_entropies, _check_entropy_range, _solve_weights
 from .certify import _check_sigma2
 from .errors import DegenerateCaseError
-from .norms import SolverOptions, WeightTriple, _norm_many, norm
-from .overlap import OverlapMatrix, _as_overlap, _check_theta
+from .norms import SolverOptions, WeightTriple, norm
+from .overlap import OverlapMatrix, _check_theta
 from .qmath import (
     DensityMatrix,
     LogBase,
@@ -128,9 +128,7 @@ def randomness_bound_numeric(h_x, h_y, c, grid,
     triples = [WeightTriple(1.0, float(l), float(m)) for m, l in grid]
     if not triples:
         raise ValueError("weight grid is empty")
-    c = _as_overlap(c)
-    lam, mu, log_norms = np.array([(w.lam, w.mu, res.log_value) for w, res in
-                                   _norm_many([(w, (c, w.r, w.s)) for w in triples], opts, base)]).T
+    lam, mu, log_norms = _solve_weights(c, triples, opts, base)
     h_x, h_y = np.broadcast_arrays(np.asarray(h_x, dtype=float), np.asarray(h_y, dtype=float))
     best = np.empty(h_x.shape)
     for i in np.ndindex(h_x.shape[:-1]):  # a table per row of entropies bounds peak memory

@@ -278,11 +278,16 @@ def entropy_upper_bound(h_x: float, h_y: float, c, grid=None,
     _check_entropies(h_x=h_x, h_y=h_y)
     pairs = [(1.0, 1.0)] + ([] if grid is None else list(grid))
     triples = [WeightTriple(1.0, float(l), float(m)) for l, m in pairs]
-    c = _as_overlap(c)
-    lam, mu, log_norms = np.array([(w.lam, w.mu, res.log_value) for w, res in
-                                   _norm_many([(w, (c, w.r, w.s)) for w in triples], opts, base)]).T
+    lam, mu, log_norms = _solve_weights(c, triples, opts, base)
     # - c_lower_bound = -(-alpha * log_norm) = log_norm exactly, at alpha = 1.
     return float(np.min(lam * h_x + mu * h_y + log_norms))
+
+
+def _solve_weights(c, triples: list, opts: SolverOptions | None, base: LogBase) -> np.ndarray:
+    """Rows lambda, mu and log-norm over ``triples``, in order, from one ``_norm_many`` pass."""
+    c = _as_overlap(c)
+    return np.array([(w.lam, w.mu, res.log_value) for w, res in
+                     _norm_many([(w, (c, w.r, w.s)) for w in triples], opts, base)]).T
 
 
 def _check_entropies(**entropies) -> None:
@@ -337,7 +342,6 @@ def envelope_curve(c, s_grid, weight_grid=None,
         if w.lam != w.mu or w.lam == 0.0:
             raise ValueError(f"envelope grid needs lambda = mu > 0, got {w}")
     env = np.full(s_vals.shape, -np.inf)
-    c = _as_overlap(c)
-    for w, res in _norm_many([(w, (c, w.r, w.s)) for w in triples], opts, base):
-        env = np.maximum(env, (w.alpha * s_vals + _constant(w, res.log_value)) / w.lam)
+    for w, log_norm in zip(triples, _solve_weights(c, triples, opts, base)[2]):
+        env = np.maximum(env, (w.alpha * s_vals + _constant(w, log_norm)) / w.lam)
     return s_vals, env

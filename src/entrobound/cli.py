@@ -1,5 +1,10 @@
 """Command-line interface exposing norms and seeded experiment sweeps.
 
+Each subcommand is declared once, in ``_COMMANDS``, and fronts one
+``experiments`` function, its engine.  An engine option's destination is
+the engine's parameter name and its default is read from the engine's
+signature, so ``--help`` shows the default the engine runs with.
+
 Exit codes: 0 on success, 1 on bad input, 2 on solver failures,
 consistency violations, or discovered conjecture counterexamples.
 """
@@ -8,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import json
 import math
 import os
@@ -25,6 +31,10 @@ from .overlap import (
 from .qmath import LogBase, haar_random_unitary
 
 _BASES = {"2": LogBase.TWO, "e": LogBase.NATURAL}
+# The solver options that --restarts, --max-iterations and --tolerance
+# override, for engines whose default is not SolverOptions().
+_PRESETS = {"run_compare_random": experiments.COMPARE_RANDOM_OPTS,
+            "run_conjecture_fuzz": experiments.FUZZ_OPTS}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -60,22 +70,25 @@ def _solver_opts(args, default: SolverOptions | None = None) -> SolverOptions | 
     return dataclasses.replace(default or SolverOptions(), **overrides) if overrides else default
 
 
-def _add_common(p) -> None:
-    p.add_argument("--out", metavar="PATH",
-                   help="write output to PATH instead of stdout")
-    p.add_argument("--base", choices=sorted(_BASES), default="2",
-                   help="logarithm base for entropies and log-norms (default 2)")
+def _typed(value) -> str:
+    """``value`` as it is typed on the command line."""
+    if isinstance(value, LogBase):
+        return next(name for name, base in _BASES.items() if base is value)
+    return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
 
 
-def _add_solver(p, seeded: bool = False) -> None:
-    _add_common(p)
-    p.add_argument("--restarts", type=int, help="multistart restarts override")
-    p.add_argument("--max-iterations", type=int, dest="max_iterations",
-                   help="power-iteration cap override")
-    p.add_argument("--tolerance", type=float, help="solver tolerance override")
-    if seeded:
-        p.add_argument("--seed", type=int, default=None,
-                       help="RNG seed (default: $ENTROBOUND_SEED, else 0)")
+def _option(p, engine: str, flag: str, name: str, type, help: str, **kw) -> None:
+    """Add ``flag`` for parameter ``name`` of ``experiments.<engine>``, with the engine's default.
+
+    The default is given as it is typed, so the option's type parses it
+    and ``--help`` shows the text the engine's value is parsed from.
+    """
+    default = inspect.signature(getattr(experiments, engine)).parameters[name].default
+    if default is not None:
+        default = _typed(default)
+        help = f"{help} (default {default})"
+    kw.setdefault("metavar", flag[2:].upper().replace("-", "_"))
+    p.add_argument(flag, dest=name, type=type, default=default, help=help, **kw)
 
 
 def _add_matrix_args(p) -> None:
@@ -113,9 +126,31 @@ def _write_output(args, render) -> None:
         render(sys.stdout)
 
 
-def _write_table(args, table) -> int:
-    """Write an engine's table as CSV to ``--out`` or stdout; the command's exit status, 0."""
+def _run(args, engine: str):
+    """Run ``experiments.<engine>`` on the parsed arguments its signature names; write its table.
+
+    The engine also gets ``base`` from ``--base`` and, where its signature
+    has them, ``c`` from the matrix options, ``seed`` from ``_seed`` and
+    ``opts`` from the solver options over its preset, evaluated in that
+    order.  The table goes as CSV to ``--out`` or stdout and is returned.
+    """
+    fn = getattr(experiments, engine)  # per call, so bench/tracer.py's rebinding is seen
+    params = inspect.signature(fn).parameters
+    kw = {name: value for name, value in vars(args).items() if name in params}
+    kw["base"] = _BASES[args.base]
+    if "c" in params:
+        kw["c"] = _matrix(args)
+    if "seed" in params:
+        kw["seed"] = _seed(args)
+    if "opts" in params:
+        kw["opts"] = _solver_opts(args, _PRESETS.get(engine))
+    table = fn(**kw)
     _write_output(args, lambda f: experiments.write_table(table, f))
+    return table
+
+
+def _cmd_table(args) -> int:
+    _run(args, args.engine)
     return 0
 
 
@@ -143,38 +178,8 @@ def _cmd_norm(args) -> int:
     return 0
 
 
-def _cmd_fig_region(args) -> int:
-    return _write_table(args, experiments.run_fig_region(
-        d=args.d, theta=args.theta, samples=args.samples, seed=_seed(args),
-        n_env=args.envelope_points, opts=_solver_opts(args), base=_BASES[args.base]))
-
-
-def _cmd_fig_norm_profile(args) -> int:
-    return _write_table(args, experiments.run_norm_profile(
-        theta=args.theta, grid=args.grid, opts=_solver_opts(args), base=_BASES[args.base]))
-
-
-def _cmd_fig_compare(args) -> int:
-    base = _BASES[args.base]
-    if args.random:
-        return _write_table(args, experiments.run_compare_random(
-            dims=args.dims, samples=args.samples, seed=_seed(args),
-            opts=_solver_opts(args, experiments.COMPARE_RANDOM_OPTS), base=base))
-    return _write_table(args, experiments.run_compare_sweep(
-        n_theta=args.sweep, opts=_solver_opts(args), base=base))
-
-
-def _cmd_werner(args) -> int:
-    return _write_table(args, experiments.run_werner_masks(
-        phis=args.phi, grid=args.grid, base=_BASES[args.base]))
-
-
 def _cmd_conjecture_fuzz(args) -> int:
-    table = experiments.run_conjecture_fuzz(
-        dims=args.dims, samples=args.samples, grid=args.grid, seed=_seed(args),
-        opts=_solver_opts(args, experiments.FUZZ_OPTS), base=_BASES[args.base])
-    _write_table(args, table)
-    stats = table.stats
+    stats = _run(args, args.engine).stats
     points = "; ".join(f"d={d}: {n} proven, {stats['solved'][d]} solved"
                        for d, n in stats["proven"].items())
     if stats["violations"]:
@@ -190,10 +195,72 @@ def _cmd_conjecture_fuzz(args) -> int:
     return 0
 
 
-def _cmd_randomness(args) -> int:
-    return _write_table(args, experiments.run_randomness_sweep(
-        _matrix(args), points=args.points, weight_grid_n=args.weight_grid,
-        opts=_solver_opts(args), base=_BASES[args.base]))
+def _norm_options(p, engine: str) -> None:
+    _add_matrix_args(p)
+    p.add_argument("--r", type=float, help="input exponent (accepts inf)")
+    p.add_argument("--s", type=float, help="output exponent (accepts inf)")
+    p.add_argument("--mu", type=float, help="weight mu (with --lambda)")
+    p.add_argument("--lambda", type=float, dest="lam", help="weight lambda (with --mu)")
+    p.add_argument("--alpha", type=float, help="entropy weight alpha (default 1)")
+
+
+def _fig_region_options(p, engine: str) -> None:
+    _option(p, engine, "--d", "d", int, "dimension")
+    _option(p, engine, "--theta", "theta", float, "rotation angle in radians for d=2 (default "
+            f"{math.degrees(experiments._REGION_THETA_DEFAULT):g} degrees; omit for d>2)")
+    _option(p, engine, "--samples", "samples", int, "number of random states")
+    _option(p, engine, "--envelope-points", "n_env", int, "entropy grid points for the bound lines")
+
+
+def _fig_norm_profile_options(p, engine: str) -> None:
+    _option(p, engine, "--theta", "theta", float, "rotation angle in radians")
+    _option(p, engine, "--grid", "grid", int, "number of weights in [1/2, 1]")
+
+
+def _fig_compare_options(p, engine: str) -> None:
+    _option(p, engine, "--sweep", "n_theta", int,
+            "rotation-angle sweep with N points, the mode without --random", metavar="N")
+    p.add_argument("--random", action="store_const", const="run_compare_random", dest="engine",
+                   help="random-matrix mode: percentage where ours is best, per d")
+    _option(p, "run_compare_random", "--dims", "dims", _parse_ints, "dimensions for --random")
+    _option(p, "run_compare_random", "--samples", "samples", int, "random matrices per dimension")
+
+
+def _werner_options(p, engine: str) -> None:
+    _option(p, engine, "--phi", "phis", _parse_floats,
+            "comma-separated Werner parameters, given as --phi=-1,-0.5")
+    _option(p, engine, "--grid", "grid", int, "angles per axis over [0, pi/4]")
+
+
+def _fuzz_options(p, engine: str) -> None:
+    _option(p, engine, "--dims", "dims", _parse_ints, "dimensions to fuzz")
+    _option(p, engine, "--samples", "samples", int, "random matrices per dimension")
+    _option(p, engine, "--grid", "grid", int, "weight lattice points per axis")
+
+
+def _randomness_options(p, engine: str) -> None:
+    _add_matrix_args(p)
+    _option(p, engine, "--points", "points", int, "entropy lattice points per axis")
+    _option(p, engine, "--weight-grid", "weight_grid_n", int, "weight lattice points per axis")
+
+
+# name: (help, engine, adds the engine's options, handler, takes the solver options, takes --seed)
+_COMMANDS = {
+    "norm": ("evaluate one r->s norm and print JSON",
+             "norm_report", _norm_options, _cmd_norm, True, True),
+    "fig-region": ("sample the (S, H_X+H_Y) region against the envelope",
+                   "run_fig_region", _fig_region_options, _cmd_table, True, True),
+    "fig-norm-profile": ("equal-weight norm profile of a rotated-basis matrix",
+                         "run_norm_profile", _fig_norm_profile_options, _cmd_table, True, False),
+    "fig-compare": ("compare state-independent constants of three bounds",
+                    "run_compare_sweep", _fig_compare_options, _cmd_table, True, True),
+    "werner": ("detection masks of the two-qubit Werner-state witness",
+               "run_werner_masks", _werner_options, _cmd_table, False, False),
+    "conjecture-fuzz": ("fuzz the extended equality regime on random matrices",
+                        "run_conjecture_fuzz", _fuzz_options, _cmd_conjecture_fuzz, True, True),
+    "randomness": ("tabulate numeric vs analytic randomness bounds",
+                   "run_randomness_sweep", _randomness_options, _cmd_table, True, True),
+}
 
 
 def _build_parser(chosen: str | None) -> _Parser:
@@ -210,89 +277,24 @@ def _build_parser(chosen: str | None) -> _Parser:
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    p = sub.add_parser("norm", help="evaluate one r->s norm and print JSON")
-    if chosen == "norm":
-        _add_matrix_args(p)
-        p.add_argument("--r", type=float, help="input exponent (accepts inf)")
-        p.add_argument("--s", type=float, help="output exponent (accepts inf)")
-        p.add_argument("--mu", type=float, help="weight mu (with --lambda)")
-        p.add_argument("--lambda", type=float, dest="lam", help="weight lambda (with --mu)")
-        p.add_argument("--alpha", type=float, help="entropy weight alpha (default 1)")
-        _add_solver(p, seeded=True)
-        p.set_defaults(func=_cmd_norm)
-
-    p = sub.add_parser("fig-region",
-                       help="sample the (S, H_X+H_Y) region against the envelope")
-    if chosen == "fig-region":
-        p.add_argument("--d", type=int, default=2, help="dimension (default 2)")
-        p.add_argument("--theta", type=float, default=None,
-                       help="rotation angle in radians for d=2 "
-                            "(default 17 degrees; omit for d>2)")
-        p.add_argument("--samples", type=int, default=10_000,
-                       help="number of random states (default 10000)")
-        p.add_argument("--envelope-points", type=int, default=101, dest="envelope_points",
-                       help="entropy grid points for the bound lines (default 101)")
-        _add_solver(p, seeded=True)
-        p.set_defaults(func=_cmd_fig_region)
-
-    p = sub.add_parser("fig-norm-profile",
-                       help="equal-weight norm profile of a rotated-basis matrix")
-    if chosen == "fig-norm-profile":
-        p.add_argument("--theta", type=float, default=math.pi / 6,
-                       help="rotation angle in radians (default pi/6)")
-        p.add_argument("--grid", type=int, default=200,
-                       help="number of weights in [1/2, 1] (default 200)")
-        _add_solver(p)
-        p.set_defaults(func=_cmd_fig_norm_profile)
-
-    p = sub.add_parser("fig-compare",
-                       help="compare state-independent constants of three bounds")
-    if chosen == "fig-compare":
-        p.add_argument("--sweep", type=int, default=101, metavar="N",
-                       help="rotation-angle sweep with N points (default mode)")
-        p.add_argument("--random", action="store_true",
-                       help="random-matrix mode: percentage where ours is best, per d")
-        p.add_argument("--dims", type=_parse_ints, default=list(range(2, 13)),
-                       help="dimensions for --random (default 2..12)")
-        p.add_argument("--samples", type=int, default=1000,
-                       help="random matrices per dimension (default 1000)")
-        _add_solver(p, seeded=True)
-        p.set_defaults(func=_cmd_fig_compare)
-
-    p = sub.add_parser("werner",
-                       help="detection masks of the two-qubit Werner-state witness")
-    if chosen == "werner":
-        p.add_argument("--phi", type=_parse_floats, default=[-1.0, -0.5, -0.1],
-                       help="comma-separated Werner parameters (use --phi=-1,-0.5,-0.1)")
-        p.add_argument("--grid", type=int, default=50,
-                       help="angles per axis over [0, pi/4] (default 50)")
-        _add_common(p)
-        p.set_defaults(func=_cmd_werner)
-
-    p = sub.add_parser("conjecture-fuzz",
-                       help="fuzz the extended equality regime on random matrices")
-    if chosen == "conjecture-fuzz":
-        p.add_argument("--dims", type=_parse_ints, default=[2, 3, 4],
-                       help="dimensions to fuzz (default 2,3,4)")
-        p.add_argument("--samples", type=int, default=1000,
-                       help="random matrices per dimension (default 1000)")
-        p.add_argument("--grid", type=int, default=11,
-                       help="weight lattice points per axis (default 11)")
-        _add_solver(p, seeded=True)
-        p.set_defaults(func=_cmd_conjecture_fuzz)
-
-    p = sub.add_parser("randomness",
-                       help="tabulate numeric vs analytic randomness bounds")
-    if chosen == "randomness":
-        _add_matrix_args(p)
-        p.add_argument("--points", type=int, default=11,
-                       help="entropy lattice points per axis (default 11)")
-        p.add_argument("--weight-grid", type=int, default=21, dest="weight_grid",
-                       help="weight lattice points per axis (default 21)")
-        _add_solver(p, seeded=True)
-        p.set_defaults(func=_cmd_randomness)
-
+    for name, (help, engine, add_options, handler, solver, seeded) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help)
+        if name != chosen:
+            continue
+        add_options(p, engine)
+        p.add_argument("--out", metavar="PATH",
+                       help="write output to PATH instead of stdout")
+        _option(p, engine, "--base", "base", None, "logarithm base for entropies and log-norms",
+                choices=sorted(_BASES), metavar=None)
+        if solver:
+            p.add_argument("--restarts", type=int, help="multistart restarts override")
+            p.add_argument("--max-iterations", type=int, dest="max_iterations",
+                           help="power-iteration cap override")
+            p.add_argument("--tolerance", type=float, help="solver tolerance override")
+        if seeded:
+            p.add_argument("--seed", type=int, default=None,
+                           help="RNG seed (default: $ENTROBOUND_SEED, else 0)")
+        p.set_defaults(func=handler, engine=engine)
     return parser
 
 

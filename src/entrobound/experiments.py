@@ -98,7 +98,7 @@ def config_hash(config: dict) -> str:
 
 
 def _fmt(v) -> str:
-    if isinstance(v, bool):
+    if isinstance(v, (bool, np.bool_)):
         return "1" if v else "0"
     if isinstance(v, (int, np.integer)):
         return str(int(v))
@@ -584,10 +584,9 @@ def run_randomness_sweep(c, points: int = 11, weight_grid_n: int = 21,
     sigma2 = min(float(c.sigma2), 1.0)
     log_d = float(base.log(d))
 
-    axis = np.linspace(0.0, 1.0, weight_grid_n)  # (mu, lambda) lattice
     h_axis = np.linspace(0.0, log_d, points)
-    numerics = randomness_bound_numeric(h_axis[:, None], h_axis, c, itertools.product(axis, axis),
-                                        opts=opts, base=base)
+    numerics = randomness_bound_numeric(h_axis[:, None], h_axis, c,
+                                        zip(*_weight_lattice(weight_grid_n)), opts=opts, base=base)
 
     rows = []
     for (h_x, h_y), numeric in zip(itertools.product(h_axis, h_axis), numerics.flat):

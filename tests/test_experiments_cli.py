@@ -1,5 +1,6 @@
 """Tests for the experiment engines and the command-line interface."""
 
+import inspect
 import io
 import json
 import math
@@ -305,6 +306,75 @@ def test_top_level_help_lists_every_subcommand(capsys):
     out = capsys.readouterr().out
     for command in SUBCOMMAND_OPTIONS:
         assert re.search(rf"^    {command} ", out, re.MULTILINE), command
+
+
+@pytest.mark.parametrize("argv, engine, engine_args", [
+    (["werner"], run_werner_masks, ()),
+    (["fig-norm-profile"], run_norm_profile, ()),
+    (["fig-compare"], run_compare_sweep, ()),
+    (["randomness", "--mub", "2"], run_randomness_sweep, (mub_overlap(2),)),
+], ids=["werner", "fig-norm-profile", "fig-compare", "randomness"])
+def test_a_command_without_size_options_writes_its_engines_default_table(
+        argv, engine, engine_args, tmp_path):
+    out = tmp_path / "out.csv"
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    expected = io.StringIO()
+    write_table(engine(*engine_args), expected)
+    # Lines, not one string: a failing diff of two long strings takes minutes.
+    assert out.read_text(encoding="utf-8").splitlines() == expected.getvalue().splitlines()
+
+
+# flag -> (engine, parameter) for the options of the commands too costly to run at their defaults
+_SHOWN_DEFAULTS = {
+    "fig-region": {"--d": (run_fig_region, "d"), "--samples": (run_fig_region, "samples"),
+                   "--envelope-points": (run_fig_region, "n_env"),
+                   "--base": (run_fig_region, "base")},
+    "fig-compare": {"--dims": (run_compare_random, "dims"),
+                    "--samples": (run_compare_random, "samples"),
+                    "--base": (run_compare_random, "base")},
+    "conjecture-fuzz": {"--dims": (run_conjecture_fuzz, "dims"),
+                        "--samples": (run_conjecture_fuzz, "samples"),
+                        "--grid": (run_conjecture_fuzz, "grid"),
+                        "--base": (run_conjecture_fuzz, "base")},
+}
+
+
+def _typed_value(text, like):
+    """The command-line ``text`` read as a value of the type of ``like``."""
+    if isinstance(like, tuple):
+        return tuple(type(like[0])(x) for x in text.split(","))
+    if isinstance(like, qmath.LogBase):
+        return {"2": qmath.LogBase.TWO, "e": qmath.LogBase.NATURAL}[text]
+    return type(like)(text)
+
+
+@pytest.mark.parametrize("command", sorted(_SHOWN_DEFAULTS))
+def test_help_shows_the_engines_own_defaults(command, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "1000")  # no help text wraps
+    with pytest.raises(SystemExit):
+        cli.main([command, "--help"])
+    lines, flag = {}, None
+    for line in capsys.readouterr().out.splitlines():
+        if line.startswith("  -"):
+            flag = line.split()[0]
+        if flag:  # a long option's help starts on the next line
+            lines[flag] = f"{lines.get(flag, '')} {line.strip()}".strip()
+    for flag, (engine, name) in _SHOWN_DEFAULTS[command].items():
+        shown = re.search(r"\(default ([^)]*)\)$", lines[flag])
+        assert shown, lines[flag]
+        default = inspect.signature(engine).parameters[name].default
+        assert _typed_value(shown.group(1), default) == default, flag
+    if command == "fig-region":  # the engine's default theta is None: 17 degrees at d = 2
+        assert math.degrees(experiments._REGION_THETA_DEFAULT) == 17.0
+        assert lines["--theta"].endswith("(default 17 degrees; omit for d>2)")
+
+
+def test_a_numpy_bool_cell_writes_as_one_or_zero():
+    assert experiments._fmt(np.bool_(True)) == "1"
+    assert experiments._fmt(np.bool_(False)) == "0"
+    buf = io.StringIO()
+    write_table(Table(("a", "b"), ((np.bool_(True), np.bool_(False)),), {}), buf)
+    assert buf.getvalue().splitlines()[1:] == ["a,b", "1,0"]
 
 
 def test_solver_failure_exits_two(tmp_path, capsys):
