@@ -2,8 +2,10 @@
 
 Each subcommand is declared once, in ``_COMMANDS``, and fronts one
 ``experiments`` function, its engine.  An engine option's destination is
-the engine's parameter name and its default is read from the engine's
-signature, so ``--help`` shows the default the engine runs with.
+the engine's parameter name, and ``--help`` shows the default read from
+the engine's signature.  Only the options typed reach the engine, so the
+engine's own defaults, its seed and solver preset included, fill in the
+rest; a typed option that the chosen engine does not take is refused.
 
 Exit codes: 0 on success, 1 on bad input, 2 on solver failures,
 consistency violations, or discovered conjecture counterexamples.
@@ -16,7 +18,6 @@ import dataclasses
 import inspect
 import json
 import math
-import os
 import sys
 
 from . import __version__, experiments
@@ -31,10 +32,6 @@ from .overlap import (
 from .qmath import LogBase, haar_random_unitary
 
 _BASES = {"2": LogBase.TWO, "e": LogBase.NATURAL}
-# The solver options that --restarts, --max-iterations and --tolerance
-# override, for engines whose default is not SolverOptions().
-_PRESETS = {"run_compare_random": experiments.COMPARE_RANDOM_OPTS,
-            "run_conjecture_fuzz": experiments.FUZZ_OPTS}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -44,30 +41,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _parse_ints(text: str) -> list:
-    vals = [int(x) for x in text.split(",") if x.strip()]
-    if not vals:
-        raise argparse.ArgumentTypeError("expected a comma-separated integer list")
-    return vals
-
-
-def _parse_floats(text: str) -> list:
-    vals = [float(x) for x in text.split(",") if x.strip()]
-    if not vals:
-        raise argparse.ArgumentTypeError("expected a comma-separated number list")
-    return vals
-
-
-def _seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    return int(os.environ.get("ENTROBOUND_SEED", "0"))
-
-
-def _solver_opts(args, default: SolverOptions | None = None) -> SolverOptions | None:
-    overrides = {name: value for name in ("restarts", "max_iterations", "tolerance")
-                 if (value := getattr(args, name)) is not None}
-    return dataclasses.replace(default or SolverOptions(), **overrides) if overrides else default
+def _list_of(cast, noun: str):
+    """A parser of comma-separated ``cast`` values that refuses an empty list."""
+    def parse(text: str) -> list:
+        vals = [cast(x) for x in text.split(",") if x.strip()]
+        if not vals:
+            raise argparse.ArgumentTypeError(f"expected a comma-separated {noun} list")
+        return vals
+    parse.__name__ = f"{noun} list"  # argparse names the type in "invalid ... value"
+    return parse
 
 
 def _typed(value) -> str:
@@ -78,17 +60,17 @@ def _typed(value) -> str:
 
 
 def _option(p, engine: str, flag: str, name: str, type, help: str, **kw) -> None:
-    """Add ``flag`` for parameter ``name`` of ``experiments.<engine>``, with the engine's default.
+    """Add ``flag`` for parameter ``name`` of ``experiments.<engine>``; ``--help`` shows its default.
 
-    The default is given as it is typed, so the option's type parses it
-    and ``--help`` shows the text the engine's value is parsed from.
+    The option has no default of its own, so it reaches the engine only
+    when typed; ``args.flags`` maps ``name`` back to ``flag``.
     """
     default = inspect.signature(getattr(experiments, engine)).parameters[name].default
     if default is not None:
-        default = _typed(default)
-        help = f"{help} (default {default})"
+        help = f"{help} (default {_typed(default)})"
     kw.setdefault("metavar", flag[2:].upper().replace("-", "_"))
-    p.add_argument(flag, dest=name, type=type, default=default, help=help, **kw)
+    p.add_argument(flag, dest=name, type=type, default=argparse.SUPPRESS, help=help, **kw)
+    p.get_default("flags")[name] = flag
 
 
 def _add_matrix_args(p) -> None:
@@ -103,6 +85,7 @@ def _add_matrix_args(p) -> None:
                    help="unistochastic matrix from a seeded Haar-random unitary")
     g.add_argument("--file", metavar="PATH",
                    help="load a matrix from a whitespace-separated text file")
+    p.add_argument("--seed", type=int, default=0, help="seed of the --haar unitary (default 0)")
 
 
 def _matrix(args):
@@ -113,7 +96,7 @@ def _matrix(args):
     if args.rotation is not None:
         return rotation_overlap_2d(args.rotation)
     if args.haar is not None:
-        return from_unitary(haar_random_unitary(args.haar, _seed(args)))
+        return from_unitary(haar_random_unitary(args.haar, args.seed))
     with open(args.file, "r", encoding="utf-8") as f:
         return from_text(f.read())
 
@@ -126,31 +109,41 @@ def _write_output(args, render) -> None:
         render(sys.stdout)
 
 
-def _run(args, engine: str):
-    """Run ``experiments.<engine>`` on the parsed arguments its signature names; write its table.
+def _run(args, **kw):
+    """Call ``experiments.<args.engine>`` with ``kw`` and the engine options typed.
 
-    The engine also gets ``base`` from ``--base`` and, where its signature
-    has them, ``c`` from the matrix options, ``seed`` from ``_seed`` and
-    ``opts`` from the solver options over its preset, evaluated in that
-    order.  The table goes as CSV to ``--out`` or stdout and is returned.
+    A typed option whose parameter the engine's signature does not name is
+    refused.  ``--base`` is read as a ``LogBase``; where the engine has
+    them, ``c`` comes from the matrix options unless ``kw`` holds it, and
+    the solver options replace fields of the engine's ``opts`` default
+    (``SolverOptions()`` for None), evaluated in that order.
     """
-    fn = getattr(experiments, engine)  # per call, so bench/tracer.py's rebinding is seen
+    fn = getattr(experiments, args.engine)  # per call, so bench/tracer.py's rebinding is seen
     params = inspect.signature(fn).parameters
-    kw = {name: value for name, value in vars(args).items() if name in params}
-    kw["base"] = _BASES[args.base]
-    if "c" in params:
+    typed = {name: value for name, value in vars(args).items() if name in args.flags}
+    refused = [args.flags[name] for name in typed if name not in params]
+    if refused:
+        raise ValueError(f"{args.command} runs {args.engine}, which takes no {', '.join(refused)}")
+    if "base" in typed:
+        typed["base"] = _BASES[typed["base"]]
+    if "c" in params and "c" not in kw:
         kw["c"] = _matrix(args)
-    if "seed" in params:
-        kw["seed"] = _seed(args)
-    if "opts" in params:
-        kw["opts"] = _solver_opts(args, _PRESETS.get(engine))
-    table = fn(**kw)
+    overrides = {name: value for name in ("restarts", "max_iterations", "tolerance")
+                 if (value := getattr(args, name, None)) is not None}
+    if overrides:
+        kw["opts"] = dataclasses.replace(params["opts"].default or SolverOptions(), **overrides)
+    return fn(**typed, **kw)
+
+
+def _table(args):
+    """Run the engine and write its table as CSV to ``--out`` or stdout; return the table."""
+    table = _run(args)
     _write_output(args, lambda f: experiments.write_table(table, f))
     return table
 
 
 def _cmd_table(args) -> int:
-    _run(args, args.engine)
+    _table(args)
     return 0
 
 
@@ -171,15 +164,13 @@ def _cmd_norm(args) -> int:
         point = {"w": WeightTriple(alpha, args.lam, args.mu)}
     else:
         raise ValueError("specify exponents via --r/--s or weights via --mu/--lambda")
-    payload = experiments.norm_report(c, opts=_solver_opts(args),
-                                      base=_BASES[args.base], **point)
-    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    text = json.dumps(_run(args, c=c, **point), indent=2, sort_keys=True, allow_nan=False) + "\n"
     _write_output(args, lambda f: f.write(text))
     return 0
 
 
 def _cmd_conjecture_fuzz(args) -> int:
-    stats = _run(args, args.engine).stats
+    stats = _table(args).stats
     points = "; ".join(f"d={d}: {n} proven, {stats['solved'][d]} solved"
                        for d, n in stats["proven"].items())
     if stats["violations"]:
@@ -210,6 +201,7 @@ def _fig_region_options(p, engine: str) -> None:
             f"{math.degrees(experiments._REGION_THETA_DEFAULT):g} degrees; omit for d>2)")
     _option(p, engine, "--samples", "samples", int, "number of random states")
     _option(p, engine, "--envelope-points", "n_env", int, "entropy grid points for the bound lines")
+    _option(p, engine, "--seed", "seed", int, "RNG seed")
 
 
 def _fig_norm_profile_options(p, engine: str) -> None:
@@ -222,20 +214,23 @@ def _fig_compare_options(p, engine: str) -> None:
             "rotation-angle sweep with N points, the mode without --random", metavar="N")
     p.add_argument("--random", action="store_const", const="run_compare_random", dest="engine",
                    help="random-matrix mode: percentage where ours is best, per d")
-    _option(p, "run_compare_random", "--dims", "dims", _parse_ints, "dimensions for --random")
+    _option(p, "run_compare_random", "--dims", "dims", _list_of(int, "integer"),
+            "dimensions for --random")
     _option(p, "run_compare_random", "--samples", "samples", int, "random matrices per dimension")
+    _option(p, "run_compare_random", "--seed", "seed", int, "RNG seed for --random")
 
 
 def _werner_options(p, engine: str) -> None:
-    _option(p, engine, "--phi", "phis", _parse_floats,
+    _option(p, engine, "--phi", "phis", _list_of(float, "number"),
             "comma-separated Werner parameters, given as --phi=-1,-0.5")
     _option(p, engine, "--grid", "grid", int, "angles per axis over [0, pi/4]")
 
 
 def _fuzz_options(p, engine: str) -> None:
-    _option(p, engine, "--dims", "dims", _parse_ints, "dimensions to fuzz")
+    _option(p, engine, "--dims", "dims", _list_of(int, "integer"), "dimensions to fuzz")
     _option(p, engine, "--samples", "samples", int, "random matrices per dimension")
     _option(p, engine, "--grid", "grid", int, "weight lattice points per axis")
+    _option(p, engine, "--seed", "seed", int, "RNG seed")
 
 
 def _randomness_options(p, engine: str) -> None:
@@ -244,22 +239,21 @@ def _randomness_options(p, engine: str) -> None:
     _option(p, engine, "--weight-grid", "weight_grid_n", int, "weight lattice points per axis")
 
 
-# name: (help, engine, adds the engine's options, handler, takes the solver options, takes --seed)
+# name: (help, engine, adds the engine's options, handler)
 _COMMANDS = {
-    "norm": ("evaluate one r->s norm and print JSON",
-             "norm_report", _norm_options, _cmd_norm, True, True),
+    "norm": ("evaluate one r->s norm and print JSON", "norm_report", _norm_options, _cmd_norm),
     "fig-region": ("sample the (S, H_X+H_Y) region against the envelope",
-                   "run_fig_region", _fig_region_options, _cmd_table, True, True),
+                   "run_fig_region", _fig_region_options, _cmd_table),
     "fig-norm-profile": ("equal-weight norm profile of a rotated-basis matrix",
-                         "run_norm_profile", _fig_norm_profile_options, _cmd_table, True, False),
+                         "run_norm_profile", _fig_norm_profile_options, _cmd_table),
     "fig-compare": ("compare state-independent constants of three bounds",
-                    "run_compare_sweep", _fig_compare_options, _cmd_table, True, True),
+                    "run_compare_sweep", _fig_compare_options, _cmd_table),
     "werner": ("detection masks of the two-qubit Werner-state witness",
-               "run_werner_masks", _werner_options, _cmd_table, False, False),
+               "run_werner_masks", _werner_options, _cmd_table),
     "conjecture-fuzz": ("fuzz the extended equality regime on random matrices",
-                        "run_conjecture_fuzz", _fuzz_options, _cmd_conjecture_fuzz, True, True),
+                        "run_conjecture_fuzz", _fuzz_options, _cmd_conjecture_fuzz),
     "randomness": ("tabulate numeric vs analytic randomness bounds",
-                   "run_randomness_sweep", _randomness_options, _cmd_table, True, True),
+                   "run_randomness_sweep", _randomness_options, _cmd_table),
 }
 
 
@@ -277,24 +271,21 @@ def _build_parser(chosen: str | None) -> _Parser:
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    for name, (help, engine, add_options, handler, solver, seeded) in _COMMANDS.items():
+    for name, (help, engine, add_options, handler) in _COMMANDS.items():
         p = sub.add_parser(name, help=help)
         if name != chosen:
             continue
+        p.set_defaults(func=handler, engine=engine, flags={})
         add_options(p, engine)
         p.add_argument("--out", metavar="PATH",
                        help="write output to PATH instead of stdout")
         _option(p, engine, "--base", "base", None, "logarithm base for entropies and log-norms",
                 choices=sorted(_BASES), metavar=None)
-        if solver:
+        if "opts" in inspect.signature(getattr(experiments, engine)).parameters:
             p.add_argument("--restarts", type=int, help="multistart restarts override")
             p.add_argument("--max-iterations", type=int, dest="max_iterations",
                            help="power-iteration cap override")
             p.add_argument("--tolerance", type=float, help="solver tolerance override")
-        if seeded:
-            p.add_argument("--seed", type=int, default=None,
-                           help="RNG seed (default: $ENTROBOUND_SEED, else 0)")
-        p.set_defaults(func=handler, engine=engine)
     return parser
 
 

@@ -368,7 +368,7 @@ def _compare_share(dims: tuple, samples: int, seed: int, opts: SolverOptions, ba
 
 
 def run_compare_random(dims=tuple(range(2, 13)), samples: int = 1000,
-                       seed: int = 0, opts: SolverOptions | None = None,
+                       seed: int = 0, opts: SolverOptions | None = COMPARE_RANDOM_OPTS,
                        base: LogBase = LogBase.TWO) -> Table:
     """Percentage of random unistochastic matrices where ours beats both bounds.
 
@@ -478,7 +478,7 @@ def _fuzz_lattice(d: int, samples: int, grid: int, rng, counts: dict):
 
 
 def run_conjecture_fuzz(dims=(2, 3, 4), samples: int = 1000, grid: int = 11,
-                        seed: int = 0, opts: SolverOptions | None = None,
+                        seed: int = 0, opts: SolverOptions | None = FUZZ_OPTS,
                         base: LogBase = LogBase.TWO,
                         excess_tol: float = 1e-7) -> Table:
     """Fuzz the extended equality regime on Haar-unistochastic matrices.

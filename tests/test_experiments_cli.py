@@ -1,5 +1,6 @@
 """Tests for the experiment engines and the command-line interface."""
 
+import dataclasses
 import inspect
 import io
 import json
@@ -20,6 +21,7 @@ import pytest
 
 from entrobound import (
     COMPARE_RANDOM_OPTS,
+    FUZZ_OPTS,
     DensityMatrix,
     InvalidStateError,
     NormConsistencyError,
@@ -92,12 +94,19 @@ def test_fig_region_rerun_is_byte_identical(tmp_path):
     assert lines[1] == "kind,s_rho,h_sum"
 
 
-def test_environment_seed_matches_explicit_flag(tmp_path, monkeypatch):
-    explicit, via_env = tmp_path / "x.csv", tmp_path / "y.csv"
-    assert cli.main(_fig_args(7) + ["--out", str(explicit)]) == 0
-    monkeypatch.setenv("ENTROBOUND_SEED", "7")
-    assert cli.main(_fig_args() + ["--out", str(via_env)]) == 0
-    assert explicit.read_bytes() == via_env.read_bytes()
+@pytest.mark.parametrize("argv, engine", [
+    (_fig_args(), lambda: run_fig_region(samples=30, n_env=11, opts=FAST)),
+    (["conjecture-fuzz", "--dims", "2", "--samples", "2", "--grid", "3"],
+     lambda: run_conjecture_fuzz(dims=(2,), samples=2, grid=3)),
+    (["fig-compare", "--random", "--dims", "2,3", "--samples", "2"],
+     lambda: run_compare_random(dims=(2, 3), samples=2)),
+], ids=["fig-region", "conjecture-fuzz", "fig-compare-random"])
+def test_a_seeded_command_without_seed_runs_its_engines_default_seed(tmp_path, argv, engine):
+    out, want = tmp_path / "out.csv", _written(engine()).encode()
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    assert out.read_bytes() == want
+    assert cli.main([*argv, "--seed", "0", "--out", str(out)]) == 0
+    assert out.read_bytes() == want
 
 
 def test_config_hash_is_order_independent():
@@ -1124,6 +1133,38 @@ def test_cli_writes_the_bytes_of_its_engine(tmp_path, argv, engine):
     out = tmp_path / "out.csv"
     assert cli.main([*argv, "--out", str(out)]) == 0
     assert out.read_bytes() == _written(engine()).encode()
+
+
+@pytest.mark.parametrize("argv, engine", [
+    (["fig-compare", "--random", "--dims", "3", "--samples", "2", "--restarts", "3"],
+     lambda: run_compare_random(dims=(3,), samples=2,
+                                opts=dataclasses.replace(COMPARE_RANDOM_OPTS, restarts=3))),
+    (["fig-compare", "--random", "--dims", "3", "--samples", "2", "--max-iterations", "2000"],
+     lambda: run_compare_random(dims=(3,), samples=2,
+                                opts=dataclasses.replace(COMPARE_RANDOM_OPTS, max_iterations=2000))),
+    (["conjecture-fuzz", "--dims", "3", "--samples", "1", "--grid", "3", "--max-iterations", "500"],
+     lambda: run_conjecture_fuzz(dims=(3,), samples=1, grid=3,
+                                 opts=dataclasses.replace(FUZZ_OPTS, max_iterations=500))),
+], ids=["compare-restarts", "compare-max-iterations", "fuzz-max-iterations"])
+def test_a_solver_override_replaces_a_field_of_the_engines_preset(tmp_path, argv, engine):
+    # The preset is the engine's opts default; SolverOptions() has 64 restarts,
+    # and the config hash in the provenance line records every field.
+    out = tmp_path / "out.csv"
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    assert out.read_bytes() == _written(engine()).encode()
+
+
+@pytest.mark.parametrize("argv, flags", [
+    (["fig-compare", "--dims", "2,3", "--samples", "5", "--seed", "3"],
+     "fig-compare runs run_compare_sweep, which takes no --dims, --samples, --seed"),
+    (["fig-compare", "--random", "--dims", "2", "--samples", "2", "--sweep", "7"],
+     "fig-compare runs run_compare_random, which takes no --sweep"),
+], ids=["sweep", "random"])
+def test_fig_compare_refuses_the_options_of_the_mode_not_chosen(tmp_path, capsys, argv, flags):
+    out = tmp_path / "out.csv"
+    assert cli.main([*argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"entrobound: error: {flags}\n"
+    assert not out.exists()
 
 
 def test_fuzz_engine_validation():
