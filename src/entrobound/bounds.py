@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certify import _check_sigma2, _equality_proven, mu_star
+from .certify import _check_sigma2, _equality_proven, _sigma2, mu_star
 from .errors import ConjectureViolationError
 from .norms import (
     NormMethod,
@@ -213,7 +213,7 @@ def _compare_setup(item, c) -> tuple:
     m = c.matrix
     if m.shape[0] != m.shape[1] or m.shape[0] < 2:
         raise ValueError(f"comparison requires a square overlap matrix with d >= 2, got {m.shape}")
-    sigma2 = min(c.sigma2, 1.0)
+    sigma2 = _sigma2(c)
     ms = mu_star(sigma2)
     w = WeightTriple(1.0, ms, ms)
     return (item, c, sigma2, w), None if _equality_proven(c, w.r, w.s) else (c, w.r, w.s)

@@ -33,13 +33,12 @@ from .bounds import (
     default_envelope_grid,
     envelope_curve,
 )
-from .certify import _equality_proven, _in_region, _weight_lattice, mu_star
+from .certify import _equality_proven, _in_region, _sigma2, _weight_lattice, mu_star
 from .errors import NormConsistencyError
 from .norms import (
     SolverOptions,
     WeightTriple,
     _exponents,
-    _norm_many,
     _numeric_many,
     norm,
     norm_mub,
@@ -259,7 +258,7 @@ def run_norm_profile(theta: float = math.pi / 6, grid: int = 200,
     grid = _count(grid, "grid", 2)
     opts = opts or SolverOptions()
     c = rotation_overlap_2d(theta)
-    sigma2 = min(float(c.sigma2), 1.0)
+    sigma2 = _sigma2(c)
     ms = mu_star(sigma2)
     kmu_level = float(base.log(c.max_entry))
     ln2 = float(base.log(2.0))
@@ -332,33 +331,39 @@ def _workers(samples: int) -> int:
     return min(cpus or 1, samples)
 
 
+def _haar_draws(d: int, samples: int, rng, share: int = 0, shares: int = 1):
+    """``(j, overlap of Haar draw j)`` for the draws j = share (mod shares) of ``rng``'s stream.
+
+    The one walk of a seeded engine's ``default_rng([seed, d])`` stream of
+    ``samples`` Haar unitaries, lazily and in order.  Another share's draw
+    is skipped by drawing only its Ginibre matrix, so every draw keeps its
+    place in the stream.
+    """
+    for j in range(samples):
+        if j % shares == share:
+            yield j, from_unitary(haar_random_unitary(d, rng))
+        else:
+            _ginibre(rng, d)
+
+
 def _compare_share(dims: tuple, samples: int, seed: int, opts: SolverOptions, base: LogBase,
                    share: int, shares: int) -> tuple:
     """``(wins, fallbacks, failure)`` of the draws j = share (mod shares) of every dimension.
 
-    Walks each ``default_rng([seed, d])`` stream in order and solves its
-    own draws in one ``bounds._compare_many`` pass; another share's draw
-    is skipped by drawing only its Ginibre matrix.  ``wins`` and
-    ``fallbacks`` map each d to its counts.  ``failure`` is None, or
+    Walks each dimension's ``_haar_draws`` stream, in ``dims`` order, and
+    solves its own draws in one ``bounds._compare_many`` pass.  ``wins``
+    and ``fallbacks`` map each d to its counts.  ``failure`` is None, or
     ``(index, exception)`` for the first draw the pass fails on, where
     draw j of the a-th dimension has index a * samples + j: the pass
     stops there, and the exception is returned, not raised.
     """
     wins, fallbacks = dict.fromkeys(dims, 0), dict.fromkeys(dims, 0)
-
-    def draws():
-        for d in dims:
-            rng = np.random.default_rng([seed, d])
-            for j in range(samples):
-                if j % shares == share:
-                    yield d, from_unitary(haar_random_unitary(d, rng))
-                else:
-                    _ginibre(rng, d)
-
+    draws = ((d, c) for d in dims
+             for _, c in _haar_draws(d, samples, np.random.default_rng([seed, d]), share, shares))
     # The pass yields its rows, and raises, in draw order.
     indices = (a * samples + j for a in range(len(dims)) for j in range(share, samples, shares))
     try:
-        for (d, row), _ in zip(_compare_many(draws(), opts, base, on_violation="use_numeric"),
+        for (d, row), _ in zip(_compare_many(draws, opts, base, on_violation="use_numeric"),
                                indices):
             wins[d] += int(row.ours_at_least)
             fallbacks[d] += int(not row.conjecture_ok)
@@ -455,19 +460,20 @@ def run_werner_masks(phis=(-1.0, -0.5, -0.1), grid: int = 50,
 def _fuzz_lattice(d: int, samples: int, grid: int, rng, counts: dict):
     """(sample k, matrix, sigma2, weights) at each open census lattice point, drawn lazily in order.
 
-    The points are those of ``feasible_weight_grid``, in its order.  A
-    point where ``certify._equality_proven`` holds has excess exactly 0, so
-    it is not yielded; ``counts["evals"]`` tallies every point and
-    ``counts["proven"]`` those.  Each matrix's region and certificate
-    masks are one NumPy pass with the float expressions of the per-point
-    tests, so only open points become ``WeightTriple``s.
+    The matrices are ``_haar_draws(d, samples, rng)``, and the points
+    those of ``feasible_weight_grid``, in its order.  A point where
+    ``certify._equality_proven`` holds has excess exactly 0, so it is not
+    yielded; ``counts["evals"]`` tallies every point and
+    ``counts["proven"]`` those.  No open point of a Haar draw has a
+    closed form, so each goes to the solver.  Each matrix's region and
+    certificate masks are one NumPy pass with the float expressions of the
+    per-point tests, so only open points become ``WeightTriple``s.
     """
     mu, lam = _weight_lattice(grid)
     with np.errstate(divide="ignore"):  # mu = 0 and lambda = 1 give the triples' inf
         r, s = 1.0 / mu, 1.0 / (1.0 - lam)
-    for k in range(samples):
-        c = from_unitary(haar_random_unitary(d, rng))
-        sigma2 = min(float(c.sigma2), 1.0)
+    for k, c in _haar_draws(d, samples, rng):
+        sigma2 = _sigma2(c)
         inside = _in_region(mu, lam, sigma2)
         open_ = inside & ~_equality_proven(c, r, s)
         evals, n_open = int(np.count_nonzero(inside)), int(np.count_nonzero(open_))
@@ -496,24 +502,25 @@ def run_conjecture_fuzz(dims=(2, 3, 4), samples: int = 1000, grid: int = 11,
     at mu + lambda <= 1 (s <= r); ``certify._equality_proven`` decides.
     Such a point has excess exactly 0: it is counted in ``evals`` but not
     solved.  At d = 2 kappa = sigma2, so no point is solved there.  Each
-    dimension draws from its own ``default_rng([seed, d])``, lazily and in
-    ``dims`` order, and the open points of every dimension's samples, each
-    carrying its sample, matrix and weights, stream through one
-    ``norms._norm_many`` pass: every point counts toward the pass's
-    read-ahead window, and the numeric ones share one refilling ascent
-    stack with the bits of per-point ``norm`` calls; memory does not grow
-    with ``samples``.  Each numeric
-    value is attained by its witness vector, so it is a lower bound on
-    the norm; any excess beyond ``excess_tol`` is a genuine
-    counterexample and is emitted with the full-precision matrix and
-    witness vector.
+    dimension draws from its own ``default_rng([seed, d])`` stream
+    (``_haar_draws``), lazily and in ``dims`` order, and the open points
+    of every dimension's samples, each carrying its sample, matrix and
+    weights, stream through one ``norms._numeric_many`` pass: no open
+    point of a Haar draw has a closed form, so the pass solves them all
+    in one refilling ascent stack, with the bits of per-point ``norm``
+    calls; memory does not grow with ``samples``.  Each numeric value is
+    attained by its witness vector, so it is a lower bound on the norm;
+    any excess beyond ``excess_tol`` is a genuine counterexample and is
+    emitted with the full-precision matrix and witness vector.
 
     Returns:
         Table with per-dimension summary rows followed by one row per
         counterexample; ``stats["violations"]`` counts them, and
         ``stats["proven"]`` and ``stats["solved"]`` map each d to its
-        points settled by a theorem and by ``norm``, which add up to
-        the summary row's ``evals``.
+        points settled by a theorem and by the solver, which add up to
+        the summary row's ``evals``.  The summary rows' ``violations``
+        and ``max_excess``, ``stats["solved"]`` and ``stats["max_excess"]``
+        are derived from the lattice counts and the counterexample rows.
 
     Raises:
         ValueError: for an empty ``dims``, a d that is not an integer or is
@@ -525,28 +532,25 @@ def run_conjecture_fuzz(dims=(2, 3, 4), samples: int = 1000, grid: int = 11,
     if not (math.isfinite(excess_tol) and excess_tol >= 0.0):
         raise ValueError(f"excess_tol must be finite and >= 0, got {excess_tol}")
     opts = opts or FUZZ_OPTS
-    counts = {d: {"evals": 0, "proven": 0, "solved": 0, "violations": 0, "max_excess": 0.0}
-              for d in dims}
+    counts = {d: {"evals": 0, "proven": 0} for d in dims}
     points = itertools.chain.from_iterable(
         _fuzz_lattice(d, samples, grid, np.random.default_rng([seed, d]), counts[d]) for d in dims)
     violation_rows = []
-    for (k, c, sigma2, w), res in _norm_many(
+    for (k, c, sigma2, w), res in _numeric_many(
             (((k, c, sigma2, w), (c, w.r, w.s)) for k, c, sigma2, w in points), opts, base):
         d = c.matrix.shape[0]
         conjectured = norm_mub(d, w.r, w.s)
         excess = res.value - conjectured
-        tally = counts[d]
-        tally["solved"] += 1
         if excess > excess_tol:
-            tally["violations"] += 1
-            tally["max_excess"] = max(tally["max_excess"], excess)
             violation_rows.append((
                 "violation", d, k, "", "", "", w.mu, w.lam, sigma2,
                 res.value, conjectured, excess, _flat17(c.matrix),
                 _flat17(res.witness),
             ))
-    summary_rows = [("summary", d, "", samples, tally["evals"], tally["violations"], "", "", "",
-                     "", "", tally["max_excess"], "", "") for d, tally in counts.items()]
+    # Cells 1 and 11 of a counterexample row are its d and its excess.
+    excesses = {d: [row[11] for row in violation_rows if row[1] == d] for d in dims}
+    summary_rows = [("summary", d, "", samples, counts[d]["evals"], len(excesses[d]), "", "", "",
+                     "", "", max(excesses[d], default=0.0), "", "") for d in dims]
     config = {
         "cmd": "conjecture-fuzz", "dims": list(dims), "samples": samples,
         # A plain int for the hash; _weight_lattice has refused a grid that is not an integer.
@@ -557,9 +561,9 @@ def run_conjecture_fuzz(dims=(2, 3, 4), samples: int = 1000, grid: int = 11,
               "mu", "lam", "sigma2", "numeric", "conjectured", "excess",
               "matrix", "witness")
     stats = {"violations": len(violation_rows),
-             "max_excess": max(tally["max_excess"] for tally in counts.values()),
-             "proven": {d: tally["proven"] for d, tally in counts.items()},
-             "solved": {d: tally["solved"] for d, tally in counts.items()}}
+             "max_excess": max((row[11] for row in violation_rows), default=0.0),
+             "proven": {d: counts[d]["proven"] for d in dims},
+             "solved": {d: counts[d]["evals"] - counts[d]["proven"] for d in dims}}
     return Table(header, tuple(summary_rows + violation_rows), config, stats)
 
 
@@ -581,7 +585,7 @@ def run_randomness_sweep(c, points: int = 11, weight_grid_n: int = 21,
     c = _as_overlap(c)
     d = _check_square(c.matrix).shape[0]
     opts = opts or SolverOptions()
-    sigma2 = min(float(c.sigma2), 1.0)
+    sigma2 = _sigma2(c)
     log_d = float(base.log(d))
 
     h_axis = np.linspace(0.0, log_d, points)

@@ -278,10 +278,8 @@ def norm_closed_form(c, r=None, s=None, w: WeightTriple | None = None,
     if c._is_constant:
         return _result(norm_mub(d, r, s), _uniform_unit_r(d, r),
                        NormMethod.CLOSED_MUB, d, r, s, base)
-    if c._is_permutation:
-        value = norm_identity(d, r, s)
-        witness = _uniform_unit_r(d, r) if r >= s else np.eye(d)[0]
-        return _result(value, witness, NormMethod.CLOSED_IDENTITY, d, r, s, base)
+    if c._is_permutation:  # s > r here, where the identity's norm is 1
+        return _result(1.0, np.eye(d)[0], NormMethod.CLOSED_IDENTITY, d, r, s, base)
     return None
 
 

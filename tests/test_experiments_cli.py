@@ -550,6 +550,19 @@ def test_fuzz_lattice_pass_yields_the_per_point_lattice(d, grid):
 
 
 @pytest.mark.parametrize("seed", [0, 1])
+def test_no_open_census_point_has_a_closed_form(seed):
+    # The census sends its open points straight to the solver, past norm's
+    # closed-form dispatch, so its bytes are norm's only if none has one.
+    for d in (2, 3, 4):
+        counts = {"evals": 0, "proven": 0}
+        lattice = list(experiments._fuzz_lattice(d, 16, 11, np.random.default_rng([seed, d]),
+                                                 counts))
+        assert (len(lattice) > 0) == (d > 2)
+        for _, c, _, w in lattice:
+            assert norms.norm_closed_form(c, w.r, w.s) is None
+
+
+@pytest.mark.parametrize("seed", [0, 1])
 def test_fuzz_bytes_do_not_depend_on_the_certificate(monkeypatch, seed):
     # A certified point has excess exactly 0 in the census, so it never
     # produced a row; with the s <= r test alone it is solved instead.
@@ -1025,7 +1038,7 @@ def test_fuzz_lattice_pass_has_the_bytes_of_per_point_norms(monkeypatch):
 
     got = csv()
     assert "\nviolation,3,2," in got
-    monkeypatch.setattr(experiments, "_norm_many", lambda pairs, opts, base: [
+    monkeypatch.setattr(experiments, "_numeric_many", lambda pairs, opts, base: [
         (item, norm(c, opts=opts, base=base, r=r, s=s)) for item, (c, r, s) in pairs])
     assert csv() == got
 
