@@ -5,6 +5,17 @@ log d = log(d_a * d_b) of the joint measurement, and gamma denotes
 sqrt(delta_x / delta_y).  Analytic expressions that rely on the
 conjectured extension of the equality regime carry a ``conjectured``
 flag; clamped-weight branches are exact.
+
+The interior branch rests on the norm equality
+||C||_{r->s} = d**(1/s - 1/r) on the boundary of the region
+(1 - mu)(1 - lambda) >= mu lambda sigma2^2, at the optimal weights.
+That equality is a theorem only at d = 2 (two-point Bonami-Beckner).
+At d >= 3 the package's own runs refute it for the matrices they
+sample: ``fig-compare --random --dims 3 --samples 200 --seed 1`` finds
+the solver beating the closed form at mu* in 181 of 200 rows, and the
+census artifact ``tests/artifacts/equality_regime_counterexamples.csv``
+lists 729 counterexamples inside the region.  The ``conjectured`` flag
+does not tell these cases apart.
 """
 
 from __future__ import annotations
@@ -144,7 +155,9 @@ def randomness_bound_analytic(deficits: EntropyDeficits, sigma2: float) -> Rando
     gamma >= sigma2 the optimum sits on the region boundary and equals
     (sqrt(delta_y) - sigma2 sqrt(delta_x))^2 / (1 - sigma2^2); below
     that, the clamped weights (mu, lambda) = (1, 0) give the exact value
-    delta_y - delta_x.
+    delta_y - delta_x.  The boundary value rests on the norm equality on
+    the region's boundary, a theorem only at d = 2 and refuted at d >= 3
+    for the matrices the package samples (see the module docstring).
 
     Raises:
         DegenerateCaseError: for sigma2 = 1.
@@ -267,6 +280,9 @@ def entanglement_witness_analytic(h_xab: float, h_yab: float, d: int,
                     - 2 sigma2 sqrt(delta_x delta_y),
 
     and the clamped branches test the single-deficit conditions exactly.
+    The interior criterion rests on the norm equality on the region's
+    boundary, a theorem only at d = 2 and refuted at d >= 3 for the
+    matrices the package samples (see the module docstring).
 
     Raises:
         ValueError: if ``h_xab``, ``h_yab`` or ``s_max`` is not finite, ``d``
@@ -392,7 +408,10 @@ def eavesdropper_entropy_bound(h_x: float, h_y: float, d_a: int, d_b: int,
          - (1 + sigma2^2) log(d_a d_b)] / (1 - sigma2^2),
 
     while gamma outside [sigma2, 1/sigma2] clamps the weights and yields
-    the exact single-entropy bounds H_Y or H_X.
+    the exact single-entropy bounds H_Y or H_X.  The interior value rests
+    on the norm equality on the region's boundary, a theorem only at
+    d = 2 and refuted at d >= 3 for the matrices the package samples (see
+    the module docstring).
 
     Raises:
         DegenerateCaseError: for sigma2 = 1.

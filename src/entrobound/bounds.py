@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certify import _check_sigma2, _equality_proven, _sigma2, mu_star
+from .certify import _check_sigma2, _equality_proven, mu_star
 from .errors import ConjectureViolationError
 from .norms import (
     NormMethod,
@@ -121,7 +121,13 @@ def qudit_eur_rhs(sigma2: float, d: int, s_rho: float,
     """Conjectured qudit bound (1 + sigma2) S + (1 - sigma2) log d.
 
     Valid whenever the extended equality regime holds at the optimal
-    equal weights; exact for sigma2 = 0 and sigma2 = 1.
+    equal weights; exact for sigma2 = 0 and sigma2 = 1.  That regime is
+    the norm equality ||C||_{r->s} = d**(1/s - 1/r) at mu*, on the
+    region's boundary: a theorem only at d = 2, and refuted at d >= 3 for
+    the matrices the package samples (``fig-compare --random --dims 3
+    --samples 200 --seed 1`` finds the solver above the closed form in
+    181 of 200 rows; ``tests/artifacts/equality_regime_counterexamples.csv``
+    lists 729 counterexamples inside the region).
 
     Raises:
         ValueError: if ``sigma2`` lies outside [0, 1], ``d`` is not an
@@ -133,18 +139,17 @@ def qudit_eur_rhs(sigma2: float, d: int, s_rho: float,
     return (1.0 + sigma2) * s_rho + (1.0 - sigma2) * log_d
 
 
-def _entries_desc(c) -> np.ndarray:
-    return np.sort(_as_overlap(c).matrix.ravel())[::-1]
+def _bccrr_constant(c, base: LogBase) -> float:
+    """The largest-overlap constant -log c1 of the OverlapMatrix ``c``; the one log of c1."""
+    return -base.log(c.max_entry)
 
 
-def _bccrr_constant(ent: np.ndarray, base: LogBase) -> float:
-    """-log c1 from the entries in descending order."""
-    return -base.log(float(ent[0]))
+def _rpz2_constant(c, base: LogBase) -> tuple:
+    """(c1, c2, C, -log[c1 C^2 + c2 (1 - C^2)]) of the OverlapMatrix ``c``.
 
-
-def _rpz2_constant(ent: np.ndarray, base: LogBase) -> tuple:
-    """(c1, c2, C, -log[c1 C^2 + c2 (1 - C^2)]) from the entries in descending order."""
-    c1, c2 = float(ent[0]), float(ent[1])
+    c1 and c2 are its two largest entries, counted with multiplicity.
+    """
+    c2, c1 = np.partition(c.matrix.ravel(), -2)[-2:].tolist()
     big_c = (1.0 + np.sqrt(c1)) / 2.0
     return c1, c2, big_c, -base.log(c1 * big_c**2 + c2 * (1.0 - big_c**2))
 
@@ -156,7 +161,7 @@ def bccrr_rhs(c, s_rho: float, base: LogBase = LogBase.TWO) -> float:
         ValueError: if ``s_rho`` is not finite.
     """
     _check_entropies(s_rho=s_rho)
-    return s_rho + _bccrr_constant(_entries_desc(c), base)
+    return s_rho + _bccrr_constant(_as_overlap(c), base)
 
 
 def rpz2_rhs(c, s_rho: float, base: LogBase = LogBase.TWO) -> float:
@@ -169,7 +174,7 @@ def rpz2_rhs(c, s_rho: float, base: LogBase = LogBase.TWO) -> float:
         ValueError: if ``s_rho`` is not finite.
     """
     _check_entropies(s_rho=s_rho)
-    return s_rho + _rpz2_constant(_entries_desc(c), base)[3]
+    return s_rho + _rpz2_constant(_as_overlap(c), base)[3]
 
 
 def compare_state_independent(c, opts: SolverOptions | None = None,
@@ -213,7 +218,7 @@ def _compare_setup(item, c) -> tuple:
     m = c.matrix
     if m.shape[0] != m.shape[1] or m.shape[0] < 2:
         raise ValueError(f"comparison requires a square overlap matrix with d >= 2, got {m.shape}")
-    sigma2 = _sigma2(c)
+    sigma2 = c.sigma2
     ms = mu_star(sigma2)
     w = WeightTriple(1.0, ms, ms)
     return (item, c, sigma2, w), None if _equality_proven(c, w.r, w.s) else (c, w.r, w.s)
@@ -247,10 +252,9 @@ def _compare_many(pairs, opts: SolverOptions | None = None, base: LogBase = LogB
                 f"norm at optimal weights is {numeric.value!r}, conjectured {conjectured!r}"
             )
         else:
-            ours = -(1.0 + sigma2) * base.log(numeric.value)
-        ent = _entries_desc(c)
-        bccrr = _bccrr_constant(ent, base)
-        c1, c2, big_c, rpz2 = _rpz2_constant(ent, base)
+            ours = -(1.0 + sigma2) * numeric.log_value
+        bccrr = _bccrr_constant(c, base)
+        c1, c2, big_c, rpz2 = _rpz2_constant(c, base)
         flag = ours >= max(bccrr, rpz2) - 1e-12
         yield item, ComparisonRow(c1, c2, float(big_c), float(ours), float(bccrr),
                                   float(rpz2), bool(flag), bool(conjecture_ok))

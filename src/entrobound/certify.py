@@ -31,15 +31,6 @@ def _check_sigma2(sigma2) -> None:
         raise ValueError(f"sigma2 must lie in [0, 1], got {sigma2}")
 
 
-def _sigma2(c) -> float:
-    """The OverlapMatrix ``c``'s sigma2, capped at 1.
-
-    For a doubly stochastic C, sigma2 <= 1, but SVD rounding can land a
-    few ulps above 1, which ``mu_star`` would refuse.
-    """
-    return min(float(c.sigma2), 1.0)
-
-
 def mu_star(sigma2: float) -> float:
     """Largest equal weight mu = lambda inside the region: 1 / (1 + sigma2).
 

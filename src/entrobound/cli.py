@@ -85,10 +85,12 @@ def _add_matrix_args(p) -> None:
                    help="unistochastic matrix from a seeded Haar-random unitary")
     g.add_argument("--file", metavar="PATH",
                    help="load a matrix from a whitespace-separated text file")
-    p.add_argument("--seed", type=int, default=0, help="seed of the --haar unitary (default 0)")
+    p.add_argument("--seed", type=int, help="seed of the --haar unitary (default 0)")
 
 
 def _matrix(args):
+    if args.seed is not None and args.haar is None:
+        raise ValueError(f"{args.command} takes --seed only with --haar, whose unitary it seeds")
     if args.mub is not None:
         return mub_overlap(args.mub)
     if args.identity is not None:
@@ -96,7 +98,7 @@ def _matrix(args):
     if args.rotation is not None:
         return rotation_overlap_2d(args.rotation)
     if args.haar is not None:
-        return from_unitary(haar_random_unitary(args.haar, args.seed))
+        return from_unitary(haar_random_unitary(args.haar, args.seed or 0))
     with open(args.file, "r", encoding="utf-8") as f:
         return from_text(f.read())
 

@@ -29,11 +29,12 @@ from .applications import (
     _werner_scan,
 )
 from .bounds import (
+    _bccrr_constant,
     _compare_many,
     default_envelope_grid,
     envelope_curve,
 )
-from .certify import _equality_proven, _in_region, _sigma2, _weight_lattice, mu_star
+from .certify import _equality_proven, _in_region, _weight_lattice, mu_star
 from .errors import NormConsistencyError
 from .norms import (
     SolverOptions,
@@ -221,7 +222,7 @@ def run_fig_region(d: int = 2, theta: float | None = None, samples: int = 10_000
         raise NormConsistencyError(
             f"sample {k} lies {-margins[k]:.3e} below the envelope at S={float(s_vals[k])!r}"
         )
-    mu_level = float(-base.log(c.max_entry))
+    mu_level = float(_bccrr_constant(c, base))
 
     rows = [("sample", float(s), float(h)) for s, h in zip(s_vals, h_sums)]
     rows += [("mu_line", float(s), mu_level) for s in s_grid]
@@ -258,9 +259,9 @@ def run_norm_profile(theta: float = math.pi / 6, grid: int = 200,
     grid = _count(grid, "grid", 2)
     opts = opts or SolverOptions()
     c = rotation_overlap_2d(theta)
-    sigma2 = _sigma2(c)
+    sigma2 = c.sigma2
     ms = mu_star(sigma2)
-    kmu_level = float(base.log(c.max_entry))
+    kmu_level = -float(_bccrr_constant(c, base))
     ln2 = float(base.log(2.0))
 
     rows = []
@@ -473,7 +474,7 @@ def _fuzz_lattice(d: int, samples: int, grid: int, rng, counts: dict):
     with np.errstate(divide="ignore"):  # mu = 0 and lambda = 1 give the triples' inf
         r, s = 1.0 / mu, 1.0 / (1.0 - lam)
     for k, c in _haar_draws(d, samples, rng):
-        sigma2 = _sigma2(c)
+        sigma2 = c.sigma2
         inside = _in_region(mu, lam, sigma2)
         open_ = inside & ~_equality_proven(c, r, s)
         evals, n_open = int(np.count_nonzero(inside)), int(np.count_nonzero(open_))
@@ -585,7 +586,7 @@ def run_randomness_sweep(c, points: int = 11, weight_grid_n: int = 21,
     c = _as_overlap(c)
     d = _check_square(c.matrix).shape[0]
     opts = opts or SolverOptions()
-    sigma2 = _sigma2(c)
+    sigma2 = c.sigma2
     log_d = float(base.log(d))
 
     h_axis = np.linspace(0.0, log_d, points)

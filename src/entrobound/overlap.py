@@ -67,14 +67,20 @@ class OverlapMatrix:
 
         Values below 1e-12 are snapped to zero: the leading singular
         value of a doubly stochastic matrix is 1, so anything under the
-        SVD noise floor signals an exactly unbiased pair.
+        SVD noise floor signals an exactly unbiased pair.  For a doubly
+        stochastic matrix sigma2 <= 1 is a theorem, so a value above 1,
+        which only SVD rounding reads, is capped at 1; any other matrix
+        keeps its raw value.
         """
         s = self.singular_values
         val = float(s[1]) if s.size > 1 else 0.0
-        return 0.0 if val < 1e-12 else val
+        if val < 1e-12:
+            return 0.0
+        return 1.0 if val > 1.0 and self.is_doubly_stochastic() else val
 
     @property
     def max_entry(self) -> float:
+        """The largest entry c1."""
         return float(self.matrix.max())
 
     @functools.cached_property

@@ -10,6 +10,7 @@ from entrobound import (
     DensityMatrix,
     LogBase,
     NormConsistencyError,
+    OverlapMatrix,
     SolverOptions,
     WeightTriple,
     basis_measurement,
@@ -34,10 +35,13 @@ from entrobound import (
     rpz2_rhs,
     run_compare_random,
     run_compare_sweep,
+    run_fig_region,
+    run_norm_profile,
     shannon_entropy,
+    tensor_overlap,
     von_neumann_entropy,
 )
-from entrobound import norms
+from entrobound import bounds, norms
 
 SEED = 53
 FAST = SolverOptions(restarts=8)
@@ -174,6 +178,48 @@ def test_overlap_rhs_refuse_a_non_finite_entropy(rhs, bad):
     # They returned nan or an infinite bound.
     with pytest.raises(ValueError, match=f"^s_rho must be finite, got {bad}$"):
         rhs(rotation_overlap_2d(0.3), bad)
+
+
+# ---------------------------------------------------------------------------
+# one home for the numbers read off an overlap matrix
+
+
+@pytest.mark.parametrize("theta", [0.1, math.pi / 6, 0.7])
+def test_largest_overlap_constant_is_one_number_wherever_it_is_read(theta):
+    # For a nonzero float, == is bit equality.
+    c = rotation_overlap_2d(theta)
+    want = bccrr_rhs(c, 0.0)
+    assert compare_state_independent(c).bccrr == want
+    region = run_fig_region(theta=theta, samples=1, n_env=2,
+                            weight_grid=[WeightTriple(1.0, 0.5, 0.5)], opts=FAST)
+    assert {h for kind, _, h in region.rows if kind == "mu_line"} == {want}
+    profile = run_norm_profile(theta, grid=2, opts=FAST)
+    assert {-row[3] for row in profile.rows} == {want}
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_largest_overlap_constant_of_a_haar_draw_is_one_number(d):
+    c = from_unitary(haar_random_unitary(d, 0))
+    row = compare_state_independent(c, opts=FAST, on_violation="use_numeric")
+    assert row.bccrr == bccrr_rhs(c, 0.0)
+
+
+@pytest.mark.parametrize("c, want", [
+    (identity_overlap(3), ("0x1.0000000000000p+0", "0x1.0000000000000p+0", "-0x0.0p+0")),
+    (OverlapMatrix(np.roll(np.eye(3), 1, axis=1)),
+     ("0x1.0000000000000p+0", "0x1.0000000000000p+0", "-0x0.0p+0")),
+    (mub_overlap(3), ("0x1.5555555555555p-2", "0x1.5555555555555p-2", "0x1.95c01a39fbd69p+0")),
+    (tensor_overlap(rotation_overlap_2d(0.3), rotation_overlap_2d(0.5)),
+     ("0x1.67e17b5356db1p-1", "0x1.67e17b5356db1p-1", "0x1.046a75aecdc98p-1")),
+], ids=["identity", "cyclic", "mub", "tensor"])
+def test_second_overlap_constant_counts_a_repeated_largest_entry_twice(c, want):
+    c1, c2, _, rpz2 = bounds._rpz2_constant(c, LogBase.TWO)
+    assert (float(c1).hex(), float(c2).hex(), float(rpz2).hex()) == want
+
+
+def test_compare_refuses_the_raw_sigma2_of_a_matrix_that_is_not_doubly_stochastic():
+    with pytest.raises(ValueError, match=r"^sigma2 must lie in \[0, 1\], got 2\.0$"):
+        compare_state_independent([[2.0, 0.0], [0.0, 2.0]], on_violation="use_numeric")
 
 
 # ---------------------------------------------------------------------------

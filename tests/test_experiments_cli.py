@@ -176,7 +176,7 @@ def test_norm_argument_conflicts_exit_one(capsys):
 def test_norm_solves_and_reports_the_exponents_as_given(capsys, matrix):
     # --r/--s are not turned into weights and back: 1 / (1 - (1 - 1/3)) is
     # 3.000000000000001.
-    assert cli.main(["norm", *matrix, "--r", "1.5", "--s", "3", "--seed", "0"]) == 0
+    assert cli.main(["norm", *matrix, "--r", "1.5", "--s", "3"]) == 0
     out = capsys.readouterr().out
     assert '"r": 1.5,' in out and '"s": 3.0,' in out
     payload = json.loads(out)
@@ -1178,6 +1178,27 @@ def test_fig_compare_refuses_the_options_of_the_mode_not_chosen(tmp_path, capsys
     assert cli.main([*argv, "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"entrobound: error: {flags}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["norm", "--mub", "3", "--r", "1.5", "--s", "3", "--seed", "5"],
+    ["randomness", "--rotation", "0.5", "--points", "2", "--seed", "1"],
+], ids=["norm", "randomness"])
+def test_seed_without_haar_exits_one_naming_both(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert cli.main([*argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"entrobound: error: {argv[0]} takes --seed only with --haar, whose unitary it seeds\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed_args, seed", [([], 0), (["--seed", "5"], 5)], ids=["default", "5"])
+def test_norm_seed_seeds_the_haar_unitary(capsys, seed_args, seed):
+    assert cli.main(["norm", "--haar", "3", "--r", "1.5", "--s", "3", *seed_args]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    want = norm(from_unitary(haar_random_unitary(3, seed)), r=1.5, s=3.0)
+    assert payload["value"] == want.value
+    assert payload["witness"] == want.witness.tolist()
 
 
 def test_fuzz_engine_validation():

@@ -81,6 +81,18 @@ def test_tensor_overlap_sigma2_is_max_factor_value():
     assert abs(t.sigma2 - expected) < 1e-12
 
 
+def test_sigma2_of_a_doubly_stochastic_matrix_is_capped_at_one():
+    # There sigma2 <= 1 is a theorem; the SVD read 1.0000000000000002 here.
+    t = tensor_overlap(rotation_overlap_2d(0.0), rotation_overlap_2d(0.028282828282828285))
+    assert t.is_doubly_stochastic()
+    assert t.sigma2 == 1.0
+    assert second_singular_value(t) == 1.0
+
+
+def test_sigma2_of_a_matrix_that_is_not_doubly_stochastic_is_raw():
+    assert OverlapMatrix([[2.0, 0.0], [0.0, 2.0]]).sigma2 == 2.0
+
+
 def test_second_singular_value_known_matrix():
     assert abs(second_singular_value(np.eye(3)) - 1.0) < 1e-12
     assert second_singular_value(np.full((3, 3), 1.0 / 3.0)) < 1e-12
