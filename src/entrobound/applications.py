@@ -34,11 +34,8 @@ from .qmath import (
     DensityMatrix,
     LogBase,
     basis_measurement,
-    measurement_distribution,
     partial_trace,
     rotated_measurement_2d,
-    shannon_entropy,
-    tensor_measurement,
     von_neumann_entropy,
     _count,
     _product_entropies,
@@ -342,11 +339,12 @@ def werner_detection_scan(phi: float, theta_pairs,
 
     X measures both qubits in the standard basis; Y rotates qubit A by
     theta_a and qubit B by theta_b, giving sigma2 = max(cos 2 theta_a,
-    cos 2 theta_b).  S_max comes from the reduced state.  The Y entropies
-    are computed in batches of angle pairs, with the same checks and the
-    same bits as ``shannon_entropy(measurement_distribution(w,
-    tensor_measurement(...)))`` per pair, and the witness scores every
-    pair in one pass with the verdicts of
+    cos 2 theta_b).  S_max comes from the reduced state.  H(X) and the
+    H(Y) of batches of angle pairs come from one body, with the bits of
+    ``shannon_entropy(measurement_distribution(w, tensor_measurement(...)))``
+    per pair; each distribution keeps its own checks.  The rotations are
+    checked as they are built, and their products are not checked again.
+    The witness scores every pair in one pass with the verdicts of
     :func:`entanglement_witness_analytic`.  This is the one-phi case of
     the scan ``run_werner_masks`` makes over all its phi.
 
@@ -368,10 +366,11 @@ def werner_detection_scan(phi: float, theta_pairs,
 def _werner_scan(phis, theta_pairs, base: LogBase) -> np.ndarray:
     """:func:`werner_detection_scan` of each phi, shape (len(phis), pairs), in one scan.
 
-    The product projectors do not depend on phi, so each chunk of angle
-    pairs builds them once, checks them once and scores them against every
-    phi's state; each phi's distributions keep their own checks, and its
-    row has the bits of its own scan.
+    The product projectors do not depend on phi, so H(X) is one call for
+    every phi, and each chunk of angle pairs builds its products once and
+    scores them against every phi's state.  Each basis and rotation is
+    checked once, as it is built; each phi's distributions keep their own
+    checks, and its row has the bits of its own scan.
     """
     states = [werner_state(2, phi) for phi in phis]
     pairs = np.array([(float(ta), float(tb)) for ta, tb in theta_pairs]).reshape(-1, 2)
@@ -382,6 +381,8 @@ def _werner_scan(phis, theta_pairs, base: LogBase) -> np.ndarray:
     rotations = np.array([rotated_measurement_2d(t).projectors for t in angles],
                          dtype=complex).reshape(-1, 2, 2, 2)
     m = np.array([w.matrix for w in states]).reshape(-1, 4, 4)
+    z = basis_measurement(2).projectors[None]
+    h_x = _product_entropies(m, z, z, base)[:, 0].tolist()
     h_y = np.empty((len(states), len(pairs)))
     for i in range(0, len(pairs), _SCAN_CHUNK):
         a, b = which[i:i + _SCAN_CHUNK].T
@@ -389,12 +390,10 @@ def _werner_scan(phis, theta_pairs, base: LogBase) -> np.ndarray:
     # libm cos, as per pair; |cos 2 theta| is sigma2 of the rotation up to pi/4 + 1e-12.
     cos2 = np.array([abs(math.cos(2.0 * t)) for t in angles.tolist()])
     sigma2 = np.maximum(cos2[which[:, 0]], cos2[which[:, 1]])
-    x_meas = tensor_measurement(basis_measurement(2), basis_measurement(2))
     detected = np.empty(h_y.shape, dtype=bool)
     for k, w in enumerate(states):
-        h_x = shannon_entropy(measurement_distribution(w, x_meas), base)
         s_max = max(von_neumann_entropy(partial_trace(w, (2, 2), keep), base) for keep in (0, 1))
-        detected[k] = _witness(h_x, h_y[k], 4, sigma2, s_max, base)[0]
+        detected[k] = _witness(h_x[k], h_y[k], 4, sigma2, s_max, base)[0]
     return detected
 
 

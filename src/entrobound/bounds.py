@@ -148,7 +148,12 @@ def _rpz2_constant(c, base: LogBase) -> tuple:
     """(c1, c2, C, -log[c1 C^2 + c2 (1 - C^2)]) of the OverlapMatrix ``c``.
 
     c1 and c2 are its two largest entries, counted with multiplicity.
+
+    Raises:
+        ValueError: if the matrix has a single entry, and so no c2.
     """
+    if c.matrix.size < 2:
+        raise ValueError(f"the second-overlap bound needs two entries, got shape {c.shape}")
     c2, c1 = np.partition(c.matrix.ravel(), -2)[-2:].tolist()
     big_c = (1.0 + np.sqrt(c1)) / 2.0
     return c1, c2, big_c, -base.log(c1 * big_c**2 + c2 * (1.0 - big_c**2))
@@ -171,7 +176,7 @@ def rpz2_rhs(c, s_rho: float, base: LogBase = LogBase.TWO) -> float:
     with multiplicity.
 
     Raises:
-        ValueError: if ``s_rho`` is not finite.
+        ValueError: if ``s_rho`` is not finite, or the matrix is 1 x 1.
     """
     _check_entropies(s_rho=s_rho)
     return s_rho + _rpz2_constant(_as_overlap(c), base)[3]

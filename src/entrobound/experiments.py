@@ -11,6 +11,7 @@ refused with a ``ValueError`` that names the parameter.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import itertools
 import json
@@ -178,7 +179,8 @@ def run_fig_region(d: int = 2, theta: float | None = None, samples: int = 10_000
     deterministically after the random cloud.  States are drawn and
     scored in stacks of up to 1024, with the stream, state checks and
     bits of per-state ``random_density_matrix``, ``von_neumann_entropy``
-    and ``shannon_entropy(measurement_distribution(...))``.
+    and ``shannon_entropy(measurement_distribution(...))``.  The config
+    records a ``weight_grid``'s triples when one is passed.
 
     Raises:
         ValueError: for a ``d`` below 2, a negative ``seed``, or a ``d``,
@@ -232,6 +234,8 @@ def run_fig_region(d: int = 2, theta: float | None = None, samples: int = 10_000
         "seed": seed, "n_env": n_env, "n_triples": len(triples),
         "base": base.name, **_opts_config(opts),
     }
+    if weight_grid is not None:
+        config["triples"] = [[w.alpha, w.lam, w.mu] for w in triples]
     stats = {
         "min_margin": float(margins.min()),
         "env_at_zero": float(env_grid[0]),
@@ -578,6 +582,8 @@ def run_randomness_sweep(c, points: int = 11, weight_grid_n: int = 21,
     lattice and the whole entropy mesh; the analytic column is the
     closed-form optimum where it applies (delta_X <= delta_Y), with the
     flag column marking values that rely on the extended equality regime.
+    The region theorem speaks only of a doubly stochastic ``c``; for any
+    other matrix every analytic and flag cell is blank.
 
     Raises:
         DimensionMismatchError: if ``c`` is not a square matrix.
@@ -593,14 +599,15 @@ def run_randomness_sweep(c, points: int = 11, weight_grid_n: int = 21,
     numerics = randomness_bound_numeric(h_axis[:, None], h_axis, c,
                                         zip(*_weight_lattice(weight_grid_n)), opts=opts, base=base)
 
+    stochastic = c.is_doubly_stochastic()
     rows = []
     for (h_x, h_y), numeric in zip(itertools.product(h_axis, h_axis), numerics.flat):
-        try:
-            rb = randomness_bound_analytic(
-                deficits_from_entropies(float(h_x), float(h_y), d, base), sigma2)
-            analytic, flag = float(rb.value), int(rb.conjectured)
-        except ValueError:
-            analytic, flag = "", ""
+        analytic, flag = "", ""
+        if stochastic:
+            with contextlib.suppress(ValueError):  # gamma > 1, or the degenerate sigma2 = 1
+                rb = randomness_bound_analytic(
+                    deficits_from_entropies(float(h_x), float(h_y), d, base), sigma2)
+                analytic, flag = float(rb.value), int(rb.conjectured)
         rows.append((float(h_x), float(h_y), float(numeric), analytic, flag))
     config = {
         "cmd": "randomness", "d": d, "sigma2": sigma2, "points": points,

@@ -385,14 +385,14 @@ def _product_entropies(m: np.ndarray, a: np.ndarray, b: np.ndarray,
 
     ``m`` is a state (d, d) or a stack of states (..., d, d); ``a`` and
     ``b`` are stacks of projector sets, shape (p, n, d, d), and the result
-    has shape (..., p).  The product projectors are built and checked once
-    for every state.  Each entry runs the checks and has the bits of
-    ``shannon_entropy(measurement_distribution(rho, tensor_measurement(A_k,
-    B_k)), base)``.
+    has shape (..., p).  The factors must be the projectors of
+    :class:`ProjectiveMeasurement` objects, which were checked when they
+    were built; their products are built once for every state and not
+    checked again.  Each distribution keeps its own checks, and each entry
+    has the bits of ``shannon_entropy(measurement_distribution(rho,
+    tensor_measurement(A_k, B_k)), base)``.
     """
-    proj = _tensor_projectors(a, b)
-    _check_projectors(proj)
-    return _outcome_entropies(m[..., None, :, :], proj, base)
+    return _outcome_entropies(m[..., None, :, :], _tensor_projectors(a, b), base)
 
 
 def haar_random_unitary(d: int, seed) -> np.ndarray:

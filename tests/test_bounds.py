@@ -172,6 +172,13 @@ def test_second_entry_refinement_never_loses():
     assert rpz2_rhs(c, 0.0) > bccrr_rhs(c, 0.0) + 1e-6
 
 
+def test_second_overlap_bound_refuses_a_one_by_one_matrix_by_name():
+    with pytest.raises(ValueError, match=r"^the second-overlap bound needs two entries, "
+                                         r"got shape \(1, 1\)$"):
+        rpz2_rhs([[1.0]], 0.0)
+    assert bccrr_rhs([[1.0]], 0.5) == 0.5
+
+
 @pytest.mark.parametrize("rhs", [bccrr_rhs, rpz2_rhs])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_overlap_rhs_refuse_a_non_finite_entropy(rhs, bad):

@@ -48,6 +48,7 @@ from entrobound import (
     norms,
     qmath,
     random_density_matrix,
+    randomness_bound_numeric,
     rotated_measurement_2d,
     rotation_overlap_2d,
     run_compare_random,
@@ -651,6 +652,15 @@ def test_fig_region_scores_like_the_per_state_path_bit_for_bit(monkeypatch, d, s
     assert got == expected
 
 
+def test_fig_region_config_records_a_custom_weight_grid():
+    kwargs = {"samples": 3, "n_env": 3, "opts": FAST}
+    configs = [run_fig_region(weight_grid=[WeightTriple(1.0, t, t)], **kwargs).config
+               for t in (0.5, 0.9)]
+    assert configs[0]["triples"] == [[1.0, 0.5, 0.5]]
+    assert config_hash(configs[0]) != config_hash(configs[1])
+    assert "triples" not in run_fig_region(**kwargs).config
+
+
 def test_fig_region_higher_dimension_rules():
     with pytest.raises(ValueError):
         run_fig_region(d=3, theta=0.3, samples=5, n_env=5, opts=FAST)
@@ -1063,10 +1073,10 @@ def test_werner_masks_engine_nesting():
 
 @pytest.mark.parametrize("phis", [(-1.0,), (-1.0, -0.5, -0.1), (-1.0, -0.8, -0.5, -0.3, 0.5)])
 def test_werner_masks_are_the_per_phi_scans_with_each_projector_checked_once(monkeypatch, phis):
-    # The product projectors do not depend on phi, so one scan builds and
-    # checks them once for every phi: 3 checks for the X measurement (two
-    # bases and their product), 50 for the rotated bases and 10 for the
-    # chunks of 256 product projectors, for any number of phi.
+    # The product projectors do not depend on phi, so one scan builds them
+    # once for every phi.  Each measurement is checked once, where it is
+    # built: 1 check for the basis and 50 for the rotated bases, for any
+    # number of phi; their products are not checked again.
     checked = []
     check = qmath._check_projectors
 
@@ -1077,7 +1087,7 @@ def test_werner_masks_are_the_per_phi_scans_with_each_projector_checked_once(mon
     monkeypatch.setattr(qmath, "_check_projectors", counting)
     table = run_werner_masks(phis=phis)
     monkeypatch.undo()
-    assert len(checked) == 63
+    assert len(checked) == 51
     axis = np.linspace(0.0, math.pi / 4, 50)
     pairs = [(float(a), float(b)) for a in axis for b in axis]
     want = [(a, b, phi, bool(hit)) for phi in phis
@@ -1111,6 +1121,18 @@ def test_werner_cli_output(tmp_path):
     assert len(data) == 25
     assert all(cells[3] in {"0", "1"} for cells in data)
     assert data[-1][3] == "1"  # unbiased corner detects the singlet
+
+
+def test_randomness_sweep_gives_no_analytic_cell_for_a_matrix_that_is_not_doubly_stochastic():
+    # The region theorem says nothing of such a matrix, so no sigma2 read off
+    # it gives an analytic bound; the numeric column is untouched.
+    c = [[0.5, 0.2], [0.1, 0.3]]
+    t = run_randomness_sweep(c, points=3, weight_grid_n=3, opts=FAST)
+    assert {(row[3], row[4]) for row in t.rows} == {("", "")}
+    h = np.linspace(0.0, 1.0, 3)
+    numerics = randomness_bound_numeric(h[:, None], h, c, zip(*experiments._weight_lattice(3)),
+                                        opts=FAST)
+    assert [row[2] for row in t.rows] == numerics.ravel().tolist()
 
 
 def test_randomness_sweep_engine_and_cli(tmp_path):

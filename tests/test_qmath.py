@@ -374,13 +374,13 @@ def test_random_states_draw_the_stream_of_random_density_matrix():
         assert one_by_one.random() == stacked.random()
 
 
-def test_product_entropies_check_their_projectors():
+def test_product_entropies_of_the_maximally_mixed_state_are_two_bits():
+    # The factors were checked when their measurements were built; the
+    # products are not checked again.
     rho = DensityMatrix(np.eye(4) / 4)
     a = np.array([rotated_measurement_2d(t).projectors for t in (0.1, 0.2, 0.3)])
     b = a[::-1].copy()
     assert np.allclose(_product_entropies(rho.matrix, a, b, LogBase.TWO), 2.0, atol=1e-12)
-    a[1, 0, 0, 1] += 1e-6j
-    assert _raised(_product_entropies, rho.matrix, a, b, LogBase.TWO)[0] is InvalidStateError
 
 
 @pytest.mark.parametrize("n", [9, 10, 16, 17, 33])
